@@ -31,6 +31,21 @@ def _block_norms(blocks):
     return np.linalg.svd(blocks, compute_uv=False)[:, 0]
 
 
+def _unfold(rows, cols, blocks):
+    """Scalar (row, col, value) triplets of k-by-k block triplets.
+
+    Block (x, y) lands at rows x*k .. x*k+k-1 and columns y*k .. y*k+k-1 of
+    the unfolded (n*k, n*k) matrix.
+    """
+    k = blocks.shape[1]
+    if k == 1:
+        return rows, cols, blocks[:, 0, 0]
+    bi, bj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    r = (rows[:, None, None] * k + bi[None]).reshape(-1)
+    c = (cols[:, None, None] * k + bj[None]).reshape(-1)
+    return r, c, blocks.reshape(-1)
+
+
 class BandOperator:
     """Sparse point-indexed matrix with propagation and entry-bound metadata.
 
@@ -77,16 +92,9 @@ class BandOperator:
     def csr(self):
         """Unfolded (n*k, n*k) sparse matrix; cached."""
         if self._csr is None:
-            n, k = self.space.n, self.block_dim
-            if k == 1:
-                self._csr = csr_matrix(
-                    (self.blocks[:, 0, 0], (self.rows, self.cols)), shape=(n, n))
-            else:
-                bi, bj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-                r = (self.rows[:, None, None] * k + bi[None]).reshape(-1)
-                c = (self.cols[:, None, None] * k + bj[None]).reshape(-1)
-                self._csr = csr_matrix(
-                    (self.blocks.reshape(-1), (r, c)), shape=(n * k, n * k))
+            nk = self.space.n * self.block_dim
+            r, c, v = _unfold(self.rows, self.cols, self.blocks)
+            self._csr = csr_matrix((v, (r, c)), shape=(nk, nk))
         return self._csr
 
     def to_dense(self):

@@ -4,23 +4,25 @@
 union of uniformly bounded, well separated parts: an offset-shifted block
 pattern on lattice windows, greedy mass-ordered ball packing elsewhere.
 ``make_partition`` builds p-partitions of unity from piecewise-linear bumps on
-an L-net and measures their variation exactly by sweeping point pairs; the
-measured table replaces analytic variation bounds everywhere downstream.
-``average`` and ``weighted_sum`` assemble the operator combinations these
-partitions support, with certified norm bounds attached.
+an L-net and stores them once, as the sparse bump matrix Phi (points by
+centers).  Their variation is measured exactly from row differences of Phi
+over all point pairs within the radius; the measured table replaces analytic
+variation bounds everywhere downstream.  ``average`` and ``weighted_sum``
+read Phi to assemble the operator combinations these partitions support, with
+certified norm bounds attached.
 """
 
 from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import csr_matrix
 
 from .operators import (
-    BandOperator, OperatorError, from_triplets, schur_bound, _from_csr,
+    BandOperator, OperatorError, from_triplets, schur_bound, _from_csr, _unfold,
 )
-from .space import LATTICE_KINDS, SpaceError
-from .serialize import round15
+from .space import LATTICE_KINDS, SpaceError, space_to_json
+from .serialize import report_dumps, round15
 
 
 class SparsifyShortfall(ValueError):
@@ -211,30 +213,56 @@ def _validate_sparsification(space, sp):
                 raise OperatorError("sparsification parts too close")
 
 
+# Points per block of the variation sweep: a block holds the pairs of this
+# many points with their ball, so memory grows with the ball size, not with n.
+_SWEEP_POINTS = 32
+
+
+def _row_sums(mat):
+    """Sum of each CSR row's stored values, added one by one in column order."""
+    counts = np.diff(mat.indptr)
+    total = np.zeros(mat.shape[0])
+    rows = np.arange(mat.shape[0])
+    for j in range(counts.max(initial=0)):
+        rows = rows[counts[rows] > j]
+        total[rows] += mat.data[mat.indptr[rows] + j]
+    return total
+
+
 @dataclass
 class PPartition:
     """Metric p-partition of unity with measured variation.
 
-    ``point_funcs[x]`` maps center indices to values of the normalized bumps
-    at x; the p-th powers sum to one at every point.  ``variation_table[r]``
-    is the measured worst-pair variation at distance r; it extends lazily for
-    larger r via ``variation``.
+    ``bumps`` is the sparse bump matrix Phi (CSR, ``space.n`` by
+    ``len(centers)``, Phi[x, i] = phi_i(x)); the p-th powers of each row sum
+    to one.  It is the only stored form of the bumps: ``point_funcs[x]`` is
+    row x read as a dict from center index to value, in ascending center
+    order, and ``support(i)`` is column i.  ``variation_table[r]`` is the
+    measured worst-pair variation at distance r; it extends lazily for larger
+    r via ``variation``.
     """
 
     space: object
     centers: list
     scale: int
     p: float
-    point_funcs: list
+    bumps: csr_matrix
     multiplicity: int
     support_diameter: int
     variation_table: dict = field(default_factory=dict)
 
+    @property
+    def point_funcs(self):
+        """Rows of Phi as dicts {center index: value}, rebuilt on each access."""
+        idx, val = self.bumps.indices.tolist(), self.bumps.data.tolist()
+        ptr = self.bumps.indptr.tolist()
+        return [dict(zip(idx[a:b], val[a:b])) for a, b in zip(ptr, ptr[1:])]
+
     def phi(self, i, x):
-        return self.point_funcs[x].get(i, 0.0)
+        return float(self.bumps[x, i])
 
     def support(self, i):
-        return sorted(x for x in range(self.space.n) if i in self.point_funcs[x])
+        return self.bumps[:, [i]].nonzero()[0].tolist()
 
     def variation(self, r):
         """Measured epsilon(r): worst pair sum of |phi_i(x) - phi_i(y)|^p."""
@@ -246,22 +274,24 @@ class PPartition:
         return self.variation_table[r]
 
     def _measure_variation(self, r_max):
-        buckets = {}
-        for x in range(self.space.n):
-            fx = self.point_funcs[x]
-            for y in self.space.ball(x, r_max):
-                if y <= x:
-                    continue
-                d = self.space.dist(x, int(y))
-                fy = self.point_funcs[int(y)]
-                tot = 0.0
-                for i in set(fx) | set(fy):
-                    tot += abs(fx.get(i, 0.0) - fy.get(i, 0.0)) ** self.p
-                buckets[d] = max(buckets.get(d, 0.0), tot)
-        running = 0.0
+        """Fill the table up to r_max from every pair x < y with d(x, y) <= r_max."""
+        space, phi = self.space, self.bumps
+        worst = np.zeros(r_max + 1)
+        for start in range(0, space.n, _SWEEP_POINTS):
+            xs, ys = [], []
+            for x in range(start, min(start + _SWEEP_POINTS, space.n)):
+                ball = space.ball(x, r_max)
+                ball = ball[np.searchsorted(ball, x, side="right"):]
+                xs.append(np.full(len(ball), x, dtype=np.int64))
+                ys.append(ball)
+            xs, ys = np.concatenate(xs), np.concatenate(ys)
+            if not len(xs):
+                continue
+            gaps = _row_sums(abs(phi[ys] - phi[xs]).power(self.p))
+            np.maximum.at(worst, space.pair_dist(xs, ys), gaps)
+        eps = np.maximum.accumulate(worst[1:]) ** (1.0 / self.p)
         for r in range(1, r_max + 1):
-            running = max(running, buckets.get(r, 0.0))
-            self.variation_table[r] = running ** (1.0 / self.p)
+            self.variation_table[r] = float(eps[r - 1])
 
     def to_json(self):
         return {
@@ -275,6 +305,27 @@ class PPartition:
         }
 
 
+def _net(space, L):
+    """L-net centers: lattice-aligned on lattice windows, greedy elsewhere."""
+    if space.kind in LATTICE_KINDS:
+        axes = [np.arange(int(lo), int(up) + 1, L)
+                for lo, up in zip(space.lower, space.upper)]
+        grids = np.meshgrid(*axes, indexing="ij")
+        coords = np.stack([g.reshape(-1) for g in grids], axis=-1)
+        return sorted(cid for cid in (space.lattice_id(c) for c in coords)
+                      if cid is not None)
+    # the next center is the first point farther than L from every center
+    centers = []
+    nearest = np.full(space.n, np.inf)
+    far = np.arange(space.n)
+    while len(far):
+        c = int(far[0])
+        centers.append(c)
+        nearest = np.minimum(nearest, space.row(c))
+        far = np.nonzero(nearest > L)[0]
+    return centers
+
+
 def make_partition(space, scale, p=2.0):
     """Piecewise-linear p-partition of unity at the given scale.
 
@@ -286,92 +337,60 @@ def make_partition(space, scale, p=2.0):
     L = int(scale)
     if L < 1:
         raise OperatorError("partition scale must be at least 1")
-    if space.kind in LATTICE_KINDS:
-        axes = []
-        for lo, up in zip(space.lower, space.upper):
-            pts = list(range(int(lo), int(up) + 1, L))
-            axes.append(pts)
-        centers = []
-        grids = np.meshgrid(*[np.asarray(a) for a in axes], indexing="ij")
-        coords = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        for c in coords:
-            cid = space.lattice_id(c)
-            if cid is not None:
-                centers.append(cid)
-        centers = sorted(centers)
-    else:
-        centers = []
-        for x in range(space.n):
-            if all(space.dist(x, c) > L for c in centers):
-                centers.append(x)
+    centers = _net(space, L)
     if not centers:
         raise SpaceError("net construction failed: no centers at this scale")
 
-    point_funcs = [dict() for _ in range(space.n)]
+    rows, cols, vals = [], [], []
+    diam = 0
     for i, c in enumerate(centers):
         ball = space.ball(c, 2 * L - 1)
-        dists = space.pairwise(np.array([c]), ball)[0]
-        for y, d in zip(ball, dists):
-            w = 1.0 - d / (2.0 * L)
-            if w > 0:
-                point_funcs[int(y)][i] = w
-    mult = 0
-    for x in range(space.n):
-        fx = point_funcs[x]
-        if not fx:
-            raise SpaceError(f"net does not cover point {x} at this scale")
-        norm = sum(v ** p for v in fx.values()) ** (1.0 / p)
-        for i in fx:
-            fx[i] /= norm
-        mult = max(mult, len(fx))
-
-    diam = 0
-    for i in range(len(centers)):
-        sup = np.array([x for x in range(space.n) if i in point_funcs[x]],
-                       dtype=np.int64)
+        w = 1.0 - space.pairwise(np.array([c]), ball)[0] / (2.0 * L)
+        sup = ball[w > 0]
+        rows.append(sup)
+        cols.append(np.full(len(sup), i, dtype=np.int64))
+        vals.append(w[w > 0])
         if len(sup) > 1:
             diam = max(diam, int(space.pairwise(sup, sup).max()))
+    bumps = csr_matrix((np.concatenate(vals),
+                        (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(space.n, len(centers)))
+    bumps.sort_indices()
+    counts = np.diff(bumps.indptr)
+    if not counts.all():
+        x = int(np.argmin(counts))
+        raise SpaceError(f"net does not cover point {x} at this scale")
+    bumps.data /= np.repeat(_row_sums(bumps.power(p)) ** (1.0 / p), counts)
+
     part = PPartition(space=space, centers=centers, scale=L, p=float(p),
-                      point_funcs=point_funcs, multiplicity=mult,
+                      bumps=bumps, multiplicity=int(counts.max()),
                       support_diameter=diam)
     part._measure_variation(3 * L)
     return part
 
 
-def _phi_diag(part, i, power):
-    n = part.space.n
-    vals = np.zeros(n)
-    for x in range(n):
-        v = part.point_funcs[x].get(i)
-        if v is not None:
-            vals[x] = v ** power
-    return vals
+def _check_space(space, A):
+    """Reject an operator built on another space than the partition's."""
+    if A.space is not space and (report_dumps(space_to_json(A.space))
+                                 != report_dumps(space_to_json(space))):
+        raise OperatorError("operator and partition live on different spaces")
 
 
 def average(A: BandOperator, part: PPartition) -> BandOperator:
     """Partition average sum_i phi_i^(p/q) A phi_i (entrywise damping of A).
 
     Fixes diagonal operators exactly and contracts certified norms; converges
-    to A in norm as the scale grows.
+    to A in norm as the scale grows.  Entry (x, y) is scaled by
+    sum_i Phi[x, i]^(p-1) Phi[y, i].
     """
-    if part.space is not A.space and part.space.n != A.space.n:
-        raise OperatorError("operator and partition live on different spaces")
-    p = part.p
-    pq = p - 1.0          # p / q for the conjugate exponent q
-    coeff = np.zeros(A.nnz)
-    for e in range(A.nnz):
-        frow = part.point_funcs[int(A.rows[e])]
-        fcol = part.point_funcs[int(A.cols[e])]
-        c = 0.0
-        for i, v in frow.items():
-            w = fcol.get(i)
-            if w is not None:
-                c += (v ** pq) * w
-        coeff[e] = c
+    _check_space(part.space, A)
+    left = part.bumps[A.rows]
+    left.data **= part.p - 1.0       # p / q for the conjugate exponent q
+    coeff = _row_sums(left.multiply(part.bumps[A.cols]))
     keep = coeff != 0
-    blocks = A.blocks[keep] * coeff[keep][:, None, None]
     if not keep.any():
         return from_triplets(A.space, [], block_dim=A.block_dim, p=A.p)
+    blocks = A.blocks[keep] * coeff[keep][:, None, None]
     return BandOperator(A.space, A.rows[keep], A.cols[keep], blocks,
                         block_dim=A.block_dim, p=A.p)
 
@@ -384,6 +403,14 @@ def _local_ops(locals_, count):
     return list(locals_)
 
 
+def _scaled(A, keep, factor):
+    """Unfolded CSR of the entries of A selected by keep, scaled by factor."""
+    nk = A.space.n * A.block_dim
+    r, c, v = _unfold(A.rows[keep], A.cols[keep],
+                      A.blocks[keep] * factor[keep][:, None, None])
+    return csr_matrix((v, (r, c)), shape=(nk, nk))
+
+
 def weighted_sum(part: PPartition, locals_, mode="plain", A=None, M=None,
                  norm_a=None):
     """Assemble sum_i phi_i^(p/q) B_i phi_i or sum_i phi_i^(p/q) B_i [phi_i, A].
@@ -393,35 +420,55 @@ def weighted_sum(part: PPartition, locals_, mode="plain", A=None, M=None,
     (operator, certified_bound): M in plain mode, eps * N * |A| * M in
     commutator mode with eps the measured variation at prop(A) and N the ball
     bound growth(prop(A)).
+
+    Each B_i is cut to rows in supp phi_i and scaled there by phi_i^(p-1);
+    in plain mode it is also cut to columns in supp phi_i and scaled by
+    phi_i, in commutator mode it multiplies [phi_i, A], whose entry (x, y) is
+    (phi_i(x) - phi_i(y)) A(x, y), so a diagonal A gives exactly zero.
     """
     if M is None:
         raise OperatorError("weighted_sum needs a uniform bound M on the locals")
+    if mode not in ("plain", "commutator"):
+        raise OperatorError(f"unknown weighted_sum mode {mode!r}")
+    if mode == "commutator" and A is None:
+        raise OperatorError("commutator mode needs the operator A")
     ops = _local_ops(locals_, len(part.centers))
     if len(ops) != len(part.centers):
         raise OperatorError("one local operator per partition center required")
     space = part.space
-    p = part.p
-    pq = p - 1.0
-    nk = space.n * (ops[0].block_dim if ops else 1)
-    if mode == "commutator" and A is None:
-        raise OperatorError("commutator mode needs the operator A")
+    if not ops:
+        return from_triplets(space, []), 0.0
+    k = ops[0].block_dim
+    for B in ops + ([A] if mode == "commutator" else []):
+        _check_space(space, B)
+        if B.block_dim != k:
+            raise OperatorError("block dimension mismatch")
 
-    total = None
+    columns = part.bumps.tocsc()
+    terms = []
     for i, B in enumerate(ops):
-        dl = diags(np.repeat(_phi_diag(part, i, pq), B.block_dim))
-        dr = diags(np.repeat(_phi_diag(part, i, 1.0), B.block_dim))
+        sup = columns.indices[columns.indptr[i]:columns.indptr[i + 1]]
+        vals = columns.data[columns.indptr[i]:columns.indptr[i + 1]]
+        phi, lead = np.zeros(space.n), np.zeros(space.n)
+        phi[sup] = vals
+        lead[sup] = vals ** (part.p - 1.0)
         if mode == "plain":
-            term = dl @ B.csr() @ dr
-        elif mode == "commutator":
-            comm = dr @ A.csr() - A.csr() @ dr
-            term = dl @ B.csr() @ comm
+            keep = (phi[B.rows] != 0) & (phi[B.cols] != 0)
+            rows, cols = B.rows[keep], B.cols[keep]
+            terms.append(_unfold(rows, cols, B.blocks[keep]
+                                 * lead[rows][:, None, None]
+                                 * phi[cols][:, None, None]))
         else:
-            raise OperatorError(f"unknown weighted_sum mode {mode!r}")
-        total = term if total is None else total + term
-    if total is None:
-        op = from_triplets(space, [])
-        return op, 0.0
-    op = _from_csr(space, csr_matrix(total), ops[0].block_dim, ops[0].p)
+            jump = phi[A.rows] - phi[A.cols]
+            prod = (_scaled(B, phi[B.rows] != 0, lead[B.rows])
+                    @ _scaled(A, jump != 0, jump)).tocoo()
+            terms.append((prod.row, prod.col, prod.data))
+    r, c, v = (np.concatenate(t) for t in zip(*terms))
+    # stably sorted input: csr_matrix adds duplicates in center order
+    order = np.lexsort((c, r))
+    nk = space.n * k
+    total = csr_matrix((v[order], (r[order], c[order])), shape=(nk, nk))
+    op = _from_csr(space, total, k, ops[0].p)
     if mode == "plain":
         bound = float(M)
     else:

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bandlim.space import build_space
+from bandlim import partition
+from bandlim.space import LATTICE_KINDS, build_space
 from bandlim.operators import (
-    identity, multiplier, subtract, scale, norm2, schur_bound, apply_operator,
-    Vector,
+    OperatorError, identity, multiplier, subtract, scale, norm2, schur_bound,
+    apply_operator, Vector,
 )
 from bandlim.partition import (
     SparsifyShortfall, BlockSparsifierModel, sparsify, make_partition,
@@ -226,3 +230,181 @@ class TestWeightedSum:
         part = make_partition(sp, 4)
         with pytest.raises(Exception, match="bound"):
             weighted_sum(part, lambda i: identity(sp), mode="plain")
+
+
+def torus_graph(g):
+    edges = [(i * g + j, i * g + (j + 1) % g) for i in range(g) for j in range(g)]
+    edges += [(i * g + j, ((i + 1) % g) * g + j) for i in range(g) for j in range(g)]
+    return build_space({"kind": "graph", "n": g * g, "edges": edges,
+                        "name": "torus"})
+
+
+class TestSpaceMismatch:
+    def test_same_size_other_space_rejected(self):
+        quad = build_space({"kind": "quadrant", "upper": 11, "name": "q12"})
+        torus = torus_graph(12)
+        assert quad.n == torus.n == 144
+        part = make_partition(quad, 3)
+        with pytest.raises(OperatorError, match="different spaces"):
+            average(identity(torus), part)
+        with pytest.raises(OperatorError, match="different spaces"):
+            weighted_sum(part, lambda i: identity(torus), mode="plain", M=1.0)
+        with pytest.raises(OperatorError, match="different spaces"):
+            weighted_sum(part, lambda i: identity(quad), mode="commutator",
+                         A=identity(torus), M=1.0)
+
+    def test_equal_descriptor_accepted(self):
+        sp = interval(30, "n30")
+        twin = interval(30, "n30")
+        part = make_partition(sp, 4)
+        M = average(identity(twin), part)
+        assert np.allclose(M.to_dense(), np.eye(sp.n), atol=1e-12)
+        op, _ = weighted_sum(part, lambda i: identity(twin), mode="plain",
+                             M=1.0)
+        assert np.allclose(op.to_dense(), np.eye(sp.n), atol=1e-12)
+
+
+def graph_descriptor(n, extra):
+    """Connected graph: a path on n vertices plus the given extra edges."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(u % n, v % n) for u, v in extra if u % n != v % n]
+    return {"kind": "graph", "n": n, "edges": edges}
+
+
+small_spaces = st.one_of(
+    st.builds(lambda u: {"kind": "n-window", "upper": u},
+              st.integers(0, 24)),
+    st.builds(lambda lo, hi, norm: {"kind": "zn-window", "lower": lo,
+                                    "upper": hi, "norm": norm},
+              st.lists(st.integers(-4, 0), min_size=2, max_size=2),
+              st.lists(st.integers(0, 4), min_size=2, max_size=2),
+              st.sampled_from(["linf", "l1", "l2"])),
+    st.builds(lambda hi, norm: {"kind": "quadrant", "upper": hi, "norm": norm},
+              st.lists(st.integers(0, 7), min_size=2, max_size=2),
+              st.sampled_from(["linf", "l1", "l2"])),
+    st.builds(graph_descriptor, st.integers(2, 16),
+              st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                       max_size=6)),
+    st.builds(lambda mods, cross: {"kind": "box-cycles", "moduli": mods,
+                                   "cross_distance": cross},
+              st.lists(st.integers(3, 9), min_size=1, max_size=3),
+              st.integers(3, 12)),
+)
+
+
+def dense_bumps(space, centers, L, p):
+    """Normalized piecewise-linear bumps from the definition, as a dense matrix."""
+    ids = np.arange(space.n)
+    d = space.pairwise(ids, np.asarray(centers))
+    w = np.clip(1.0 - d / (2.0 * L), 0.0, None)
+    return w / ((w ** p).sum(axis=1) ** (1.0 / p))[:, None]
+
+
+def greedy_net(space, L):
+    centers = []
+    for x in range(space.n):
+        if all(space.dist(x, c) > L for c in centers):
+            centers.append(x)
+    return centers
+
+
+class TestVariationProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(desc=small_spaces, L=st.integers(1, 4),
+           p=st.sampled_from([1.5, 2.0, 3.0]), extra=st.integers(1, 4),
+           block=st.integers(1, 80))
+    def test_measured_variation_matches_dense_reference(self, desc, L, p,
+                                                        extra, block):
+        space = build_space(desc)
+        r_lazy = 3 * L + extra
+        # any sweep block size gives the same table
+        with mock.patch.object(partition, "_SWEEP_POINTS", block):
+            part = make_partition(space, L, p=p)
+            table = dict(part.variation_table)
+            lazy = part.variation(r_lazy)
+        if space.kind not in LATTICE_KINDS:
+            assert part.centers == greedy_net(space, L)
+        phi = dense_bumps(space, part.centers, L, p)
+        got = np.zeros_like(phi)
+        for x, f in enumerate(part.point_funcs):
+            assert list(f) == sorted(f)
+            for i, v in f.items():
+                got[x, i] = v
+        assert np.max(np.abs(got - phi)) <= 1e-15
+
+        ids = np.arange(space.n)
+        dist = space.pairwise(ids, ids)
+        gaps = (np.abs(phi[:, None, :] - phi[None, :, :]) ** p).sum(axis=2)
+
+        def reference(r):
+            near = (dist <= r) & (dist > 0)
+            return gaps[near].max(initial=0.0) ** (1.0 / p)
+
+        assert sorted(table) == list(range(1, 3 * L + 1))
+        for r in range(1, 3 * L + 1):
+            assert abs(table[r] - reference(r)) <= 1e-12
+        assert abs(lazy - reference(r_lazy)) <= 1e-12
+
+        diam = 0
+        for i in range(len(part.centers)):
+            sup = np.nonzero(phi[:, i])[0]
+            assert part.support(i) == sup.tolist()
+            diam = max(diam, int(dist[np.ix_(sup, sup)].max()))
+        assert part.support_diameter == diam
+
+
+def dense_phi(part):
+    phi = np.zeros((part.space.n, len(part.centers)))
+    for x, f in enumerate(part.point_funcs):
+        for i, v in f.items():
+            phi[x, i] = v
+    return phi
+
+
+def dense_weighted_sums(part, locals_, A, k):
+    """Plain and commutator sums from dense diagonal products."""
+    phi = dense_phi(part)
+    plain, comm = 0.0, 0.0
+    for i, B in enumerate(locals_):
+        lead = np.kron(np.diag(phi[:, i] ** (part.p - 1.0)), np.eye(k))
+        right = np.kron(np.diag(phi[:, i]), np.eye(k))
+        b, a = B.to_dense(), A.to_dense()
+        plain = plain + lead @ b @ right
+        comm = comm + lead @ b @ (right @ a - a @ right)
+    return plain, comm
+
+
+class TestDenseReference:
+    def test_distinct_locals_per_center(self):
+        sp = build_space({"kind": "quadrant", "upper": 6, "name": "q7"})
+        rng = np.random.default_rng(211)
+        for p in (1.5, 2.0, 3.0):
+            part = make_partition(sp, 2, p=p)
+            locals_ = [random_band(sp, 1, rng) for _ in part.centers]
+            A = random_band(sp, 1, rng, density=0.8)
+            plain, comm = dense_weighted_sums(part, locals_, A, 1)
+            op, _ = weighted_sum(part, locals_, mode="plain", M=1.0)
+            assert np.max(np.abs(op.to_dense() - plain)) <= 1e-13
+            op, _ = weighted_sum(part, locals_, mode="commutator", A=A, M=1.0)
+            assert np.max(np.abs(op.to_dense() - comm)) <= 1e-13
+
+    def test_block_dim_two(self):
+        sp = interval(24, "n24")
+        rng = np.random.default_rng(223)
+        for p in (1.5, 2.0, 3.0):
+            part = make_partition(sp, 3, p=p)
+            A = random_band(sp, 2, rng, block_dim=2)
+            # the average is the plain sum with A as every local operator
+            ref, _ = dense_weighted_sums(part, [A] * len(part.centers), A, 2)
+            M = average(A, part)
+            assert M.block_dim == 2
+            assert np.max(np.abs(M.to_dense() - ref)) <= 1e-13
+
+            locals_ = [random_band(sp, 1, rng, block_dim=2)
+                       for _ in part.centers]
+            plain, comm = dense_weighted_sums(part, locals_, A, 2)
+            op, _ = weighted_sum(part, locals_, mode="plain", M=1.0)
+            assert op.block_dim == 2
+            assert np.max(np.abs(op.to_dense() - plain)) <= 1e-13
+            op, _ = weighted_sum(part, locals_, mode="commutator", A=A, M=1.0)
+            assert np.max(np.abs(op.to_dense() - comm)) <= 1e-13
