@@ -5,9 +5,21 @@ The lower norm of a column restriction ``A|_F`` is the infimum of
 from functions on F to functions on the whole space).  For p = 2 this is the
 smallest singular value of the restricted matrix; for other exponents a
 deterministic multi-start descent is used and tagged as such, with a brute
-force grid oracle available in small dimension.
+force grid oracle available in small dimension.  A restriction with fewer
+nonzero rows than columns has a kernel, and its lower norm is 0 exactly.
+Every routine extracts restrictions through ``_restricted``, a gather over
+the operator's cached column index.
 
-``nu_s`` restricts witnesses to ball neighborhoods inside F, and
+``nu_s`` restricts witnesses to ball neighborhoods inside F.  The balls that
+``nu`` would solve by dense SVD are screened with one values-only SVD per
+stack of equal-shape restrictions.  The slack e = 8 max(rows, cols) eps
+|sub|_F bounds the gap between LAPACK's values-only and vector-computing
+SVDs, so only a ball whose screen value minus e is at most the least screen
+value plus e can attain the minimum; those balls alone are run again through
+the SVD ``nu`` uses.  The witness and report are built once, by ``nu`` on the
+winning ball.  ``threads`` sizes the pool that runs the SVD stacks and the
+balls that go through ``nu`` one by one.
+
 ``localization_check`` computes the support bound under which the localized
 value provably sits within delta of the global one, given the sparsifier
 constants of the underlying space.  ``essential_nu`` sweeps exclusion balls
@@ -19,10 +31,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.linalg import eigsh
 
-from .operators import OperatorError, Vector, schur_bound
+from .operators import OperatorError, Vector, _unfold, schur_bound
 from .serialize import round15
+
+_DENSE_COLS = 400        # nu solves by dense SVD up to this many columns
+_SLACK = 8.0             # c in the screen slack c max(rows, cols) eps |sub|_F
+_STACK_BYTES = 1 << 22   # largest stack of restrictions in one SVD call
 
 
 @dataclass
@@ -57,17 +74,28 @@ class NuReport:
 def _restricted(A, F):
     """Column restriction of A to F with zero rows trimmed.
 
-    Returns (row_ids, dense_or_sparse_matrix).  Dropping all-zero rows leaves
-    the singular values unchanged.
+    Returns (F, row_ids, sub): F sorted, row_ids the points whose row holds an
+    entry in a column of F, and the unfolded restricted matrix, dense up to
+    ``_DENSE_COLS`` columns and CSR beyond.  The entries are gathered through
+    ``A.col_index()``.  Dropping all-zero rows leaves the singular values
+    unchanged.
     """
     F = np.asarray(sorted(int(x) for x in F), dtype=np.int64)
     k = A.block_dim
-    mask = np.isin(A.cols, F)
-    row_ids = np.unique(A.rows[mask])
-    M = A.csr()
-    col_idx = (F[:, None] * k + np.arange(k)[None, :]).reshape(-1)
-    row_idx = (row_ids[:, None] * k + np.arange(k)[None, :]).reshape(-1)
-    sub = M[row_idx][:, col_idx] if len(row_idx) else M[:0][:, col_idx]
+    order, ptr = A.col_index()
+    counts = ptr[F + 1] - ptr[F]
+    ends = np.cumsum(counts)
+    pos = order[np.arange(int(counts.sum()))
+                + np.repeat(ptr[F] - ends + counts, counts)]
+    rows = A.rows[pos]
+    row_ids = np.unique(rows)
+    r, c, v = _unfold(np.searchsorted(row_ids, rows),
+                      np.repeat(np.arange(len(F)), counts), A.blocks[pos])
+    shape = (len(row_ids) * k, len(F) * k)
+    if shape[1] > _DENSE_COLS:
+        return F, row_ids, csr_matrix((v, (r, c)), shape=shape)
+    sub = np.zeros(shape, dtype=np.complex128)
+    sub[r, c] = v
     return F, row_ids, sub
 
 
@@ -84,16 +112,17 @@ def _support_diameter(space, vec):
     return float(space.pairwise(sup, sup).max())
 
 
-def _sigma_min_dense(sub):
-    dense = np.asarray(sub.todense()) if hasattr(sub, "todense") else sub
-    if dense.shape[0] == 0:
-        m = dense.shape[1]
-        vec = np.zeros(m, dtype=np.complex128)
-        vec[0] = 1.0
-        return 0.0, vec
-    u, s, vh = np.linalg.svd(dense, full_matrices=False)
+def _sigma_min(sub):
+    """(value, right singular vector, method) of the smallest singular value.
+
+    Dense LAPACK SVD up to ``_DENSE_COLS`` columns, shift-invert Lanczos on
+    the Gram matrix beyond.  ``sub`` has at least as many rows as columns.
+    """
+    if sub.shape[1] > _DENSE_COLS:
+        return _sigma_min_iterative(sub)
+    _, s, vh = np.linalg.svd(sub, full_matrices=False)
     i = int(np.argmin(s))
-    return float(s[i]), vh[i].conj()
+    return float(s[i]), vh[i].conj(), "exact-svd"
 
 
 def _sigma_min_iterative(sub):
@@ -102,10 +131,33 @@ def _sigma_min_iterative(sub):
     v0 = np.ones(m) / np.sqrt(m)
     try:
         vals, vecs = eigsh(G, k=1, sigma=0, which="LM", v0=v0, tol=0)
-    except Exception:
-        vals, vecs = eigsh(G, k=1, which="SA", v0=v0, tol=1e-12, maxiter=50000)
+        method = "iterative-svd"
+    except RuntimeError:
+        # an exactly singular G has no factor at sigma = 0 and ARPACK may not
+        # converge (both raise RuntimeError subclasses).  G - sigma I is
+        # positive definite for sigma < 0, and the eigenvalue nearest such a
+        # sigma is still the smallest one.  (A smallest-algebraic Lanczos run
+        # returned 1 for a Gram matrix with a zero column.)
+        shift = -1e-8 * float(abs(G).sum(axis=1).max())
+        vals, vecs = eigsh(G, k=1, sigma=shift, which="LM", v0=v0, tol=0)
+        method = "iterative-svd-shifted"
     lam = max(float(vals[0]), 0.0)
-    return float(np.sqrt(lam)), vecs[:, 0]
+    return float(np.sqrt(lam)), vecs[:, 0], method
+
+
+def _kernel_vector(sub):
+    """Unit vector in the kernel of a restriction with fewer rows than columns.
+
+    The first zero column if there is one, else the last right singular
+    vector of a full dense SVD.
+    """
+    zero = np.flatnonzero(np.asarray(abs(sub).sum(axis=0)).ravel() == 0)
+    if len(zero):
+        vec = np.zeros(sub.shape[1], dtype=np.complex128)
+        vec[zero[0]] = 1.0
+        return vec
+    dense = sub.toarray() if issparse(sub) else sub
+    return np.linalg.svd(dense)[2][-1].conj()
 
 
 def _site_norms(flat, k):
@@ -129,7 +181,7 @@ def _nu_descent(A, F, sub, p, restarts=16, max_iter=80):
     """
     k = A.block_dim
     m = sub.shape[1]
-    dense = np.asarray(sub.todense())
+    dense = sub.toarray() if issparse(sub) else sub
     eps = 1e-10   # site-norm smoothing floor; keeps the weights finite
 
     def sites(flat):
@@ -154,8 +206,8 @@ def _nu_descent(A, F, sub, p, restarts=16, max_iter=80):
         return v_new / nrm if nrm > 0 else v
 
     starts = []
-    _, _, warm = nu(A, F, p=2.0, _raw=True)
-    if warm is not None and np.linalg.norm(warm) > 0:
+    _, warm, _ = _sigma_min(sub)
+    if np.linalg.norm(warm) > 0:
         starts.append(warm / np.linalg.norm(warm))
     j = 0
     while len(starts) < restarts:
@@ -192,27 +244,30 @@ def _nu_descent(A, F, sub, p, restarts=16, max_iter=80):
     return float(best_val), best_v
 
 
-def nu(A, F, p=2.0, _raw=False):
+def nu(A, F, p=2.0):
     """Lower norm of the column restriction A|_F.
 
-    For p = 2 the smallest singular value of the restricted matrix (dense up
-    to 400 columns, shift-invert Lanczos beyond).  For other exponents a
-    16-start deterministic descent over the quotient |Av|_p / |v|_p, warm
-    started from the p = 2 witness.
+    A restriction with fewer (unfolded, nonzero) rows than columns has a
+    kernel: its value is 0 exactly, method ``kernel``, and the tolerance is at
+    least the computed quotient |Aw|_p / |w|_p of the kernel witness w.
+    Otherwise, for p = 2 the smallest singular value of the restricted matrix:
+    dense up to 400 columns, shift-invert Lanczos on the Gram matrix beyond,
+    and method ``iterative-svd-shifted`` where shift-invert at 0 failed and a
+    small negative shift was used.  For other exponents a 16-start
+    deterministic descent over the quotient |Av|_p / |v|_p, warm started from
+    the p = 2 witness.
     """
     if len(F) == 0:
         raise OperatorError("lower norm needs a nonempty column set")
     Fs, row_ids, sub = _restricted(A, F)
     k = A.block_dim
-    if p == 2.0:
-        if sub.shape[1] <= 400:
-            val, coeffs = _sigma_min_dense(sub)
-            method, tol = "exact-svd", 1e-10
-        else:
-            val, coeffs = _sigma_min_iterative(sub)
-            method, tol = "iterative-svd", 1e-10
-        if _raw:
-            return val, Fs, coeffs
+    if sub.shape[0] < sub.shape[1]:
+        coeffs = _kernel_vector(sub)
+        val, method = 0.0, "kernel"
+        tol = max(1e-10, _pnorm(sub @ coeffs, k, p) / _pnorm(coeffs, k, p))
+    elif p == 2.0:
+        val, coeffs, method = _sigma_min(sub)
+        tol = 1e-10
     else:
         val, coeffs = _nu_descent(A, Fs, sub, p)
         method, tol = "optimizer", 1e-6
@@ -242,12 +297,11 @@ def nu_brute(A, F, p, samples=10 ** 6, seed=0):
     grids = np.meshgrid(*([axis] * m), indexing="ij")
     V = np.stack([g.reshape(-1) for g in grids], axis=-1)
     V = V[np.any(V != 0, axis=1)]
-    dense = np.asarray(sub.todense())
     best = np.inf
     best_v = None
     for lo in range(0, len(V), 100000):
         chunk = V[lo:lo + 100000]
-        W = chunk @ dense.T
+        W = chunk @ sub.T
         sw = np.sqrt((np.abs(W.reshape(len(chunk), -1, k)) ** 2).sum(axis=2))
         sv = np.sqrt((np.abs(chunk.reshape(len(chunk), -1, k)) ** 2).sum(axis=2))
         num = (sw ** p).sum(axis=1) ** (1.0 / p)
@@ -263,8 +317,18 @@ def nu_brute(A, F, p, samples=10 ** 6, seed=0):
 def nu_s(A, F, s, p=2.0, threads=1):
     """Localized lower norm: min of nu over restrictions F & B(x; s), x in F.
 
-    Identical restriction sets are computed once; the minimum is reduced in
-    ascending center order so the result is independent of thread count.
+    Identical restriction sets are computed once.  A restriction with fewer
+    rows than columns has value 0 without an SVD.  Restrictions that ``nu``
+    solves by ``exact-svd`` (p = 2, at most 400 columns) are screened by
+    values-only SVDs, one stacked call per chunk of equal shapes; screen and
+    exact values differ by at most the slack e = 8 max(rows, cols) eps
+    |sub|_F.  Those that may attain the minimum within that slack are run
+    again through the stacked SVD ``nu`` itself uses, so their values are
+    bitwise those of ``nu``; every other restriction goes through ``nu``.  The
+    first strict minimum in ascending center order wins, and its report comes
+    from one ``nu`` call on the winning ball (or the call already made).
+    ``threads`` sizes the pool that runs the SVD chunks and the ``nu`` calls;
+    the result is independent of it.
     """
     if s < 0:
         raise OperatorError("support scale must be nonnegative")
@@ -281,24 +345,61 @@ def nu_s(A, F, s, p=2.0, threads=1):
         seen.add(sub)
         jobs.append((x, tuple(sorted(sub))))
 
-    def work(job):
-        x, sub = job
-        rep = nu(A, sub, p=p)
-        return x, rep
+    value = np.full(len(jobs), np.inf)    # exact values where computed
+    screened = {}                          # shape -> [(job, restriction)]
+    direct = []
+    for j, (_, ball) in enumerate(jobs):
+        sub = _restricted(A, ball)[2]
+        if sub.shape[0] < sub.shape[1]:
+            value[j] = 0.0
+        elif p == 2.0 and sub.shape[1] <= _DENSE_COLS:
+            screened.setdefault(sub.shape, []).append((j, sub))
+        else:
+            direct.append(j)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
+    def screen(chunk):
+        idx, stack = chunk
+        sv = np.linalg.svd(stack, compute_uv=False).min(axis=1)
+        slack = (_SLACK * max(stack.shape[1:]) * np.finfo(float).eps
+                 * np.linalg.norm(stack, axis=(1, 2)))
+        return idx, sv, slack
 
-    best = None
-    for x, rep in results:
-        if best is None or rep.value < best[1].value:
-            best = (x, rep)
-    x, rep = best
-    rep.ball_center = int(x)
+    def exact(chunk):
+        idx, stack = chunk
+        return idx, np.linalg.svd(stack, full_matrices=False)[1].min(axis=1)
+
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        run = pool.map if threads > 1 else map
+        reports = dict(zip(direct, run(lambda j: nu(A, jobs[j][1], p=p), direct)))
+        for j, rep in reports.items():
+            value[j] = rep.value
+        low, bound = {}, value.min()
+        for idx, sv, slack in run(screen, _stacks(screened, threads)):
+            low.update(zip(idx, sv - slack))
+            bound = min(bound, float((sv + slack).min()))
+        near = {shape: [(j, sub) for j, sub in group if low[j] <= bound]
+                for shape, group in screened.items()}
+        for idx, sv in run(exact, _stacks(near, threads)):
+            value[idx] = sv
+
+    j = int(np.argmin(value))
+    rep = reports[j] if j in reports else nu(A, jobs[j][1], p=p)
+    rep.ball_center = int(jobs[j][0])
     return rep
+
+
+def _stacks(groups, threads):
+    """(job indices, stacked matrices) per chunk of each same-shape group.
+
+    A chunk holds at most ``_STACK_BYTES`` of matrices, and each group is
+    split into at least ``threads`` chunks where it has that many members.
+    """
+    for (m, n), group in groups.items():
+        size = min(_STACK_BYTES // (16 * m * n), -(-len(group) // max(1, threads)))
+        size = max(1, size)
+        for lo in range(0, len(group), size):
+            part = group[lo:lo + size]
+            yield [j for j, _ in part], np.stack([sub for _, sub in part])
 
 
 @dataclass

@@ -79,6 +79,7 @@ class BandOperator:
                     or self.cols.min() < 0 or self.cols.max() >= space.n:
                 raise OperatorError("entry index outside the space")
         self._csr = None
+        self._col_index = None
         self._entry_index = None
         dists = space.pair_dist(self.rows, self.cols)
         self.propagation = int(dists.max()) if len(dists) else 0
@@ -96,6 +97,19 @@ class BandOperator:
             r, c, v = _unfold(self.rows, self.cols, self.blocks)
             self._csr = csr_matrix((v, (r, c)), shape=(nk, nk))
         return self._csr
+
+    def col_index(self):
+        """Column-ordered view of the entries; cached.
+
+        Returns (order, ptr): ``order`` is a stable argsort of ``cols``, and
+        the entries of column y are ``order[ptr[y]:ptr[y + 1]]``, in row order.
+        """
+        if self._col_index is None:
+            order = np.argsort(self.cols, kind="stable")
+            counts = np.bincount(self.cols, minlength=self.space.n)
+            ptr = np.concatenate(([0], np.cumsum(counts)))
+            self._col_index = (order, ptr)
+        return self._col_index
 
     def to_dense(self):
         nk = self.space.n * self.block_dim

@@ -1,15 +1,22 @@
+from dataclasses import asdict
+from functools import partial
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bandlim import lowernorm
 from bandlim.space import build_space
 from bandlim.operators import (
     OperatorError, from_triplets, identity, multiplier, compose, add, scale,
-    subtract, adjoint, schur_bound, norm2,
+    subtract, adjoint, schur_bound, norm2, apply_operator,
 )
 from bandlim.lowernorm import (
     nu, nu_s, nu_brute, localization_check, essential_nu, witness_cascade,
 )
 from bandlim.partition import BlockSparsifierModel
+from bandlim.serialize import report_dumps
 
 from conftest import random_band, shift_operator, tridiagonal
 
@@ -257,3 +264,175 @@ class TestWitnessCascade:
             witness_cascade(I, None, [5, 9])       # not more than doubling
         with pytest.raises(OperatorError):
             witness_cascade(I, [0.5], [2, 5])      # length mismatch
+
+
+def nu_s_reference(A, F, s, p=2.0):
+    """nu over each distinct ball restriction, first strict minimum by center."""
+    F = sorted(int(x) for x in F)
+    Fset = set(F)
+    seen, best = set(), None
+    for x in F:
+        ball = frozenset(int(y) for y in A.space.ball(x, s) if y in Fset)
+        if ball in seen:
+            continue
+        seen.add(ball)
+        rep = nu(A, sorted(ball), p=p)
+        if best is None or rep.value < best[1].value:
+            best = (x, rep)
+    x, rep = best
+    rep.ball_center = x
+    return rep
+
+
+def body(rep):
+    return report_dumps(rep.to_json())
+
+
+def quotient(A, rep):
+    return apply_operator(A, rep.witness).norm() / rep.witness.norm()
+
+
+def path_graph(n, extra):
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(u % n, v % n) for u, v in extra if u % n != v % n]
+    return {"kind": "graph", "n": n, "edges": edges}
+
+
+nu_s_spaces = st.one_of(
+    st.builds(lambda u: {"kind": "n-window", "upper": u}, st.integers(0, 30)),
+    st.builds(lambda lo, hi: {"kind": "zn-window", "lower": [lo], "upper": [hi]},
+              st.integers(-15, 0), st.integers(0, 15)),
+    st.builds(lambda lo, hi, norm: {"kind": "zn-window", "lower": lo,
+                                    "upper": hi, "norm": norm},
+              st.lists(st.integers(-3, 0), min_size=2, max_size=2),
+              st.lists(st.integers(0, 3), min_size=2, max_size=2),
+              st.sampled_from(["linf", "l1", "l2"])),
+    st.builds(lambda hi, norm: {"kind": "quadrant", "upper": hi, "norm": norm},
+              st.lists(st.integers(0, 6), min_size=2, max_size=2),
+              st.sampled_from(["linf", "l1", "l2"])),
+    st.builds(path_graph, st.integers(2, 20),
+              st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)),
+                       max_size=6)),
+)
+
+
+class TestNuSEquivalence:
+    """nu_s against the per-ball nu loop: equal report bodies."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(desc=nu_s_spaces, seed=st.integers(0, 2 ** 32 - 1),
+           block_dim=st.sampled_from([1, 2]), s=st.integers(0, 4),
+           prop=st.integers(0, 2), keep=st.floats(0.3, 1.0))
+    def test_matches_reference_loop(self, desc, seed, block_dim, s, prop, keep):
+        sp = build_space(desc)
+        rng = np.random.default_rng(seed)
+        A = random_band(sp, prop, rng, density=0.6, block_dim=block_dim)
+        F = [x for x in range(sp.n) if rng.random() < keep] or [0]
+        rep = nu_s(A, F, s, threads=2)
+        assert body(rep) == body(nu_s_reference(A, F, s))
+        whole = nu(A, F)
+        assert rep.value >= whole.value - whole.tolerance
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-14, -1e-14])
+    def test_translation_invariant_ties(self, eps):
+        # interior balls are bitwise equal restrictions, so their values tie;
+        # a 1e-14 change of one entry makes one ball win by a near tie
+        sp = build_space({"kind": "zn-window", "lower": [-60], "upper": [60],
+                          "name": "z121"})
+        trip = [(x, x, 3.0 + (eps if x == 70 else 0.0)) for x in range(sp.n)]
+        trip += [(x, x + 1, -1.0) for x in range(sp.n - 1)]
+        trip += [(x + 1, x, -1.0) for x in range(sp.n - 1)]
+        A = from_triplets(sp, trip)
+        for s in (0, 2, 4):
+            assert body(nu_s(A, range(sp.n), s)) == \
+                body(nu_s_reference(A, range(sp.n), s))
+
+    def test_plane_translation_invariant(self):
+        sp = build_space({"kind": "zn-window", "lower": [-6, -6],
+                          "upper": [6, 6], "name": "z13x13"})
+        trip = []
+        for x in range(sp.n):
+            trip.append((x, x, 4.5 + 0.5j))
+            for y in sp.ball(x, 1):
+                if int(y) != x:
+                    trip.append((x, int(y), -0.5))
+        A = from_triplets(sp, trip)
+        for s in (1, 3):
+            assert body(nu_s(A, range(sp.n), s, threads=2)) == \
+                body(nu_s_reference(A, range(sp.n), s))
+
+    def test_p3_goes_through_nu(self):
+        sp = build_space({"kind": "n-window", "upper": 7, "name": "n8"})
+        A = random_band(sp, 1, np.random.default_rng(101), density=0.8)
+        assert body(nu_s(A, range(sp.n), 1, p=3.0, threads=2)) == \
+            body(nu_s_reference(A, range(sp.n), 1, p=3.0))
+
+    def test_balls_on_both_sides_of_dense_limit(self):
+        # s = 399 on 402 points: balls of 400, 401 and 402 columns, so the
+        # screen and the iterative nu route meet in one minimum
+        sp = build_space({"kind": "n-window", "upper": 401, "name": "n402"})
+        A = subtract(scale(identity(sp), 3.0), tridiagonal(sp))
+        rep = nu_s(A, range(sp.n), 399, threads=2)
+        assert body(rep) == body(nu_s_reference(A, range(sp.n), 399))
+        assert rep.method == "iterative-svd"
+
+
+class TestWideRestriction:
+    """Fewer nonzero rows than columns: a kernel, so the lower norm is 0."""
+
+    def test_two_columns_one_row(self):
+        sp = build_space({"kind": "n-window", "upper": 9, "name": "n10"})
+        C = from_triplets(sp, [(0, 0, 1.0), (0, 1, 2.0)]
+                          + [(x, x, 1.0) for x in range(2, 10)])
+        oracle = np.linalg.svd(C.to_dense()[:, [0, 1]], compute_uv=False).min()
+        assert oracle < 1e-15
+        for p in (2.0, 3.0):
+            rep = nu(C, [0, 1], p=p)
+            assert rep.value == 0.0 and rep.method == "kernel"
+            assert quotient(C, rep) <= rep.tolerance
+        rep = nu_s(C, range(sp.n), 1)
+        assert rep.value == 0.0 and rep.ball_center == 0
+        assert body(rep) == body(nu_s_reference(C, range(sp.n), 1))
+
+    def test_identity_missing_one_column(self):
+        sp = build_space({"kind": "n-window", "upper": 499, "name": "n500"})
+        A = from_triplets(sp, [(x, x, 1.0) for x in range(sp.n) if x != 250])
+        rep = nu(A, range(sp.n))
+        assert rep.value == 0.0 and rep.method == "kernel"
+        assert list(rep.witness.support()) == [250]
+        assert quotient(A, rep) == 0.0
+
+
+class TestIterativeFallback:
+    def test_singular_gram_named_and_exact(self):
+        # column 250 is zero, so the Gram matrix of this tall restriction
+        # (461 rows, 460 columns) has no factor at shift 0
+        sp = build_space({"kind": "n-window", "upper": 499, "name": "n500"})
+        trip = [(x, x, 1.0) for x in range(sp.n) if x != 250]
+        trip += [(x + 1, x, 0.5) for x in range(sp.n - 1) if x != 250]
+        A = from_triplets(sp, trip)
+        F = list(range(460))
+        rep = nu(A, F)
+        assert rep.method == "iterative-svd-shifted"
+        oracle = np.linalg.svd(A.to_dense()[:, F], compute_uv=False).min()
+        assert abs(rep.value - oracle) <= rep.tolerance
+
+
+class TestThreadInvariantBodies:
+    def test_report_bodies_across_thread_counts(self):
+        sp = build_space({"kind": "zn-window", "lower": [-40], "upper": [40],
+                          "name": "z81"})
+        A = add(three_i_minus_tridiag(sp),
+                random_band(sp, 1, np.random.default_rng(103), density=0.3))
+        family = [range(0, 40), range(20, 60)]
+        out = {}
+        for t in (1, 2, 4):
+            with mock.patch.object(lowernorm, "nu_s",
+                                   partial(lowernorm.nu_s, threads=t)):
+                loc = asdict(localization_check(A, 0.5, BlockSparsifierModel(),
+                                                family, norm_bound=8.0))
+            out[t] = (body(nu_s(A, range(sp.n), 3, threads=t)),
+                      report_dumps([[r, rep.to_json()] for r, rep in
+                                    essential_nu(A, [5, 20], threads=t)]),
+                      report_dumps(loc))
+        assert out[1] == out[2] == out[4]
