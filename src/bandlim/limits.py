@@ -21,7 +21,7 @@ from .space import (
     pointed_isometric,
 )
 from .operators import (
-    BandOperator, OperatorError, from_triplets, schur_bound, _block_norms,
+    BandOperator, OperatorError, schur_bound, _block_norms,
 )
 from .lowernorm import nu
 from .serialize import round15
@@ -241,40 +241,33 @@ class LimitWindow:
         k = self.block_dim
         return self.matrix[i * k:(i + 1) * k, j * k:(j + 1) * k]
 
+    def _nonzero_blocks(self):
+        """(rows, cols, blocks) of the nonzero k-by-k blocks, row-major."""
+        m, k = self.size, self.block_dim
+        grid = self.matrix.reshape(m, k, m, k)
+        i, j = np.nonzero(np.any(grid != 0, axis=(1, 3)))
+        return i, j, grid[i, :, j, :]
+
     def propagation(self):
-        k = self.block_dim
-        out = 0
-        for i in range(self.size):
-            for j in range(self.size):
-                if np.any(self.entry(i, j) != 0):
-                    out = max(out, int(self.template.dist[i, j]))
-        return out
+        i, j, _ = self._nonzero_blocks()
+        return int(self.template.dist[i, j].max()) if len(i) else 0
 
     def as_operator(self):
         """Materialize the window as (explicit Space, BandOperator)."""
         sp = build_space({"kind": "explicit", "name": "window",
                           "matrix": self.template.dist.tolist(), "center": 0})
-        trip = []
-        for i in range(self.size):
-            for j in range(self.size):
-                b = self.entry(i, j)
-                if np.any(b != 0):
-                    trip.append((i, j, b if self.block_dim > 1 else b[0, 0]))
-        return sp, from_triplets(sp, trip, block_dim=self.block_dim, p=self.p)
+        i, j, blocks = self._nonzero_blocks()
+        return sp, BandOperator(sp, i, j, blocks, block_dim=self.block_dim,
+                                p=self.p)
 
     def to_json(self):
         k = self.block_dim
-        trip = []
-        for i in range(self.size):
-            for j in range(self.size):
-                b = self.entry(i, j)
-                if np.any(b != 0):
-                    flat = []
-                    for bi in range(k):
-                        for bj in range(k):
-                            flat.extend([round15(b[bi, bj].real),
-                                         round15(b[bi, bj].imag)])
-                    trip.append([int(i), int(j)] + flat)
+        i, j, blocks = self._nonzero_blocks()
+        # each block flattens to re, im of (0, 0), (0, 1), ... row-major
+        flat = np.stack([blocks.real, blocks.imag], axis=-1)
+        flat = flat.reshape(len(i), 2 * k * k)
+        trip = [[a, b] + [round15(v) for v in vals]
+                for a, b, vals in zip(i.tolist(), j.tolist(), flat.tolist())]
         return {
             "template": self.template.to_json(),
             "matrix": trip,
@@ -294,41 +287,33 @@ class LimitWindow:
 def _certify_windows(windows, tol, tail):
     """Longest admissible suffix of windows with pairwise deviation <= tol.
 
-    Returns (start index, averaged matrix, deviation over the suffix).  The
-    average is skipped when the suffix is bitwise constant, so exactly
-    stabilized extractions come out exact.
+    Returns (start index, averaged matrix, deviation over the suffix, profile
+    of each window's deviation from the last one).  The pairwise deviations
+    are taken once; the deviation of a suffix is the largest row maximum
+    within it.  The average is skipped when the suffix is bitwise constant,
+    so exactly stabilized extractions come out exact.
     """
     count = len(windows)
     need = min(tail, count)
-    # deviation of each window from the last one, for reporting
-    profile = [float(np.max(np.abs(w - windows[-1]))) if w.size else 0.0
-               for w in windows]
-
-    def suffix_dev(s):
-        dev = 0.0
-        for i in range(s, count):
-            for j in range(i + 1, count):
-                dev = max(dev, float(np.max(np.abs(windows[i] - windows[j])))
-                          if windows[i].size else 0.0)
-        return dev
-
-    best = None
-    for s in range(0, count - need + 1):
-        dev = suffix_dev(s)
-        if dev <= tol:
-            best = (s, dev)
-            break
-    if best is None:
-        s = count - need
+    stack = np.stack(windows)
+    pair = np.zeros((count, count))
+    for i in range(count - 1):
+        pair[i, i + 1:] = np.abs(stack[i + 1:] - stack[i]).max(
+            axis=(1, 2), initial=0.0)
+    # suffix[s] = deviation over windows[s:]
+    suffix = np.maximum.accumulate(pair.max(axis=1)[::-1])[::-1]
+    ok = np.nonzero(suffix[:count - need + 1] <= tol)[0]
+    profile = pair[:, -1].tolist()
+    if not len(ok):
         raise CauchyFailure(
-            f"window matrices deviate by {suffix_dev(s):.3e} over the last "
-            f"{need} basepoints (tolerance {tol:.3e})", profile)
-    s, dev = best
-    tailw = windows[s:]
-    if all(np.array_equal(tailw[0], w) for w in tailw[1:]):
-        avg = tailw[0].copy()
+            f"window matrices deviate by {suffix[count - need]:.3e} over the "
+            f"last {need} basepoints (tolerance {tol:.3e})", profile)
+    s = int(ok[0])
+    dev = float(suffix[s])
+    if dev == 0.0:
+        avg = stack[s].copy()
     else:
-        avg = np.mean(np.stack(tailw), axis=0)
+        avg = np.mean(stack[s:], axis=0)
     return s, avg, dev, profile
 
 
@@ -336,15 +321,13 @@ def _window_matrix(A, ids):
     """Unfolded matrix of A compressed to the listed points, in that order."""
     k = A.block_dim
     m = len(ids)
-    out = np.zeros((m * k, m * k), dtype=np.complex128)
-    index = A.entry_index()
-    pos = {int(x): i for i, x in enumerate(ids)}
-    for (x, y), e in index.items():
-        i = pos.get(x)
-        j = pos.get(y)
-        if i is not None and j is not None:
-            out[i * k:(i + 1) * k, j * k:(j + 1) * k] = A.blocks[e]
-    return out
+    pos = np.full(A.space.n, -1, dtype=np.int64)
+    pos[np.asarray(ids, dtype=np.int64)] = np.arange(m)
+    i, j = pos[A.rows], pos[A.cols]
+    hit = (i >= 0) & (j >= 0)
+    out = np.zeros((m, k, m, k), dtype=np.complex128)
+    out[i[hit], :, j[hit], :] = A.blocks[hit]
+    return out.reshape(m * k, m * k)
 
 
 def default_radius(A):
@@ -509,10 +492,6 @@ def interior_nu(window: LimitWindow, p=2.0, margin=None):
         F = list(range(window.size))
     sp, op = window.as_operator()
     return nu(op, F, p=p)
-
-
-def window_operator(window: LimitWindow):
-    return window.as_operator()
 
 
 def sample_spectrum(A, dirs, R=None, tol=1e-9, p=2.0, tail=5):

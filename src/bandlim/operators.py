@@ -80,7 +80,6 @@ class BandOperator:
                 raise OperatorError("entry index outside the space")
         self._csr = None
         self._col_index = None
-        self._entry_index = None
         dists = space.pair_dist(self.rows, self.cols)
         self.propagation = int(dists.max()) if len(dists) else 0
         sups = _block_norms(self.blocks) if len(self.blocks) else np.zeros(0)
@@ -116,19 +115,6 @@ class BandOperator:
         if nk > 4000:
             raise OperatorError("operator too large for a dense matrix")
         return np.asarray(self.csr().todense())
-
-    def entry_index(self):
-        """Dict (row, col) -> position into the block array; cached."""
-        if self._entry_index is None:
-            self._entry_index = {(int(r), int(c)): i for i, (r, c) in
-                                 enumerate(zip(self.rows, self.cols))}
-        return self._entry_index
-
-    def entry(self, x, y):
-        i = self.entry_index().get((x, y))
-        if i is None:
-            return np.zeros((self.block_dim, self.block_dim), dtype=np.complex128)
-        return self.blocks[i]
 
     def triplets(self):
         for r, c, b in zip(self.rows, self.cols, self.blocks):

@@ -2,6 +2,7 @@ import ast
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandlim.space import Template, build_space, pointed_isometric
 from bandlim.operators import (
@@ -9,13 +10,14 @@ from bandlim.operators import (
     subtract,
 )
 from bandlim.limits import (
-    CauchyFailure, Direction, ExtractError, interior_nu, limit_operator,
-    limit_space, sample_spectrum, shift_limit, ghost_profile,
-    window_deviation,
+    CauchyFailure, Direction, ExtractError, LimitWindow, interior_nu,
+    limit_operator, limit_space, sample_spectrum, shift_limit, ghost_profile,
+    window_deviation, _certify_windows, _window_matrix,
 )
 from bandlim.partition import sparsify
+from bandlim.serialize import report_dumps, round15
 
-from conftest import shift_operator, tridiagonal
+from conftest import random_band, shift_operator, tridiagonal
 
 
 def big_nat(upper=600, name="natbig"):
@@ -351,3 +353,277 @@ class TestSparsifierInheritance:
         res_window = sparsify(wsp, None, m=3, target_c=0.7)
         assert res_window.mass_fraction >= 0.7
         assert res_window.diameter_bound <= 9
+
+
+window_spaces = st.one_of(
+    st.builds(lambda u: {"kind": "n-window", "upper": u}, st.integers(0, 12)),
+    st.builds(lambda lo, hi: {"kind": "zn-window", "lower": lo, "upper": hi},
+              st.lists(st.integers(-2, 0), min_size=2, max_size=2),
+              st.lists(st.integers(0, 2), min_size=2, max_size=2)),
+    st.builds(lambda hi: {"kind": "quadrant", "upper": hi},
+              st.lists(st.integers(0, 3), min_size=2, max_size=2)),
+    st.builds(lambda n, extra: {
+        "kind": "graph", "n": n,
+        "edges": [(i, i + 1) for i in range(n - 1)]
+        + [(u % n, v % n) for u, v in extra if u % n != v % n]},
+        st.integers(2, 10),
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=4)),
+)
+
+
+class TestWindowMatrix:
+    """Pull-back against the dense matrix gathered at the unfolded ids."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(desc=window_spaces, block_dim=st.sampled_from([1, 2]),
+           prop=st.integers(0, 2), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_matches_dense_gather(self, desc, block_dim, prop, seed, data):
+        sp = build_space(desc)
+        A = random_band(sp, prop, np.random.default_rng(seed),
+                        block_dim=block_dim)
+        perm = data.draw(st.permutations(range(sp.n)))
+        ids = perm[:data.draw(st.integers(0, sp.n))]
+        k = block_dim
+        unfolded = np.array([x * k + a for x in ids for a in range(k)],
+                            dtype=np.int64)
+        expected = A.to_dense()[np.ix_(unfolded, unfolded)]
+        got = _window_matrix(A, ids)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, expected)
+
+    def test_empty_ids(self):
+        sp = big_nat(10, "nempty")
+        got = _window_matrix(tridiagonal(sp), [])
+        assert got.shape == (0, 0)
+
+
+def certify_reference(windows, tol, tail):
+    """The O(k^3) suffix loop that _certify_windows replaced."""
+    count = len(windows)
+    need = min(tail, count)
+    profile = [float(np.max(np.abs(w - windows[-1]))) if w.size else 0.0
+               for w in windows]
+
+    def suffix_dev(s):
+        dev = 0.0
+        for i in range(s, count):
+            for j in range(i + 1, count):
+                dev = max(dev, float(np.max(np.abs(windows[i] - windows[j])))
+                          if windows[i].size else 0.0)
+        return dev
+
+    best = None
+    for s in range(0, count - need + 1):
+        dev = suffix_dev(s)
+        if dev <= tol:
+            best = (s, dev)
+            break
+    if best is None:
+        s = count - need
+        raise CauchyFailure(
+            f"window matrices deviate by {suffix_dev(s):.3e} over the last "
+            f"{need} basepoints (tolerance {tol:.3e})", profile)
+    s, dev = best
+    tailw = windows[s:]
+    if all(np.array_equal(tailw[0], w) for w in tailw[1:]):
+        avg = tailw[0].copy()
+    else:
+        avg = np.mean(np.stack(tailw), axis=0)
+    return s, avg, dev, profile
+
+
+def run_certify(fn, windows, tol, tail):
+    try:
+        return fn(windows, tol, tail)
+    except CauchyFailure as exc:
+        return str(exc), exc.profile
+
+
+def assert_same_certificate(windows, tol, tail):
+    got = run_certify(_certify_windows, windows, tol, tail)
+    ref = run_certify(certify_reference, windows, tol, tail)
+    assert len(got) == len(ref)
+    if len(ref) == 2:
+        assert got == ref
+        return got
+    s, avg, dev, profile = got
+    assert (s, dev, profile) == (ref[0], ref[2], ref[3])
+    assert type(dev) is float
+    assert all(type(d) is float for d in profile)
+    assert avg.dtype == ref[1].dtype and avg.shape == ref[1].shape
+    assert np.array_equal(avg, ref[1])
+    assert avg.tobytes() == ref[1].tobytes()
+    assert not any(np.shares_memory(avg, w) for w in windows)
+    return got
+
+
+entry_values = st.sampled_from([0.0, 0.25, -0.5, 1.0, 1e-10, 3e-10, 0.1])
+
+
+@st.composite
+def window_families(draw):
+    count = draw(st.integers(1, 7))
+    m = draw(st.integers(0, 3))
+    base = np.zeros((m, m), dtype=np.complex128)
+    windows = []
+    for _ in range(count):
+        w = base.copy()
+        for _ in range(draw(st.integers(0, 2)) if m else 0):
+            i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            w[i, j] += complex(draw(entry_values), draw(entry_values))
+        windows.append(w)
+    return windows
+
+
+class TestCertifyWindows:
+    """Pairwise deviation matrix against the per-suffix reference loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(windows=window_families(),
+           tol=st.sampled_from([0.0, 1e-10, 1e-9, 0.25, 0.5, 2.0]),
+           tail=st.integers(1, 8))
+    def test_matches_reference(self, windows, tol, tail):
+        assert_same_certificate(windows, tol, tail)
+
+    def test_bitwise_constant_suffix_is_copied(self):
+        w = np.array([[0.1 + 0.2j, 1 / 3], [0.0, -0.7j]])
+        windows = [w + 1.0, w.copy(), w.copy(), w.copy()]
+        s, avg, dev, _ = assert_same_certificate(windows, 0.0, 3)
+        assert (s, dev) == (1, 0.0)
+        assert avg.tobytes() == w.tobytes()
+
+    def test_deviation_equal_to_tol_is_admissible(self):
+        w = np.eye(2, dtype=np.complex128)
+        windows = [w, w + 0.5j, w + 0.25j, w]
+        s, _, dev, _ = assert_same_certificate(windows, 0.5, 4)
+        assert (s, dev) == (0, 0.5)
+        with pytest.raises(CauchyFailure):
+            _certify_windows(windows, np.nextafter(0.5, 0), 4)
+
+    def test_fewer_windows_than_tail(self):
+        w = np.ones((1, 1), dtype=np.complex128)
+        s, avg, dev, _ = assert_same_certificate([w, w * 1.5, w * 1.25], 1.0, 5)
+        assert (s, dev) == (0, 0.5)
+        assert_same_certificate([w, w * 1.5, w * 1.25], 0.1, 5)
+
+    def test_size_zero_windows(self):
+        windows = [np.zeros((0, 0), dtype=np.complex128) for _ in range(4)]
+        s, avg, dev, profile = assert_same_certificate(windows, 0.0, 2)
+        assert (s, dev, profile, avg.shape) == (0, 0.0, [0.0] * 4, (0, 0))
+
+    def test_first_admissible_start_is_not_the_last(self):
+        w = np.full((2, 2), 0.3 + 0.1j)
+        windows = [w + 1.0, w, w + 1e-12, w, w + 2e-12]
+        s, _, dev, _ = assert_same_certificate(windows, 1e-9, 2)
+        assert s == 1 and dev > 0.0     # count - need = 3 is admissible too
+
+    def test_failure_message_and_profile(self):
+        windows = [np.full((1, 1), v, dtype=np.complex128)
+                   for v in (1.0, 0.5, 0.25, 0.125)]
+        message, profile = assert_same_certificate(windows, 1e-3, 3)
+        assert "3.750e-01 over the last 3 basepoints" in message
+        assert profile == [0.875, 0.375, 0.125, 0.0]
+
+    def test_nan_entry_is_never_certified(self):
+        # the reference loop let max(0.0, nan) drop NaN deviations and
+        # certified such windows with cauchy_tail 0
+        w = np.zeros((2, 2), dtype=np.complex128)
+        bad = w.copy()
+        bad[1, 0] = np.nan
+        for windows in ([w, bad, w], [bad, w, w, w]):
+            with pytest.raises(CauchyFailure, match="deviate by nan"):
+                _certify_windows(windows, 1e-9, len(windows))
+        s, _, dev, _ = _certify_windows([bad, w, w, w], 1e-9, 3)
+        assert (s, dev) == (1, 0.0)
+
+
+def loop_propagation(win):
+    out = 0
+    for i in range(win.size):
+        for j in range(win.size):
+            if np.any(win.entry(i, j) != 0):
+                out = max(out, int(win.template.dist[i, j]))
+    return out
+
+
+def loop_triplets(win):
+    trip = []
+    for i in range(win.size):
+        for j in range(win.size):
+            b = win.entry(i, j)
+            if np.any(b != 0):
+                trip.append((i, j, b if win.block_dim > 1 else b[0, 0]))
+    return trip
+
+
+def loop_matrix_json(win):
+    k = win.block_dim
+    trip = []
+    for i, j, b in loop_triplets(win):
+        b = np.asarray(b).reshape(k, k)
+        flat = []
+        for bi in range(k):
+            for bj in range(k):
+                flat.extend([round15(b[bi, bj].real), round15(b[bi, bj].imag)])
+        trip.append([int(i), int(j)] + flat)
+    return trip
+
+
+def block_window(matrix, block_dim, size):
+    pts = list(range(size))
+    dist = np.array([[abs(a - b) for b in pts] for a in pts])
+    return LimitWindow(
+        template=Template(dist, base=0), matrix=matrix, radius=size - 1,
+        cauchy_tail=0.0, stabilized_from=0, tol=1e-9, direction_label="t",
+        basepoints_used=[3, 4], block_dim=block_dim, p=2.0)
+
+
+class TestBlockWalks:
+    """propagation, as_operator and to_json against per-block loops."""
+
+    def check(self, win):
+        assert win.propagation() == loop_propagation(win)
+        assert win.to_json()["matrix"] == loop_matrix_json(win)
+        assert win.to_json()["propagation"] == loop_propagation(win)
+        sp, op = win.as_operator()
+        ref = from_triplets(sp, loop_triplets(win), block_dim=win.block_dim,
+                            p=win.p)
+        assert np.array_equal(sp.row(0), win.template.dist[0])
+        assert (op.block_dim, op.p, op.nnz) == (ref.block_dim, ref.p, ref.nnz)
+        assert np.array_equal(op.rows, ref.rows)
+        assert np.array_equal(op.cols, ref.cols)
+        assert op.blocks.tobytes() == ref.blocks.tobytes()
+        assert op.propagation == ref.propagation
+
+    def test_imaginary_off_diagonal_component_counts(self):
+        m, k = 5, 2
+        mat = np.zeros((m * k, m * k), dtype=np.complex128)
+        mat[0:2, 0:2] = [[1.0, 0.5], [0.0, 1 / 3 + 0.25j]]
+        mat[4:6, 2:4] = [[-2.0, 0.0], [0.0, 1e-17]]
+        mat[0, 9] = 0.7j                # block (0, 4): only Im of entry (0, 1)
+        win = block_window(mat, k, m)
+        self.check(win)
+        assert win.propagation() == 4
+        assert win.to_json()["matrix"][1] == [0, 4, 0.0, 0.0, 0.0, 0.7,
+                                              0.0, 0.0, 0.0, 0.0]
+
+    def test_all_zero_window(self):
+        win = block_window(np.zeros((8, 8), dtype=np.complex128), 2, 4)
+        self.check(win)
+        assert win.propagation() == 0
+        assert win.to_json()["matrix"] == []
+        assert win.as_operator()[1].nnz == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 6), k=st.sampled_from([1, 2, 3]),
+           seed=st.integers(0, 2**16))
+    def test_random_sparse_blocks(self, m, k, seed):
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal((m * k, m * k)) \
+            + 1j * rng.standard_normal((m * k, m * k))
+        keep = rng.random(vals.shape) < 0.15
+        win = block_window(np.where(keep, vals, 0), k, m)
+        self.check(win)
+        assert report_dumps(win.to_json()) == report_dumps(
+            {**win.to_json(), "matrix": loop_matrix_json(win)})
