@@ -3,22 +3,30 @@
 A Direction is an explicit basepoint sequence walking out of the window, the
 computable stand-in for a boundary point at infinity.  ``limit_space`` checks
 that the pointed balls around the tail basepoints stabilize to one isometry
-class and returns the common template; ``limit_operator`` pulls the operator
-entries back through the matched windows, certifies that they form a Cauchy
-family within the requested tolerance, and averages the stabilized tail into
-a LimitWindow.  ``shift_limit`` is the group-structured shortcut that
-translates windows to the origin instead of matching them, and must agree
-with the matching route.  ``sample_spectrum`` and ``ghost_profile`` provide
-the sampled operator-spectrum summary and the vanishing-entry diagnostic.
+class and returns the common template.  Each basepoint's ball is matched once:
+a ball whose canonical template matrix equals the stabilized one keeps its
+``ball_template`` id list, which is the least pointed isometry, and only a
+ball with another matrix is searched by ``match_ball_exact``.  The walk back
+and the divergence classes compare templates through ``pointed_isometric``,
+which answers equal matrices without a search.
+
+``limit_operator`` pulls the operator entries back through the matched
+windows, certifies that they form a Cauchy family within the requested
+tolerance, and averages the stabilized tail into a LimitWindow.
+``shift_limit`` is the group-structured shortcut that translates windows to
+the origin instead of matching them, and must agree with the matching route.
+``sample_spectrum`` and ``ghost_profile`` provide the sampled
+operator-spectrum summary and the vanishing-entry diagnostic.
 """
 
 from dataclasses import dataclass, field
+import itertools
 
 import numpy as np
 
 from .space import (
     Space, SpaceError, Template, build_space, ball_template, match_ball_exact,
-    pointed_isometric,
+    pointed_isometric, _isometries,
 )
 from .operators import (
     BandOperator, OperatorError, schur_bound, _block_norms,
@@ -204,13 +212,14 @@ def limit_space(space, direction, R, tol_count=5):
         return DivergenceReport(classes=[(t, m) for t, m in classes],
                                 radius=int(R), label=direction.label)
 
-    base_b, template, base_ids = templates[i0]
-    matchings = {base_b: base_ids}
-    for b, t, _ in templates[i0 + 1:]:
-        ids = match_ball_exact(space, template, b, R)
-        if ids is None:
-            raise ExtractError(
-                f"internal matching failure at basepoint {b}")
+    template = templates[i0][1]
+    matchings = {}
+    for b, t, ids in templates[i0:]:
+        if not np.array_equal(t.dist, template.dist):
+            ids = match_ball_exact(space, template, b, R)
+            if ids is None:
+                raise ExtractError(
+                    f"internal matching failure at basepoint {b}")
         matchings[b] = ids
     return LimitSpaceResult(template=template, basepoints=usable,
                             stabilized_from=i0, matchings=matchings)
@@ -432,50 +441,20 @@ def shift_limit(A, direction, R=None, tol=1e-9, tail=5):
     )
 
 
-def _all_pointed_isometries(t1, t2, cap=256):
-    """All pointed isometries t1 -> t2 as label maps (bounded enumeration)."""
-    if t1.size != t2.size:
-        return []
-    m = t1.size
-    out = []
-
-    def recurse(assign, used):
-        if len(out) >= cap:
-            return
-        k = len(assign)
-        if k == m:
-            out.append(list(assign))
-            return
-        for p in range(m):
-            if used[p]:
-                continue
-            if t2.dist[t2.base, p] != t1.dist[t1.base, k] and k != t1.base:
-                continue
-            if k == t1.base and p != t2.base:
-                continue
-            ok = all(t2.dist[assign[j], p] == t1.dist[j, k] for j in range(k))
-            if ok:
-                assign.append(p)
-                used[p] = True
-                recurse(assign, used)
-                assign.pop()
-                used[p] = False
-
-    recurse([], np.zeros(m, dtype=bool))
-    return out
-
-
 def window_deviation(w1: LimitWindow, w2: LimitWindow):
-    """Smallest max-entry deviation between two windows over pointed matchings."""
-    isos = _all_pointed_isometries(w1.template, w2.template)
-    if not isos:
+    """Smallest max-entry deviation between two windows over pointed matchings.
+
+    Takes the first 256 pointed isometries of the templates, in the
+    backtracker's lexicographic order; inf when there is none.
+    """
+    t1, t2 = w1.template, w2.template
+    if t1.size != t2.size:
         return np.inf
     k = w1.block_dim
     best = np.inf
-    for iso in isos:
-        perm = np.zeros(w1.size * k, dtype=np.int64)
-        for i, p in enumerate(iso):
-            perm[i * k:(i + 1) * k] = np.arange(p * k, (p + 1) * k)
+    for iso in itertools.islice(_isometries(t1.dist, t1.base, t2.dist, t2.base),
+                                256):
+        perm = (iso[:, None] * k + np.arange(k)).reshape(-1)
         dev = float(np.max(np.abs(w1.matrix - w2.matrix[np.ix_(perm, perm)])))
         best = min(best, dev)
     return best

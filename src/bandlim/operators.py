@@ -6,10 +6,6 @@ or small square blocks of a fixed dimension.  The module provides the algebra
 operations, vector action in weighted p-norms, the exact decomposition into
 multiplication operators composed with partial translations, certified Schur
 norm bounds, and a deterministic power-iteration 2-norm.
-
-Band-dominated operators (norm limits of band operators) are represented as a
-band operator together with a caller-supplied approximation error; see
-``BandDominated``.
 """
 
 from dataclasses import dataclass
@@ -127,14 +123,6 @@ class BandOperator:
                 and np.array_equal(self.rows, other.rows)
                 and np.array_equal(self.cols, other.cols)
                 and np.array_equal(self.blocks, other.blocks))
-
-
-@dataclass
-class BandDominated:
-    """Band operator plus an explicit approximation-error bound."""
-
-    op: BandOperator
-    approx_error: float
 
 
 class Vector:

@@ -10,6 +10,12 @@ Besides ball queries the module provides partial translations (for
 group-structured windows), pointed isometry matching between a finite template
 and balls of the space, and an interior-margin notion used to discard
 truncation artifacts near the window boundary.
+
+Every isometry search runs through one backtracker, ``_isometries``, which
+yields the pointed isometries in lexicographic order; ``match_windows``,
+``match_ball_exact`` and ``pointed_isometric`` take its first one.  Equal
+canonical ``ball_template`` matrices need no search at all: the balls are
+pointed isometric and the template's id list is the least isometry.
 """
 
 from dataclasses import dataclass, field
@@ -324,14 +330,6 @@ class Space:
         return np.array([x for x in range(self.n) if self.margin(x) >= margin],
                         dtype=np.int64)
 
-    def dense_matrix(self):
-        if self._matrix is not None:
-            return self._matrix
-        if self.n > 4000:
-            raise SpaceError("space too large for a dense distance matrix")
-        m = self.pairwise(np.arange(self.n), np.arange(self.n))
-        return m
-
     # -- group structure ----------------------------------------------------
 
     @property
@@ -555,10 +553,8 @@ def build_space(descriptor):
         d = shortest_path(adj, method="D", unweighted=True)
         if np.any(np.isinf(d)):
             raise SpaceError("graph is not connected")
-        mat = d.astype(np.int64)
-        _check_metric_matrix(mat)
         sp = Space(name, kind, params, n, center=int(params.get("center", 0)),
-                   matrix=mat)
+                   matrix=d.astype(np.int64))
         return sp
 
     raise SpaceError(f"unknown descriptor kind {kind!r}")
@@ -566,10 +562,6 @@ def build_space(descriptor):
 
 def space_to_json(space):
     return {"name": space.name, "kind": space.kind, **space.params}
-
-
-def space_from_json(obj):
-    return build_space(obj)
 
 
 def save_space(path, space):
@@ -580,74 +572,64 @@ def save_space(path, space):
 
 def load_space(path):
     with open(path) as fh:
-        return space_from_json(json.load(fh))
+        return build_space(json.load(fh))
 
 
 # -- isometry matching --------------------------------------------------------
 
 
-def _match_backtrack(tdist, base, ball_ids, bdist, center_pos, surjective):
-    """Lexicographically least pointed isometry (template label order).
+def _isometries(tdist, base, bdist, center_pos):
+    """Pointed isometric injections of a template into a ball, lex order.
 
-    Maps template label ``base`` to the ball point at ``center_pos``; remaining
-    labels are assigned in order, trying candidate ids ascending.  Returns the
-    image array (aligned with label order) or None.
+    Maps template label ``base`` to the ball position ``center_pos``; the
+    remaining labels are assigned in label order, trying candidate positions
+    ascending.  Yields each image array (ball positions aligned with label
+    order), then steps back from the last label for the next one.  Callers
+    wanting bijections compare sizes first.
     """
     m = tdist.shape[0]
-    nb = len(ball_ids)
-    if surjective and m != nb:
-        return None
+    nb = bdist.shape[0]
     if m > nb:
-        return None
+        return
     order = [base] + [i for i in range(m) if i != base]
-    pos_in_order = {lbl: k for k, lbl in enumerate(order)}
+    tdist = tdist.tolist()
+    bdist = bdist.tolist()
 
     # candidate ball positions per template label, ascending id
     base_row = bdist[center_pos]
-    cands = []
-    for lbl in order:
-        if lbl == base:
-            cands.append(np.array([center_pos]))
-            continue
-        need = tdist[base, lbl]
-        cands.append(np.nonzero(base_row == need)[0])
+    cands = [[center_pos]]
+    for lbl in order[1:]:
+        need = tdist[base][lbl]
+        cands.append([p for p in range(nb) if base_row[p] == need])
 
-    assign = np.full(m, -1, dtype=np.int64)   # template label -> ball position
-    used = np.zeros(nb, dtype=bool)
+    assign = [-1] * m      # template label -> ball position
+    used = [False] * nb
     choice = [0] * m
 
     k = 0
     while k >= 0:
         lbl = order[k]
-        found = False
         cand = cands[k]
         for ci in range(choice[k], len(cand)):
             p = cand[ci]
             if used[p]:
                 continue
-            ok = True
-            for prev in order[:k]:
-                if bdist[assign[prev], p] != tdist[prev, lbl]:
-                    ok = False
-                    break
-            if ok:
-                choice[k] = ci + 1
-                assign[lbl] = p
-                used[p] = True
-                found = True
+            if all(bdist[assign[prev]][p] == tdist[prev][lbl]
+                   for prev in order[:k]):
                 break
-        if not found:
+        else:
             choice[k] = 0
             k -= 1
             if k >= 0:
-                lbl = order[k]
-                used[assign[lbl]] = False
-                assign[lbl] = -1
+                used[assign[order[k]]] = False
             continue
+        choice[k] = ci + 1
+        assign[lbl] = p
+        if k == m - 1:
+            yield np.array(assign, dtype=np.int64)
+            continue
+        used[p] = True
         k += 1
-        if k == m:
-            return assign.copy()
-    return None
 
 
 def match_windows(space, template, candidates):
@@ -664,16 +646,12 @@ def match_windows(space, template, candidates):
         ball = space.ball(center, radius)
         bdist = space.pairwise(ball, ball)
         center_pos = int(np.searchsorted(ball, center))
-        if center_pos >= len(ball) or ball[center_pos] != center:
-            out.append(None)
-            continue
-        img = _match_backtrack(template.dist, template.base, ball, bdist,
-                               center_pos, surjective=False)
+        img = next(_isometries(template.dist, template.base, bdist, center_pos),
+                   None)
         if img is None:
             out.append(None)
         else:
-            labels = list(range(template.size))
-            out.append(SubsetIsometry(tuple(labels),
+            out.append(SubsetIsometry(tuple(range(template.size)),
                                       tuple(int(ball[p]) for p in img)))
     return out
 
@@ -683,7 +661,10 @@ def ball_template(space, center, radius):
 
     Points are labeled deterministically: ascending distance from the center,
     then by sorted distance profile within the ball, then by id.  Label 0 is
-    the center.
+    the center.  The first two key parts are invariant under pointed
+    isometries, so when two balls give equal template matrices they are
+    pointed isometric and the second id list is the lexicographically least
+    pointed isometry onto it, the one ``match_ball_exact`` returns.
     """
     ball = space.ball(center, radius)
     bdist = space.pairwise(ball, ball)
@@ -704,28 +685,18 @@ def match_ball_exact(space, template, center, radius):
         return None
     bdist = space.pairwise(ball, ball)
     center_pos = int(np.searchsorted(ball, center))
-    img = _match_backtrack(template.dist, template.base, ball, bdist,
-                           center_pos, surjective=True)
-    if img is None:
-        return None
-    return [int(ball[p]) for p in img]
+    img = next(_isometries(template.dist, template.base, bdist, center_pos),
+               None)
+    return None if img is None else [int(ball[p]) for p in img]
 
 
 def pointed_isometric(t1, t2):
     """Whether two pointed templates are isometric (basepoint to basepoint)."""
     if t1.size != t2.size:
         return False
+    if t1.base == t2.base and np.array_equal(t1.dist, t2.dist):
+        return True
     if t1.signature() != t2.signature():
         return False
-    img = _match_backtrack(t1.dist, t1.base, np.arange(t2.size), t2.dist,
-                           t2.base, surjective=True)
+    img = next(_isometries(t1.dist, t1.base, t2.dist, t2.base), None)
     return img is not None
-
-
-def pointed_isometry_map(t1, t2):
-    """Label map realizing a pointed isometry t1 -> t2 (lex least), or None."""
-    if t1.size != t2.size:
-        return None
-    img = _match_backtrack(t1.dist, t1.base, np.arange(t2.size), t2.dist,
-                           t2.base, surjective=True)
-    return None if img is None else [int(v) for v in img]

@@ -64,3 +64,40 @@ def tridiagonal(space, diag=0.0, off=1.0):
 
 def dense(A: BandOperator):
     return A.to_dense()
+
+
+def reference_isometries(t1, t2, cap=256):
+    """All pointed isometries t1 -> t2 as label maps (bounded enumeration).
+
+    Recursive reference enumerator: labels are assigned in label order, so for
+    base-0 templates the maps come out in lexicographic order.
+    """
+    if t1.size != t2.size:
+        return []
+    m = t1.size
+    out = []
+
+    def recurse(assign, used):
+        if len(out) >= cap:
+            return
+        k = len(assign)
+        if k == m:
+            out.append(list(assign))
+            return
+        for p in range(m):
+            if used[p]:
+                continue
+            if t2.dist[t2.base, p] != t1.dist[t1.base, k] and k != t1.base:
+                continue
+            if k == t1.base and p != t2.base:
+                continue
+            ok = all(t2.dist[assign[j], p] == t1.dist[j, k] for j in range(k))
+            if ok:
+                assign.append(p)
+                used[p] = True
+                recurse(assign, used)
+                assign.pop()
+                used[p] = False
+
+    recurse([], np.zeros(m, dtype=bool))
+    return out

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandlim.space import Template, build_space, pointed_isometric
+from bandlim.space import (
+    Template, ball_template, build_space, match_ball_exact, pointed_isometric,
+)
 from bandlim.operators import (
     add, compose, from_triplets, identity, multiplier, norm2, scale,
     subtract,
@@ -17,7 +19,9 @@ from bandlim.limits import (
 from bandlim.partition import sparsify
 from bandlim.serialize import report_dumps, round15
 
-from conftest import random_band, shift_operator, tridiagonal
+from conftest import (
+    random_band, reference_isometries, shift_operator, tridiagonal,
+)
 
 
 def big_nat(upper=600, name="natbig"):
@@ -627,3 +631,112 @@ class TestBlockWalks:
         self.check(win)
         assert report_dumps(win.to_json()) == report_dumps(
             {**win.to_json(), "matrix": loop_matrix_json(win)})
+
+
+# -- one matching pass per basepoint ------------------------------------------
+
+
+def reference_limit_space(space, direction, R, tol_count):
+    """Stabilization index, or the class sizes, by the reference enumerator."""
+    usable = direction.usable(space, R)
+    templates = [ball_template(space, b, R)[0] for b in usable]
+
+    def iso(t1, t2):
+        return bool(reference_isometries(t1, t2, cap=1))
+
+    i0 = len(usable) - 1
+    while i0 > 0 and iso(templates[i0 - 1], templates[i0]):
+        i0 -= 1
+    if len(usable) - i0 >= min(tol_count, len(usable)):
+        return i0
+    classes = []
+    for t in templates:
+        for members in classes:
+            if iso(members[0], t):
+                members.append(t)
+                break
+        else:
+            classes.append([t])
+    return [len(members) for members in classes]
+
+
+def reference_deviation(w1, w2):
+    """Window deviation over the reference enumerator's first 256 maps."""
+    isos = reference_isometries(w1.template, w2.template)
+    if not isos:
+        return np.inf
+    k = w1.block_dim
+    best = np.inf
+    for iso in isos:
+        perm = np.zeros(w1.size * k, dtype=np.int64)
+        for i, p in enumerate(iso):
+            perm[i * k:(i + 1) * k] = np.arange(p * k, (p + 1) * k)
+        dev = float(np.max(np.abs(w1.matrix - w2.matrix[np.ix_(perm, perm)])))
+        best = min(best, dev)
+    return best
+
+
+def bare_window(template, matrix, block_dim=1):
+    return LimitWindow(template=template, matrix=matrix, radius=0,
+                       cauchy_tail=0.0, stabilized_from=0, tol=0.0,
+                       direction_label="w", basepoints_used=[],
+                       block_dim=block_dim)
+
+
+class TestOneMatchingPass:
+    def test_divergence_summary_unchanged(self):
+        sp = build_space({"kind": "quadrant", "upper": 14, "norm": "l2",
+                          "name": "q14"})
+        pts = [sp.lattice_id(c) for c in ([0, 0], [1, 0], [2, 1], [0, 4],
+                                          [3, 3], [4, 4], [1, 6], [5, 5])]
+        res = limit_space(sp, Direction(pts, "zigzag"), R=2, tol_count=4)
+        assert res.diverged
+        assert res.summary() == {"diverged": True, "radius": 2,
+                                 "direction": "zigzag",
+                                 "class_sizes": [1, 1, 2, 1, 3]}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_limit_space_matches_reference(self, data):
+        upper = data.draw(st.integers(6, 10))
+        norm = data.draw(st.sampled_from(["linf", "l1", "l2"]))
+        sp = build_space({"kind": "quadrant", "upper": upper, "norm": norm})
+        R = data.draw(st.integers(1, 3))
+        inner = [x for x in range(sp.n) if sp.margin(x) >= R]
+        pts = data.draw(st.lists(st.sampled_from(inner), min_size=1,
+                                 max_size=8, unique=True))
+        row = sp.row(sp.center)
+        pts.sort(key=lambda x: (row[x], x))
+        tol_count = data.draw(st.integers(2, 4))
+        d = Direction(pts, "random")
+        res = limit_space(sp, d, R, tol_count=tol_count)
+        ref = reference_limit_space(sp, d, R, tol_count)
+        if res.diverged:
+            assert res.summary()["class_sizes"] == ref
+            return
+        assert res.stabilized_from == ref
+        for b in pts[ref:]:
+            assert res.matchings[b] == match_ball_exact(sp, res.template, b, R)
+
+    def test_window_deviation_matches_reference(self):
+        rng = np.random.default_rng(29)
+        lattice = build_space({"kind": "zn-window", "lower": [-6, -6],
+                               "upper": [6, 6]})
+        discrete = build_space({"kind": "explicit",
+                                "matrix": (1 - np.eye(7, dtype=int)).tolist()})
+        cases = [ball_template(lattice, lattice.center, 2)[0],
+                 ball_template(lattice, 0, 2)[0],
+                 ball_template(discrete, 0, 1)[0]]
+        for t in cases:
+            for k in (1, 2):
+                mk = t.size * k
+                for _ in range(5):
+                    m1, m2 = (rng.integers(-2, 3, (mk, mk)).astype(complex)
+                              for _ in range(2))
+                    w1 = bare_window(t, m1, k)
+                    w2 = bare_window(t, m2, k)
+                    assert window_deviation(w1, w2) == reference_deviation(w1, w2)
+                    assert window_deviation(w1, w1) == 0.0
+        other = ball_template(lattice, lattice.center, 1)[0]
+        assert window_deviation(bare_window(cases[0], np.zeros((25, 25))),
+                                bare_window(other, np.zeros((9, 9)))) == np.inf

@@ -3,11 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from bandlim.space import (
     SpaceError, Template, build_space, right_translations, match_windows,
     ball_template, match_ball_exact, pointed_isometric, save_space, load_space,
+    _check_metric_matrix, _isometries,
 )
+
+from conftest import reference_isometries
 
 
 def brute_growth(space, r):
@@ -239,3 +245,141 @@ class TestTranslations:
         assert t.displacement == 1
         assert len(t.domain) == sp.n
         assert t.image[7] == 0        # wraps within the Z/8 component
+
+
+# -- property tests over every space kind -------------------------------------
+
+
+norms = st.sampled_from(["linf", "l1", "l2"])
+
+
+@st.composite
+def connected_edges(draw, n):
+    """Random spanning tree plus extra edges, self-loops and duplicates."""
+    edges = []
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        edges.append([u, v] if draw(st.booleans()) else [v, u])
+    point = st.integers(0, n - 1)
+    edges += draw(st.lists(st.lists(point, min_size=2, max_size=2),
+                           max_size=2 * n))
+    edges += [[v, v] for v in draw(st.lists(point, max_size=2))]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return draw(st.permutations(edges))
+
+
+@st.composite
+def space_descriptors(draw, explicit=False):
+    kinds = ["n-window", "zn-window-1", "zn-window-2", "quadrant",
+             "box-cycles", "graph"] + (["explicit"] if explicit else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "n-window":
+        return {"kind": kind, "upper": draw(st.integers(0, 20))}
+    if kind.startswith("zn-window"):
+        dims = int(kind[-1])
+        span = 10 if dims == 1 else 4
+        lower = [draw(st.integers(-span, 0)) for _ in range(dims)]
+        upper = [draw(st.integers(0, span)) for _ in range(dims)]
+        return {"kind": "zn-window", "lower": lower, "upper": upper,
+                "norm": draw(norms)}
+    if kind == "quadrant":
+        upper = [draw(st.integers(0, 6)) for _ in range(2)]
+        return {"kind": kind, "upper": upper, "norm": draw(norms)}
+    if kind == "box-cycles":
+        mods = draw(st.lists(st.integers(3, 10), min_size=1, max_size=3))
+        top = max(k // 2 for k in mods)
+        cross = draw(st.integers(max(1, -(-top // 2)), 8))
+        return {"kind": kind, "moduli": mods, "cross_distance": cross}
+    n = draw(st.integers(1, 12 if kind == "graph" else 9))
+    edges = draw(connected_edges(n))
+    if kind == "graph":
+        return {"kind": kind, "n": n, "edges": edges}
+    # explicit: shortest paths of the graph under integer edge weights
+    weights = [draw(st.integers(1, 3)) for _ in edges]
+    rows = [u for u, v in edges if u != v]
+    cols = [v for u, v in edges if u != v]
+    w = [x for (u, v), x in zip(edges, weights) if u != v]
+    adj = csr_matrix((w + w, (rows + cols, cols + rows)), shape=(n, n))
+    mat = shortest_path(adj, method="D")
+    return {"kind": kind, "matrix": mat.astype(int).tolist()}
+
+
+def relabel(template, perm):
+    """Template with label i standing for the old label perm[i]."""
+    perm = list(perm)
+    return Template(template.dist[np.ix_(perm, perm)],
+                    base=perm.index(template.base))
+
+
+class TestMetricAxioms:
+    @settings(max_examples=150, deadline=None)
+    @given(space_descriptors())
+    def test_every_kind_is_an_integer_metric(self, desc):
+        sp = build_space(desc)
+        ids = np.arange(sp.n)
+        d = sp.pairwise(ids, ids)
+        assert np.issubdtype(d.dtype, np.integer)
+        _check_metric_matrix(d)
+
+
+class TestOneSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equal_templates_give_the_least_isometry(self, data):
+        sp = build_space(data.draw(space_descriptors(explicit=True)))
+        r = data.draw(st.integers(1, 3))
+        c1 = data.draw(st.integers(0, sp.n - 1))
+        c2 = data.draw(st.integers(0, sp.n - 1))
+        t1, _ = ball_template(sp, c1, r)
+        t2, ids2 = ball_template(sp, c2, r)
+        if np.array_equal(t1.dist, t2.dist):
+            assert ids2 == match_ball_exact(sp, t1, c2, r)
+        found = bool(reference_isometries(t1, t2, cap=1))
+        assert pointed_isometric(t1, t2) == found
+        p1 = data.draw(st.permutations(range(t1.size)))
+        p2 = data.draw(st.permutations(range(t2.size)))
+        assert pointed_isometric(relabel(t1, p1), relabel(t2, p2)) == found
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_enumeration_matches_reference(self, data):
+        sp = build_space(data.draw(space_descriptors(explicit=True)))
+        r = data.draw(st.integers(1, 3))
+        c1 = data.draw(st.integers(0, sp.n - 1))
+        c2 = data.draw(st.integers(0, sp.n - 1))
+        t1, _ = ball_template(sp, c1, r)
+        t2, _ = ball_template(sp, c2, r)
+        if t1.size != t2.size:
+            return
+        got = [iso.tolist() for iso in itertools.islice(
+            _isometries(t1.dist, 0, t2.dist, 0), 256)]
+        assert got == reference_isometries(t1, t2)
+        s1 = relabel(t1, data.draw(st.permutations(range(t1.size))))
+        s2 = relabel(t2, data.draw(st.permutations(range(t2.size))))
+        ref = reference_isometries(s1, s2)
+        if len(ref) < 256:
+            got = [tuple(iso.tolist())
+                   for iso in _isometries(s1.dist, s1.base, s2.dist, s2.base)]
+            assert len(set(got)) == len(got)
+            assert sorted(got) == sorted(map(tuple, ref))
+
+    @pytest.mark.parametrize("desc", [
+        {"kind": "explicit", "matrix": (1 - np.eye(8, dtype=int)).tolist()},
+        {"kind": "graph", "n": 8, "edges": [[0, v] for v in range(1, 8)]},
+    ])
+    def test_first_256_of_many_maps(self, desc):
+        sp = build_space(desc)
+        t, _ = ball_template(sp, 0, 1)
+        got = [iso.tolist() for iso in itertools.islice(
+            _isometries(t.dist, 0, t.dist, 0), 256)]
+        assert len(got) == 256
+        assert got == reference_isometries(t, t)
+
+    def test_injection_into_a_larger_ball(self, nat_window):
+        template = Template(np.array([[0, 1], [1, 0]]))
+        ball = nat_window.ball(10, 2)
+        bdist = nat_window.pairwise(ball, ball)
+        got = [ball[iso].tolist() for iso in
+               _isometries(template.dist, 0, bdist, 2)]
+        assert got == [[10, 9], [10, 11]]
