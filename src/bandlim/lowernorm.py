@@ -105,13 +105,6 @@ def _witness_vector(A, F, coeffs, p):
     return Vector(A.space, vals, p=p, block_dim=A.block_dim)
 
 
-def _support_diameter(space, vec):
-    sup = vec.support()
-    if len(sup) <= 1:
-        return 0.0
-    return float(space.pairwise(sup, sup).max())
-
-
 def _sigma_min(sub):
     """(value, right singular vector, method) of the smallest singular value.
 
@@ -276,7 +269,7 @@ def nu(A, F, p=2.0):
     if nrm > 0:
         wit = Vector(A.space, wit.values / nrm, p=p, block_dim=k)
     return NuReport(value=val, witness=wit,
-                    support_diameter=_support_diameter(A.space, wit),
+                    support_diameter=float(A.space.diameter(wit.support())),
                     method=method, tolerance=tol, subset=tuple(int(x) for x in Fs))
 
 

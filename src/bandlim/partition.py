@@ -102,13 +102,6 @@ def _as_measure(space, measure):
     return mu
 
 
-def _part_diameter(space, part):
-    if len(part) <= 1:
-        return 0
-    ids = np.asarray(part, dtype=np.int64)
-    return int(space.pairwise(ids, ids).max())
-
-
 def _sparsify_blocks(space, mu, m, L):
     """Best offset of the keep-L drop-m pattern, applied per axis."""
     lower = space.lower
@@ -136,7 +129,7 @@ def _sparsify_blocks(space, mu, m, L):
         parts.setdefault(tuple(int(v) for v in bi), []).append(int(pid))
     part_list = [sorted(parts[key]) for key in sorted(parts)]
     frac = float(mu[kept_ids].sum() / total)
-    diam = max((_part_diameter(space, part) for part in part_list), default=0)
+    diam = max((space.diameter(part) for part in part_list), default=0)
     return Sparsification(parts=part_list, separation=m, diameter_bound=diam,
                           mass_fraction=frac, measure=mu, method="blocks")
 
@@ -146,26 +139,26 @@ def _sparsify_greedy(space, mu, m, diameter_bound):
     rho = diameter_bound // 2
     available = np.ones(space.n, dtype=bool)
     total = mu.sum()
+    balls = [space.ball(x, rho) for x in range(space.n)]
     parts = []
     while True:
         best_mass, best_x = 0.0, None
         for x in range(space.n):
             if not available[x] or mu[x] == 0:
                 continue
-            ball = space.ball(x, rho)
+            ball = balls[x]
             mass = float(mu[ball[available[ball]]].sum())
             if mass > best_mass:
                 best_mass, best_x = mass, x
         if best_x is None or best_mass == 0.0:
             break
-        ball = space.ball(best_x, rho)
-        part = [int(y) for y in ball if available[y] and mu[y] > 0]
+        part = [int(y) for y in balls[best_x] if available[y] and mu[y] > 0]
         parts.append(sorted(part))
         ids = np.asarray(part, dtype=np.int64)
         dists = space.pairwise(np.arange(space.n), ids).min(axis=1)
         available &= dists > m - 1
     captured = sum(float(mu[np.asarray(p, dtype=np.int64)].sum()) for p in parts)
-    diam = max((_part_diameter(space, part) for part in parts), default=0)
+    diam = max((space.diameter(part) for part in parts), default=0)
     return Sparsification(parts=parts, separation=m, diameter_bound=diam,
                           mass_fraction=captured / total, measure=mu,
                           method="greedy")
@@ -345,13 +338,12 @@ def make_partition(space, scale, p=2.0):
     diam = 0
     for i, c in enumerate(centers):
         ball = space.ball(c, 2 * L - 1)
-        w = 1.0 - space.pairwise(np.array([c]), ball)[0] / (2.0 * L)
+        w = 1.0 - space.pair_dist(c, ball) / (2.0 * L)
         sup = ball[w > 0]
         rows.append(sup)
         cols.append(np.full(len(sup), i, dtype=np.int64))
         vals.append(w[w > 0])
-        if len(sup) > 1:
-            diam = max(diam, int(space.pairwise(sup, sup).max()))
+        diam = max(diam, space.diameter(sup))
     bumps = csr_matrix((np.concatenate(vals),
                         (np.concatenate(rows), np.concatenate(cols))),
                        shape=(space.n, len(centers)))

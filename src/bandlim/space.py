@@ -6,6 +6,12 @@ always a discrete subset of the nonnegative integers.  Generators cover
 integer-lattice windows, quadrant windows, box spaces over cyclic quotients,
 explicit distance matrices and graph shortest-path metrics.
 
+Each kind has one distance formula, ``Space.pair_dist``, broadcast over id
+arrays; ``pairwise``, ``row``, ``dist`` and ``diameter`` are views of it.
+``Space.ball`` is the one ball routine: lattice windows of every dimension
+and norm cut the ball from its clipped bounding box in row-major order, the
+other kinds scan a row of ``pair_dist``.
+
 Besides ball queries the module provides partial translations (for
 group-structured windows), pointed isometry matching between a finite template
 and balls of the space, and an interior-margin notion used to discard
@@ -151,96 +157,68 @@ class Space:
     # -- distance queries ---------------------------------------------------
 
     def dist(self, x, y):
-        return int(self.pairwise(np.array([x]), np.array([y]))[0, 0])
+        return int(self.pair_dist(x, y))
+
+    def pair_dist(self, xs, ys):
+        """Distances between two id arrays, broadcast against each other."""
+        xs = np.asarray(xs, dtype=np.int64)
+        ys = np.asarray(ys, dtype=np.int64)
+        if self._matrix is not None:
+            return self._matrix[xs, ys]
+        if self.coords is not None:
+            return _lattice_dist(self.coords[xs] - self.coords[ys], self.norm)
+        ci, res, mod = self.components
+        diff = np.abs(res[xs] - res[ys])
+        return np.where(ci[xs] == ci[ys], np.minimum(diff, mod[xs] - diff),
+                        self.cross_distance)
 
     def pairwise(self, xs, ys):
         """Integer distance matrix between two id arrays."""
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
-        if self._matrix is not None:
-            return self._matrix[np.ix_(xs, ys)]
-        if self.kind in LATTICE_KINDS:
-            a = self.coords[xs][:, None, :]
-            b = self.coords[ys][None, :, :]
-            return _lattice_dist(a - b, self.norm)
-        if self.kind == "box-cycles":
-            ci, res, mod = self.components
-            same = ci[xs][:, None] == ci[ys][None, :]
-            diff = np.abs(res[xs][:, None] - res[ys][None, :])
-            k = mod[xs][:, None]
-            cyc = np.minimum(diff, k - diff)
-            return np.where(same, cyc, self.cross_distance)
-        raise SpaceError(f"no metric for kind {self.kind!r}")
+        return self.pair_dist(xs[:, None], ys[None, :])
 
     def row(self, x):
         """Distances from point x to every point of the space."""
-        return self.pairwise(np.array([x]), np.arange(self.n))[0]
+        return self.pair_dist(x, np.arange(self.n))
 
-    def pair_dist(self, xs, ys):
-        """Elementwise distances between aligned id arrays."""
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        if xs.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if self._matrix is not None:
-            return self._matrix[xs, ys]
-        if self.kind in LATTICE_KINDS:
-            return _lattice_dist(self.coords[xs] - self.coords[ys], self.norm)
-        if self.kind == "box-cycles":
-            ci, res, mod = self.components
-            same = ci[xs] == ci[ys]
-            diff = np.abs(res[xs] - res[ys])
-            cyc = np.minimum(diff, mod[xs] - diff)
-            return np.where(same, cyc, self.cross_distance)
-        raise SpaceError(f"no metric for kind {self.kind!r}")
+    def diameter(self, ids):
+        """Largest distance within a set of ids, 0 for fewer than two."""
+        return int(self.pairwise(ids, ids).max(initial=0))
 
     def ball(self, x, r):
-        """Sorted ids of the closed ball about x of radius r."""
+        """Sorted ids of the closed ball about x of radius r.
+
+        Lattice ids combine the clipped per-axis ranges row-major, so they
+        come out ascending; a linf ball, and any ball in one dimension, is
+        its whole clipped box.
+        """
         if x < 0 or x >= self.n:
             raise SpaceError(f"unknown point id {x}")
         if r < 0:
             raise SpaceError("radius must be nonnegative")
         r = math.floor(r)
-        if self.kind in ("n-window", "zn-window", "quadrant") and self._dims == 1:
-            c = int(self.coords[x, 0])
-            lo = max(int(self.lower[0]), c - r)
-            hi = min(int(self.upper[0]), c + r)
-            return np.arange(lo - int(self.lower[0]), hi - int(self.lower[0]) + 1,
-                             dtype=np.int64)
-        if self.kind in LATTICE_KINDS:
-            c = self.coords[x]
-            axes = []
-            for i in range(self._dims):
-                lo = max(int(self.lower[i]), int(c[i]) - r)
-                hi = min(int(self.upper[i]), int(c[i]) + r)
-                axes.append(np.arange(lo, hi + 1, dtype=np.int64))
-            grids = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-            keep = _lattice_dist(pts - c[None, :], self.norm) <= r
-            pts = pts[keep]
-            ids = self._lattice_ids(pts)
-            return np.sort(ids)
-        if self.kind == "box-cycles":
-            d = self.row(x)
-            return np.nonzero(d <= r)[0].astype(np.int64)
-        d = self._matrix[x]
-        return np.nonzero(d <= r)[0].astype(np.int64)
-
-    def _lattice_ids(self, pts):
-        """Row-major id of lattice coordinates (assumed inside the window)."""
-        spans = self.upper - self.lower + 1
-        rel = pts - self.lower[None, :]
-        ids = np.zeros(len(pts), dtype=np.int64)
-        for i in range(self._dims):
-            ids = ids * spans[i] + rel[:, i]
+        if self.coords is None:
+            return np.nonzero(self.row(x) <= r)[0]
+        ids = np.zeros(1, dtype=np.int64)
+        for c, lo, up in zip(self.coords[x].tolist(), self.lower.tolist(),
+                             self.upper.tolist()):
+            axis = np.arange(max(lo, c - r) - lo, min(up, c + r) - lo + 1)
+            ids = (ids[:, None] * (up - lo + 1) + axis).ravel()
+        if self.norm != "linf" and self._dims > 1:
+            ids = ids[_lattice_dist(self.coords[ids] - self.coords[x], self.norm) <= r]
         return ids
 
     def lattice_id(self, coord):
         """Id of a single lattice coordinate, or None if outside the window."""
         coord = np.asarray(coord, dtype=np.int64)
+        if coord.shape != (self._dims,):
+            raise SpaceError(f"coordinate {coord.tolist()} does not fit a "
+                             f"window of dimension {self._dims}")
         if np.any(coord < self.lower) or np.any(coord > self.upper):
             return None
-        return int(self._lattice_ids(coord[None, :])[0])
+        return int(np.ravel_multi_index(tuple(coord - self.lower),
+                                        tuple(self.upper - self.lower + 1)))
 
     # -- derived geometry ---------------------------------------------------
 
@@ -669,13 +647,10 @@ def ball_template(space, center, radius):
     ball = space.ball(center, radius)
     bdist = space.pairwise(ball, ball)
     center_pos = int(np.searchsorted(ball, center))
-    profiles = [tuple(sorted(bdist[i].tolist())) for i in range(len(ball))]
-    keys = [(int(bdist[center_pos, i]), profiles[i], int(ball[i]))
-            for i in range(len(ball))]
-    order = sorted(range(len(ball)), key=lambda i: keys[i])
-    tdist = bdist[np.ix_(order, order)]
-    ids = [int(ball[i]) for i in order]
-    return Template(tdist, base=0), ids
+    # np.lexsort reads its keys last to first: center distance, then the
+    # sorted rows compared entry by entry, then the id
+    order = np.lexsort((ball, *np.sort(bdist, axis=1).T[::-1], bdist[center_pos]))
+    return Template(bdist[np.ix_(order, order)], base=0), ball[order].tolist()
 
 
 def match_ball_exact(space, template, center, radius):

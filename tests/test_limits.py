@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandlim.space import (
-    Template, ball_template, build_space, match_ball_exact, pointed_isometric,
+    SpaceError, Template, ball_template, build_space, match_ball_exact,
+    pointed_isometric,
 )
 from bandlim.operators import (
     add, compose, from_triplets, identity, multiplier, norm2, scale,
@@ -98,6 +99,19 @@ class TestLimitSpace:
         d = Direction(basepoints=[38, 39, 40], label="edge")
         with pytest.raises(ExtractError, match="margin|no basepoint"):
             limit_space(sp, d, R=5, tol_count=3)
+
+
+class TestDirections:
+    def test_arithmetic_rejects_a_2d_window(self):
+        sp = build_space({"kind": "quadrant", "upper": 5})
+        with pytest.raises(SpaceError, match="dimension 2"):
+            Direction.arithmetic(sp, 0, 1)
+
+    def test_arithmetic_walks_a_1d_window(self):
+        sp = big_nat(upper=20)
+        d = Direction.arithmetic(sp, 2, 7)
+        assert d.basepoints == [2, 9, 16]
+        assert d.label == "arith:2,7"
 
 
 class TestLimitOperator:

@@ -239,6 +239,46 @@ def torus_graph(g):
                         "name": "torus"})
 
 
+class TestGreedyBalls:
+    def test_each_ball_is_taken_once(self, monkeypatch):
+        torus = torus_graph(12)
+        calls = []
+        ball = type(torus).ball
+
+        def counted(self, x, r):
+            calls.append((x, r))
+            return ball(self, x, r)
+
+        monkeypatch.setattr(type(torus), "ball", counted)
+        res = sparsify(torus, None, m=1, target_c=0.1)
+        check_sparsification(torus, res)
+        assert 0 < len(calls) <= torus.n
+
+    def test_parts_match_the_per_step_greedy(self):
+        torus = torus_graph(8)
+        mu = np.random.default_rng(3).random(torus.n)
+        mu[::5] = 0.0
+        for m in (1, 2):
+            rho = BlockSparsifierModel().f(m) // 2
+            available = np.ones(torus.n, dtype=bool)
+            parts = []
+            while True:
+                masses = np.zeros(torus.n)
+                for x in np.nonzero(available & (mu > 0))[0]:
+                    ball = torus.ball(x, rho)
+                    masses[x] = mu[ball[available[ball]]].sum()
+                best = int(np.argmax(masses))
+                if masses[best] == 0.0:
+                    break
+                part = [int(y) for y in torus.ball(best, rho)
+                        if available[y] and mu[y] > 0]
+                parts.append(part)
+                for y in range(torus.n):
+                    if min(torus.dist(y, z) for z in part) < m:
+                        available[y] = False
+            assert sparsify(torus, mu, m=m, target_c=0.0).parts == parts
+
+
 class TestSpaceMismatch:
     def test_same_size_other_space_rejected(self):
         quad = build_space({"kind": "quadrant", "upper": 11, "name": "q12"})

@@ -383,3 +383,97 @@ class TestOneSearch:
         got = [ball[iso].tolist() for iso in
                _isometries(template.dist, 0, bdist, 2)]
         assert got == [[10, 9], [10, 11]]
+
+
+def reference_row(sp, x):
+    """Distances from x, point by point, from each kind's own definition."""
+    if sp.coords is not None:
+        out = []
+        for y in sp.coords.tolist():
+            d = [abs(a - b) for a, b in zip(sp.coords[x].tolist(), y)]
+            sq = sum(v * v for v in d)
+            root = math.isqrt(sq)
+            out.append({"linf": max(d), "l1": sum(d),
+                        "l2": root + (root * root < sq)}[sp.norm])
+    elif sp.components is not None:
+        ci, res, mod = (a.tolist() for a in sp.components)
+        out = [min(abs(res[x] - res[y]), mod[x] - abs(res[x] - res[y]))
+               if ci[x] == ci[y] else sp.cross_distance for y in range(sp.n)]
+    else:
+        out = sp._matrix[x].tolist()
+    return np.array(out, dtype=np.int64)
+
+
+@st.composite
+def zn3_descriptors(draw):
+    lower = [draw(st.integers(-2, 0)) for _ in range(3)]
+    upper = [draw(st.integers(0, 2)) for _ in range(3)]
+    return {"kind": "zn-window", "lower": lower, "upper": upper,
+            "norm": draw(st.sampled_from(["l1", "l2"]))}
+
+
+# radii past the window are checked separately, from the space's value set
+radii = st.one_of(st.just(0), st.integers(0, 6),
+                  st.floats(0, 6, allow_nan=False).filter(lambda r: r != int(r)))
+
+
+class TestOneBallRoutine:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_ball_row_pairwise_and_diameter_agree(self, data):
+        sp = build_space(data.draw(st.one_of(space_descriptors(explicit=True),
+                                             zn3_descriptors())))
+        ref = np.array([reference_row(sp, a) for a in range(sp.n)])
+        r = data.draw(radii)
+        past = sp.value_set[-1] + data.draw(st.sampled_from([0, 0.5, 7]))
+        for x in range(sp.n):
+            assert np.array_equal(sp.row(x), ref[x])
+            for rad in (r, 1, 1.5, 2):
+                ball = sp.ball(x, rad)
+                assert ball.dtype == np.int64
+                assert np.array_equal(ball, np.nonzero(sp.row(x) <= rad)[0])
+                assert np.array_equal(ball, np.nonzero(ref[x] <= rad)[0])
+            assert np.array_equal(sp.ball(x, past), np.arange(sp.n))
+
+        ids = st.integers(0, sp.n - 1)
+        xs = np.array(data.draw(st.lists(ids, max_size=8)), dtype=np.int64)
+        ys = np.array(data.draw(st.lists(ids, max_size=8)), dtype=np.int64)
+        full = sp.pairwise(xs, ys)
+        assert np.array_equal(full, ref[np.ix_(xs, ys)])
+        assert np.array_equal(full, sp.pair_dist(xs[:, None], ys[None, :]))
+        x = data.draw(ids)
+        assert np.array_equal(sp.pair_dist(x, ys), ref[x, ys])
+        k = min(len(xs), len(ys))
+        assert np.array_equal(sp.pair_dist(xs[:k], ys[:k]), ref[xs[:k], ys[:k]])
+
+        subset = data.draw(st.lists(ids, unique=True, max_size=10))
+        brute = max((ref[a, b] for a in subset for b in subset), default=0)
+        assert sp.diameter(subset) == brute
+        assert sp.diameter([]) == 0
+        assert sp.diameter([x]) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_template_order_is_the_key_sort(self, data):
+        sp = build_space(data.draw(st.one_of(space_descriptors(explicit=True),
+                                             zn3_descriptors())))
+        x = data.draw(st.integers(0, sp.n - 1))
+        r = data.draw(st.integers(0, 4))
+        ball = sp.ball(x, r).tolist()
+        d = {a: reference_row(sp, a) for a in ball}
+        order = sorted(ball, key=lambda a: (
+            d[x][a], sorted(d[a][b] for b in ball), a))
+        template, got = ball_template(sp, x, r)
+        assert got == order
+        assert np.array_equal(template.dist, [[d[a][b] for b in order]
+                                              for a in order])
+
+    def test_lattice_id_rejects_a_coordinate_of_the_wrong_length(self):
+        sp = build_space({"kind": "quadrant", "upper": 5})
+        assert sp.lattice_id([2, 2]) == 14
+        for coord in ([2], [2, 2, 2], [[2, 2]]):
+            with pytest.raises(SpaceError, match="dimension 2"):
+                sp.lattice_id(coord)
+        line = build_space({"kind": "n-window", "upper": 9})
+        with pytest.raises(SpaceError, match="dimension 1"):
+            line.lattice_id([1, 1])
