@@ -10,6 +10,14 @@ nonzero rows than columns has a kernel, and its lower norm is 0 exactly.
 Every routine extracts restrictions through ``_restricted``, a gather over
 the operator's cached column index.
 
+The restriction of a real operator (``BandOperator.is_real``) is real, so
+every p = 2 route runs in real arithmetic: its singular values are those over
+the complex numbers, and a real singular vector is a complex witness.  The
+descent for p != 2 still searches complex vectors: away from p = 2 the
+infimum over real vectors need not be the one over complex vectors.  ``nu``
+scales every witness so that its first entry of largest modulus is real and
+positive, whichever route found it.
+
 ``nu_s`` restricts witnesses to ball neighborhoods inside F.  The balls that
 ``nu`` would solve by dense SVD are screened with one values-only SVD per
 stack of equal-shape restrictions.  The slack e = 8 max(rows, cols) eps
@@ -78,7 +86,7 @@ def _restricted(A, F):
     entry in a column of F, and the unfolded restricted matrix, dense up to
     ``_DENSE_COLS`` columns and CSR beyond.  The entries are gathered through
     ``A.col_index()``.  Dropping all-zero rows leaves the singular values
-    unchanged.
+    unchanged.  The matrix is float64 when A is real, complex128 otherwise.
     """
     F = np.asarray(sorted(int(x) for x in F), dtype=np.int64)
     k = A.block_dim
@@ -89,12 +97,13 @@ def _restricted(A, F):
                 + np.repeat(ptr[F] - ends + counts, counts)]
     rows = A.rows[pos]
     row_ids = np.unique(rows)
+    blocks = A.blocks[pos].real if A.is_real else A.blocks[pos]
     r, c, v = _unfold(np.searchsorted(row_ids, rows),
-                      np.repeat(np.arange(len(F)), counts), A.blocks[pos])
+                      np.repeat(np.arange(len(F)), counts), blocks)
     shape = (len(row_ids) * k, len(F) * k)
     if shape[1] > _DENSE_COLS:
         return F, row_ids, csr_matrix((v, (r, c)), shape=shape)
-    sub = np.zeros(shape, dtype=np.complex128)
+    sub = np.zeros(shape, dtype=v.dtype)
     sub[r, c] = v
     return F, row_ids, sub
 
@@ -170,11 +179,13 @@ def _nu_descent(A, F, sub, p, restarts=16, max_iter=80):
     singular vector problem); the weights are then refreshed.  At p = 2 the
     weights are constant and the first step is already exact.  Steps that
     fail to decrease the true quotient are damped toward the previous
-    iterate, and the best visited value wins.
+    iterate, and the best visited value wins.  The search runs over complex
+    vectors even for a real restriction.
     """
     k = A.block_dim
     m = sub.shape[1]
-    dense = sub.toarray() if issparse(sub) else sub
+    dense = np.asarray(sub.toarray() if issparse(sub) else sub,
+                       dtype=np.complex128)
     eps = 1e-10   # site-norm smoothing floor; keeps the weights finite
 
     def sites(flat):
@@ -246,9 +257,11 @@ def nu(A, F, p=2.0):
     Otherwise, for p = 2 the smallest singular value of the restricted matrix:
     dense up to 400 columns, shift-invert Lanczos on the Gram matrix beyond,
     and method ``iterative-svd-shifted`` where shift-invert at 0 failed and a
-    small negative shift was used.  For other exponents a 16-start
-    deterministic descent over the quotient |Av|_p / |v|_p, warm started from
-    the p = 2 witness.
+    small negative shift was used; both run in real arithmetic when A is
+    real.  For other exponents a 16-start deterministic descent over the
+    quotient |Av|_p / |v|_p over complex vectors, warm started from the
+    p = 2 witness.  The unit witness is scaled so that its first entry of
+    largest modulus is real and positive.
     """
     if len(F) == 0:
         raise OperatorError("lower norm needs a nonempty column set")
@@ -264,6 +277,10 @@ def nu(A, F, p=2.0):
     else:
         val, coeffs = _nu_descent(A, Fs, sub, p)
         method, tol = "optimizer", 1e-6
+    i = np.argmax(np.abs(coeffs))
+    if coeffs[i] != 0:
+        coeffs = coeffs * (abs(coeffs[i]) / coeffs[i])
+        coeffs[i] = abs(coeffs[i])    # drop the rounding left in its phase
     wit = _witness_vector(A, Fs, coeffs, p)
     nrm = wit.norm()
     if nrm > 0:
@@ -387,8 +404,11 @@ def _stacks(groups, threads):
     A chunk holds at most ``_STACK_BYTES`` of matrices, and each group is
     split into at least ``threads`` chunks where it has that many members.
     """
-    for (m, n), group in groups.items():
-        size = min(_STACK_BYTES // (16 * m * n), -(-len(group) // max(1, threads)))
+    for group in groups.values():
+        if not group:
+            continue
+        size = min(_STACK_BYTES // group[0][1].nbytes,
+                   -(-len(group) // max(1, threads)))
         size = max(1, size)
         for lo in range(0, len(group), size):
             part = group[lo:lo + size]

@@ -6,6 +6,11 @@ or small square blocks of a fixed dimension.  The module provides the algebra
 operations, vector action in weighted p-norms, the exact decomposition into
 multiplication operators composed with partial translations, certified Schur
 norm bounds, and a deterministic power-iteration 2-norm.
+
+Entries are stored as complex128; ``BandOperator.is_real`` records once
+whether every imaginary part is zero.  The dense route of ``norm2`` then
+takes the SVD of the real matrix, whose singular values are those over the
+complex numbers.
 """
 
 from dataclasses import dataclass
@@ -47,7 +52,8 @@ class BandOperator:
 
     Entries are stored as coordinate triplets sorted by (row, col); ``blocks``
     has shape (nnz, k, k) with k the block dimension.  Instances are immutable
-    after construction and all derived quantities are cached.
+    after construction and all derived quantities are cached; ``is_real`` is
+    true when no entry has a nonzero imaginary part.
     """
 
     def __init__(self, space, rows, cols, blocks, block_dim=1, p=2.0):
@@ -74,6 +80,7 @@ class BandOperator:
             if self.rows.min() < 0 or self.rows.max() >= space.n \
                     or self.cols.min() < 0 or self.cols.max() >= space.n:
                 raise OperatorError("entry index outside the space")
+        self.is_real = not np.any(self.blocks.imag)
         self._csr = None
         self._col_index = None
         dists = space.pair_dist(self.rows, self.cols)
@@ -503,7 +510,7 @@ def norm2(A: BandOperator, rtol=1e-10, max_iter=10000, method="auto") -> float:
     less than rtol relatively; it raises after max_iter without convergence.
     ``'auto'`` uses a dense SVD for small operators (the iteration cap makes
     rtol unreachable when the top of the spectrum clusters) and power
-    iteration beyond.
+    iteration beyond.  The dense SVD runs in real arithmetic when A is real.
     """
     nk = A.space.n * A.block_dim
     if A.nnz == 0:
@@ -511,7 +518,8 @@ def norm2(A: BandOperator, rtol=1e-10, max_iter=10000, method="auto") -> float:
     if method == "auto":
         method = "dense" if nk <= 600 else "power"
     if method == "dense":
-        return float(np.linalg.norm(A.to_dense(), 2))
+        dense = A.to_dense()
+        return float(np.linalg.norm(dense.real if A.is_real else dense, 2))
     M = A.csr()
     v = np.ones(nk, dtype=np.complex128) / np.sqrt(nk)
     lam_prev = -1.0

@@ -436,3 +436,100 @@ class TestThreadInvariantBodies:
                                     essential_nu(A, [5, 20], threads=t)]),
                       report_dumps(loc))
         assert out[1] == out[2] == out[4]
+
+
+real_spaces = st.one_of(
+    st.builds(lambda u: {"kind": "n-window", "upper": u}, st.integers(0, 40)),
+    st.builds(lambda hi, norm: {"kind": "quadrant", "upper": hi, "norm": norm},
+              st.lists(st.integers(0, 6), min_size=2, max_size=2),
+              st.sampled_from(["linf", "l1", "l2"])),
+)
+
+
+def lead_entry(rep):
+    flat = rep.witness.flat()
+    return flat[np.argmax(np.abs(flat))]
+
+
+class TestRealArithmetic:
+    """A real operator and i times it: one method, equal values and norms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(desc=real_spaces, seed=st.integers(0, 2 ** 32 - 1),
+           block_dim=st.sampled_from([1, 2]), prop=st.integers(0, 2),
+           keep=st.floats(0.2, 1.0))
+    def test_real_and_imaginary_routes_agree(self, desc, seed, block_dim,
+                                             prop, keep):
+        sp = build_space(desc)
+        rng = np.random.default_rng(seed)
+        A = random_band(sp, prop, rng, density=0.6, block_dim=block_dim,
+                        real=True)
+        B = scale(A, 1j)
+        F = [x for x in range(sp.n) if rng.random() < keep] or [0]
+        assert A.is_real and not B.is_real
+        assert lowernorm._restricted(A, F)[2].dtype == np.float64
+        assert lowernorm._restricted(B, F)[2].dtype == np.complex128
+        ra, rb = nu(A, F), nu(B, F)
+        assert ra.method == rb.method
+        if max(ra.value, rb.value) >= 1e-6:
+            assert abs(ra.value - rb.value) <= ra.tolerance + rb.tolerance
+        for op, rep in ((A, ra), (B, rb)):
+            assert abs(quotient(op, rep) - rep.value) <= rep.tolerance
+            lead = lead_entry(rep)
+            assert lead.imag == 0.0 and lead.real > 0
+        na, nb = norm2(A), norm2(B)
+        assert abs(na - nb) <= 1e-12 * max(na, nb)
+
+    def test_iterative_route_is_real(self):
+        # 460 columns: the CSR restriction and the Gram eigsh route
+        sp = build_space({"kind": "n-window", "upper": 499, "name": "n500"})
+        A = add(three_i_minus_tridiag(sp),
+                random_band(sp, 1, np.random.default_rng(107), density=0.3,
+                            real=True))
+        B = scale(A, 1j)
+        F = list(range(20, 480))
+        assert lowernorm._restricted(A, F)[2].dtype == np.float64
+        assert lowernorm._restricted(B, F)[2].dtype == np.complex128
+        ra, rb = nu(A, F), nu(B, F)
+        assert ra.method == rb.method == "iterative-svd"
+        assert abs(ra.value - rb.value) <= ra.tolerance + rb.tolerance
+        oracle = np.linalg.svd(A.to_dense()[:, F], compute_uv=False).min()
+        assert abs(ra.value - oracle) <= ra.tolerance
+        for op, rep in ((A, ra), (B, rb)):
+            assert abs(quotient(op, rep) - rep.value) <= rep.tolerance
+            assert lead_entry(rep).imag == 0.0 and lead_entry(rep).real > 0
+
+    def test_descent_stays_complex(self):
+        # p = 3 on a real operator: only the p = 2 warm start is real
+        sp = build_space({"kind": "n-window", "upper": 7, "name": "n8"})
+        A = random_band(sp, 1, np.random.default_rng(109), density=0.8,
+                        real=True)
+        svd, kinds = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            kinds.append(a.dtype)
+            return svd(a, *args, **kwargs)
+
+        with mock.patch.object(np.linalg, "svd", spy):
+            nu(A, range(sp.n), p=3.0)
+        assert kinds[0] == np.float64
+        assert len(kinds) > 1 and set(kinds[1:]) == {np.dtype(np.complex128)}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_stacks_bounded_by_own_itemsize(self, dtype):
+        sub = np.zeros((30, 20), dtype=dtype)
+        chunks = list(lowernorm._stacks({sub.shape: [(j, sub) for j in range(2000)]},
+                                        threads=1))
+        assert max(len(idx) for idx, _ in chunks) == \
+            lowernorm._STACK_BYTES // sub.nbytes
+        assert all(stack.nbytes <= lowernorm._STACK_BYTES for _, stack in chunks)
+        assert [j for idx, _ in chunks for j in idx] == list(range(2000))
+
+    def test_chunking_keeps_values(self, monkeypatch):
+        # one matrix per stacked SVD call gives the same report
+        sp = build_space({"kind": "n-window", "upper": 60, "name": "n61"})
+        A = random_band(sp, 2, np.random.default_rng(113), density=0.7,
+                        real=True)
+        ref = body(nu_s(A, range(sp.n), 3, threads=2))
+        monkeypatch.setattr(lowernorm, "_STACK_BYTES", 1)
+        assert body(nu_s(A, range(sp.n), 3, threads=2)) == ref

@@ -80,6 +80,34 @@ class TestSparsify:
         check_sparsification(sp, res)
         assert res.mass_fraction >= (6 / 8) ** 2 - 1e-12
 
+    @pytest.mark.parametrize("parts, message", [
+        ([[0, 1], [5, 6], [1, 9]], "overlap"),
+        # only the first and the last part are closer than 3
+        ([[0, 1], [6, 7], [3, 11]], "too close"),
+    ])
+    def test_validation_rejects(self, parts, message):
+        sp = interval(12, "n12")
+        bad = partition.Sparsification(
+            parts=parts, separation=3, diameter_bound=8, mass_fraction=0.5,
+            measure=np.ones(sp.n), method="greedy")
+        with pytest.raises(OperatorError, match=message):
+            partition._validate_sparsification(sp, bad)
+
+    def test_validation_one_pairwise_per_part(self, monkeypatch):
+        torus = torus_graph(12)
+        res = sparsify(torus, None, m=1, target_c=0.1)
+        check_sparsification(torus, res)
+        calls = []
+        pairwise = type(torus).pairwise
+
+        def counted(self, a, b):
+            calls.append(len(a))
+            return pairwise(self, a, b)
+
+        monkeypatch.setattr(type(torus), "pairwise", counted)
+        partition._validate_sparsification(torus, res)
+        assert len(calls) == len(res.parts) - 1
+
     def test_model_constants(self):
         model = BlockSparsifierModel()
         assert model.block_length(3) == 9
