@@ -4,12 +4,39 @@ Report numbers are rounded to 15 significant digits before JSON encoding so
 that repeated runs (and runs with different thread counts) produce
 byte-identical files.  Operator files are the exception: their CSV bodies use
 shortest round-trip ``repr`` because they must reload bit-exactly.
+
+``report_dumps`` writes a report body in one walk over the report.  Its
+bytes are those of ``json.dumps(..., sort_keys=True, indent=2)`` plus a final
+newline, applied to the report with every number rounded:
+
+* dict keys are ``str(k)``; where two keys give the same string the last
+  value wins; keys are sorted;
+* floats, Python or numpy, are written ``float.__repr__(round15(x))``; NaN
+  is ``NaN`` and +-inf ``Infinity`` / ``-Infinity``; a complex number is
+  the pair ``[re, im]`` of its rounded parts;
+* ints and numpy integers are written as ints, bools ``true`` / ``false``,
+  ``None`` is ``null``; an ndarray is written as its ``tolist()``;
+* strings are escaped to ASCII as ``json`` does
+  (``json.encoder.encode_basestring_ascii``);
+* lists and tuples are arrays; each item of a non-empty container sits on
+  its own line, indented two spaces per level; empty ones are ``[]`` and
+  ``{}``.
+
+The walk writes a placeholder for every float and collects the floats; one
+``round15_each`` call then rounds each distinct value once and the texts
+replace the placeholders.  Lists of plain numbers and 1-d numeric arrays are
+written with one join, without a call per item.
 """
 
-import json
+from json.encoder import encode_basestring_ascii as _string
 import math
 
 import numpy as np
+
+_INF = float("inf")
+# stands for one float in the text until all floats are rounded at once; no
+# text of a string contains it, since json escapes every control character
+_MARK = "\x00"
 
 
 def round15(x):
@@ -22,27 +49,108 @@ def round15(x):
     return float(f"{x:.15g}")
 
 
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+def _float_text(x):
+    """JSON text of round15(x)."""
+    x = round15(x)
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def round15_each(values, text=False):
+    """round15 of every entry of a float array, as a flat list.
+
+    ``round15`` runs once per distinct value and the results are gathered
+    back through the inverse of ``np.unique``.  That is exact: ``np.unique``
+    merges 0.0 with -0.0 and every NaN with every other, and ``round15`` maps
+    each merged class to one value.  With ``text`` the list holds the JSON
+    texts of the rounded values instead.
+    """
+    distinct, inverse = np.unique(np.ravel(values), return_inverse=True)
+    fn = _float_text if text else round15
+    return np.array([fn(v) for v in distinct.tolist()], dtype=object)[inverse].tolist()
+
+
+def _array(texts, nl):
+    """JSON array of the item texts; ``nl`` starts the array's own line."""
+    if not texts:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+def _list_texts(items, inner, floats):
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return list(map(int.__repr__, items))
+    if kinds <= {int, float}:
+        floats.extend(v for v in items if type(v) is float)
+        return [_MARK if type(v) is float else int.__repr__(v) for v in items]
+    return [_dump(v, inner, floats) for v in items]
+
+
+def _ndarray_texts(arr, inner, floats):
+    kind = arr.dtype.kind
+    if kind in "iu":
+        return list(map(int.__repr__, arr.tolist()))
+    if kind == "f":
+        floats.extend(arr.astype(np.float64).tolist())
+        return [_MARK] * len(arr)
+    # complex: each entry is its [re, im] pair
+    floats.extend(np.stack([arr.real, arr.imag], axis=-1).astype(np.float64).ravel().tolist())
+    deeper = inner + "  "
+    return ["[" + deeper + _MARK + "," + deeper + _MARK + inner + "]"] * len(arr)
+
+
+def _dump(obj, nl, floats):
+    """JSON text of obj, whose first line is already indented after ``nl``.
+
+    Each float is written as ``_MARK`` and appended to ``floats``, in the
+    order of the text.
+    """
     if isinstance(obj, (float, np.floating)):
-        return round15(obj)
+        floats.append(obj)
+        return _MARK
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        return _array(_list_texts(obj, inner, floats), nl)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = {str(k): v for k, v in obj.items()}
+        return "{" + inner + ("," + inner).join(
+            _string(k) + ": " + _dump(items[k], inner, floats)
+            for k in sorted(items)) + nl + "}"
+    if isinstance(obj, str):
+        return _string(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if obj is None:
+        return "null"
     if isinstance(obj, (complex, np.complexfloating)):
-        return [round15(obj.real), round15(obj.imag)]
+        floats.extend((obj.real, obj.imag))
+        return _array([_MARK, _MARK], nl)
     if isinstance(obj, np.ndarray):
-        return _clean(obj.tolist())
-    return obj
+        if obj.ndim == 1 and obj.dtype.kind in "iufc":
+            return _array(_ndarray_texts(obj, inner, floats), nl)
+        return _dump(obj.tolist(), nl, floats)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def report_dumps(obj) -> str:
     """Serialize a report structure deterministically (sorted keys, 15 sig digits)."""
-    return json.dumps(_clean(obj), sort_keys=True, indent=2) + "\n"
+    floats = []
+    pieces = _dump(obj, "\n", floats).split(_MARK)
+    body = [None] * (2 * len(pieces) - 1)
+    body[::2] = pieces
+    body[1::2] = round15_each(np.array(floats, dtype=np.float64), text=True)
+    return "".join(body) + "\n"
 
 
 def write_report(path, obj):

@@ -7,7 +7,8 @@ integer-lattice windows, quadrant windows, box spaces over cyclic quotients,
 explicit distance matrices and graph shortest-path metrics.
 
 Each kind has one distance formula, ``Space.pair_dist``, broadcast over id
-arrays; ``pairwise``, ``row``, ``dist`` and ``diameter`` are views of it.
+arrays; ``pairwise``, ``row`` and ``dist`` are views of it, and so is
+``diameter`` except on linf and l1 lattice windows, where it has a closed form.
 ``Space.ball`` is the one ball routine: lattice windows of every dimension
 and norm cut the ball from its clipped bounding box in row-major order, the
 other kinds scan a row of ``pair_dist``.
@@ -25,6 +26,7 @@ pointed isometric and the template's id list is the least isometry.
 """
 
 from dataclasses import dataclass, field
+from itertools import product
 import json
 import math
 
@@ -106,7 +108,7 @@ class Template:
         return {
             "size": int(self.size),
             "base": int(self.base),
-            "dist": [int(v) for v in self.dist.reshape(-1)],
+            "dist": self.dist.reshape(-1).tolist(),
             "labels": None if self.labels is None else [str(l) for l in self.labels],
         }
 
@@ -183,8 +185,23 @@ class Space:
         return self.pair_dist(x, np.arange(self.n))
 
     def diameter(self, ids):
-        """Largest distance within a set of ids, 0 for fewer than two."""
-        return int(self.pairwise(ids, ids).max(initial=0))
+        """Largest distance within a set of ids, 0 for fewer than two.
+
+        A lattice window under linf takes its widest extent along an axis,
+        and under l1 its widest extent along one of the 2^(d-1) sign vectors
+        s with s_0 = 1, since |v|_1 = max_s |s.v|.  l2 and the matrix kinds
+        take the largest pairwise distance.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        if self.coords is None or self.norm == "l2":
+            return int(self.pairwise(ids, ids).max(initial=0))
+        if not len(ids):
+            return 0
+        pts = self.coords[ids]
+        if self.norm == "l1":
+            signs = [(1,) + s for s in product((1, -1), repeat=self._dims - 1)]
+            pts = pts @ np.array(signs, dtype=np.int64).T
+        return int((pts.max(axis=0) - pts.min(axis=0)).max())
 
     def ball(self, x, r):
         """Sorted ids of the closed ball about x of radius r.

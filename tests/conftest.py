@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from bandlim.space import build_space
 from bandlim.operators import BandOperator, from_triplets
+from bandlim.serialize import round15
 
 
 @pytest.fixture
@@ -101,3 +104,27 @@ def reference_isometries(t1, t2, cap=256):
 
     recurse([], np.zeros(m, dtype=bool))
     return out
+
+
+def reference_clean(obj):
+    """The report structure with every number rounded, as plain JSON types."""
+    if isinstance(obj, dict):
+        return {str(k): reference_clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_clean(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return round15(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [round15(obj.real), round15(obj.imag)]
+    if isinstance(obj, np.ndarray):
+        return reference_clean(obj.tolist())
+    return obj
+
+
+def reference_dumps(obj):
+    """Reference report body: clean, then the standard library's encoder."""
+    return json.dumps(reference_clean(obj), sort_keys=True, indent=2) + "\n"

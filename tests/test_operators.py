@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandlim.space import build_space
 from bandlim.operators import (
@@ -279,3 +280,37 @@ class TestPartialTranslationOperator:
         f = multiplier(nat_window, lambda x: float(x % 2))
         assert f.propagation == 0
         assert f.nnz == nat_window.n // 2
+
+
+BAND_SPACES = [
+    {"kind": "n-window", "upper": 12},
+    {"kind": "zn-window", "lower": [-3, -2], "upper": [2, 3], "norm": "l1"},
+    {"kind": "quadrant", "upper": 4, "norm": "l2"},
+    {"kind": "quadrant", "upper": [5, 3], "norm": "linf"},
+    {"kind": "box-cycles", "moduli": [5, 8], "cross_distance": 4},
+    {"kind": "graph", "n": 9,
+     "edges": [[i, (i + 1) % 9] for i in range(9)] + [[0, 4], [2, 7]]},
+]
+
+
+@st.composite
+def band_operators(draw):
+    """Random band operators: space kind, propagation, density, blocks, field."""
+    sp = build_space(draw(st.sampled_from(BAND_SPACES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_band(sp, draw(st.integers(0, 3)), rng,
+                       density=draw(st.sampled_from([0.1, 0.5, 1.0])),
+                       block_dim=draw(st.integers(1, 2)), real=draw(st.booleans()))
+
+
+class TestBandProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(band_operators())
+    def test_decompose_reconstructs_exactly(self, A):
+        assert decompose(A).reconstruct() == A
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_operators())
+    def test_schur_bound_dominates_the_dense_norm(self, A):
+        # the bound is exact arithmetic; allow only the rounding of the SVD
+        assert schur_bound(A, 2) >= np.linalg.norm(A.to_dense(), 2) * (1 - 1e-12)

@@ -446,9 +446,10 @@ class TestOneBallRoutine:
         k = min(len(xs), len(ys))
         assert np.array_equal(sp.pair_dist(xs[:k], ys[:k]), ref[xs[:k], ys[:k]])
 
-        subset = data.draw(st.lists(ids, unique=True, max_size=10))
+        subset = data.draw(st.lists(ids, unique=True, max_size=sp.n))
         brute = max((ref[a, b] for a in subset for b in subset), default=0)
         assert sp.diameter(subset) == brute
+        assert sp.diameter(np.arange(sp.n)) == ref.max()
         assert sp.diameter([]) == 0
         assert sp.diameter([x]) == 0
 
