@@ -98,10 +98,10 @@ def _ndarray_texts(arr, inner, floats):
     if kind in "iu":
         return list(map(int.__repr__, arr.tolist()))
     if kind == "f":
-        floats.extend(arr.astype(np.float64).tolist())
+        floats.extend(arr.tolist())
         return [_MARK] * len(arr)
     # complex: each entry is its [re, im] pair
-    floats.extend(np.stack([arr.real, arr.imag], axis=-1).astype(np.float64).ravel().tolist())
+    floats.extend(np.stack([arr.real, arr.imag], axis=-1).ravel().tolist())
     deeper = inner + "  "
     return ["[" + deeper + _MARK + "," + deeper + _MARK + inner + "]"] * len(arr)
 
