@@ -32,7 +32,7 @@ from .operators import (
     BandOperator, OperatorError, schur_bound, _block_norms,
 )
 from .lowernorm import nu
-from .serialize import round15, round15_each
+from .serialize import round15
 
 
 class ExtractError(ValueError):
@@ -274,9 +274,9 @@ class LimitWindow:
         i, j, blocks = self._nonzero_blocks()
         # each block flattens to re, im of (0, 0), (0, 1), ... row-major
         flat = np.stack([blocks.real, blocks.imag], axis=-1)
-        vals, w = round15_each(flat), 2 * k * k
-        trip = [[a, b] + vals[n * w:(n + 1) * w]
-                for n, (a, b) in enumerate(zip(i.tolist(), j.tolist()))]
+        flat = flat.reshape(len(i), 2 * k * k)
+        trip = [[a, b] + [round15(v) for v in vals]
+                for a, b, vals in zip(i.tolist(), j.tolist(), flat.tolist())]
         return {
             "template": self.template.to_json(),
             "matrix": trip,

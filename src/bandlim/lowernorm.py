@@ -43,7 +43,7 @@ from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.linalg import eigsh
 
 from .operators import OperatorError, Vector, _unfold, schur_bound
-from .serialize import round15, round15_each
+from .serialize import round15
 
 _DENSE_COLS = 400        # nu solves by dense SVD up to this many columns
 _SLACK = 8.0             # c in the screen slack c max(rows, cols) eps |sub|_F
@@ -64,11 +64,9 @@ class NuReport:
 
     def to_json(self):
         sup = self.witness.support()
-        block = self.witness.values[sup]
-        parts = round15_each(np.stack([block.real, block.imag], axis=-1))
-        pairs = [parts[i:i + 2] for i in range(0, len(parts), 2)]
-        k = block.shape[1]
-        wit = {x: pairs[n * k:(n + 1) * k] for n, x in enumerate(sup.tolist())}
+        blocks = self.witness.values[sup].tolist()
+        wit = {x: [[round15(c.real), round15(c.imag)] for c in block]
+               for x, block in zip(sup.tolist(), blocks)}
         return {
             "value": round15(self.value),
             "method": self.method,

@@ -22,21 +22,21 @@ newline, applied to the report with every number rounded:
   its own line, indented two spaces per level; empty ones are ``[]`` and
   ``{}``.
 
-The walk writes a placeholder for every float and collects the floats; one
-``round15_each`` call then rounds each distinct value once and the texts
-replace the placeholders.  Lists of plain numbers and 1-d numeric arrays are
-written with one join, without a call per item.
+Each float's text is kept for the length of one ``report_dumps`` call, so
+``round15`` runs once per distinct value of a body: report floats repeat,
+and in the benchmark bodies at seed 7 the distinct values of a body are
+19 % of its floats for ``spectrum``, 50 % for ``localize`` and 9 % for
+``partition``.  Lists of plain numbers and 1-d
+numeric arrays are written with one join, without a walk per item.
 """
 
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _string
 import math
 
 import numpy as np
 
 _INF = float("inf")
-# stands for one float in the text until all floats are rounded at once; no
-# text of a string contains it, since json escapes every control character
-_MARK = "\x00"
 
 
 def round15(x):
@@ -49,8 +49,9 @@ def round15(x):
     return float(f"{x:.15g}")
 
 
+@lru_cache(maxsize=None)
 def _float_text(x):
-    """JSON text of round15(x)."""
+    """JSON text of round15(x); report_dumps empties the cache after each body."""
     x = round15(x)
     if x != x:
         return "NaN"
@@ -61,20 +62,6 @@ def _float_text(x):
     return float.__repr__(x)
 
 
-def round15_each(values, text=False):
-    """round15 of every entry of a float array, as a flat list.
-
-    ``round15`` runs once per distinct value and the results are gathered
-    back through the inverse of ``np.unique``.  That is exact: ``np.unique``
-    merges 0.0 with -0.0 and every NaN with every other, and ``round15`` maps
-    each merged class to one value.  With ``text`` the list holds the JSON
-    texts of the rounded values instead.
-    """
-    distinct, inverse = np.unique(np.ravel(values), return_inverse=True)
-    fn = _float_text if text else round15
-    return np.array([fn(v) for v in distinct.tolist()], dtype=object)[inverse].tolist()
-
-
 def _array(texts, nl):
     """JSON array of the item texts; ``nl`` starts the array's own line."""
     if not texts:
@@ -83,47 +70,42 @@ def _array(texts, nl):
     return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
-def _list_texts(items, inner, floats):
+def _list_texts(items, inner):
     kinds = set(map(type, items))
     if kinds == {int}:
         return list(map(int.__repr__, items))
-    if kinds <= {int, float}:
-        floats.extend(v for v in items if type(v) is float)
-        return [_MARK if type(v) is float else int.__repr__(v) for v in items]
-    return [_dump(v, inner, floats) for v in items]
+    if kinds == {float}:
+        return list(map(_float_text, items))
+    if kinds == {int, float}:
+        return [_float_text(v) if type(v) is float else int.__repr__(v) for v in items]
+    return [_dump(v, inner) for v in items]
 
 
-def _ndarray_texts(arr, inner, floats):
+def _ndarray_texts(arr, inner):
     kind = arr.dtype.kind
     if kind in "iu":
         return list(map(int.__repr__, arr.tolist()))
     if kind == "f":
-        floats.extend(arr.tolist())
-        return [_MARK] * len(arr)
+        return list(map(_float_text, arr.tolist()))
     # complex: each entry is its [re, im] pair
-    floats.extend(np.stack([arr.real, arr.imag], axis=-1).ravel().tolist())
     deeper = inner + "  "
-    return ["[" + deeper + _MARK + "," + deeper + _MARK + inner + "]"] * len(arr)
+    return ["[" + deeper + _float_text(z.real) + "," + deeper
+            + _float_text(z.imag) + inner + "]" for z in arr.tolist()]
 
 
-def _dump(obj, nl, floats):
-    """JSON text of obj, whose first line is already indented after ``nl``.
-
-    Each float is written as ``_MARK`` and appended to ``floats``, in the
-    order of the text.
-    """
+def _dump(obj, nl):
+    """JSON text of obj, whose first line is already indented after ``nl``."""
     if isinstance(obj, (float, np.floating)):
-        floats.append(obj)
-        return _MARK
+        return _float_text(obj)
     inner = nl + "  "
     if isinstance(obj, (list, tuple)):
-        return _array(_list_texts(obj, inner, floats), nl)
+        return _array(_list_texts(obj, inner), nl)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = {str(k): v for k, v in obj.items()}
         return "{" + inner + ("," + inner).join(
-            _string(k) + ": " + _dump(items[k], inner, floats)
+            _string(k) + ": " + _dump(items[k], inner)
             for k in sorted(items)) + nl + "}"
     if isinstance(obj, str):
         return _string(obj)
@@ -134,23 +116,20 @@ def _dump(obj, nl, floats):
     if obj is None:
         return "null"
     if isinstance(obj, (complex, np.complexfloating)):
-        floats.extend((obj.real, obj.imag))
-        return _array([_MARK, _MARK], nl)
+        return _array([_float_text(obj.real), _float_text(obj.imag)], nl)
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype.kind in "iufc":
-            return _array(_ndarray_texts(obj, inner, floats), nl)
-        return _dump(obj.tolist(), nl, floats)
+            return _array(_ndarray_texts(obj, inner), nl)
+        return _dump(obj.tolist(), nl)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def report_dumps(obj) -> str:
     """Serialize a report structure deterministically (sorted keys, 15 sig digits)."""
-    floats = []
-    pieces = _dump(obj, "\n", floats).split(_MARK)
-    body = [None] * (2 * len(pieces) - 1)
-    body[::2] = pieces
-    body[1::2] = round15_each(np.array(floats, dtype=np.float64), text=True)
-    return "".join(body) + "\n"
+    try:
+        return _dump(obj, "\n") + "\n"
+    finally:
+        _float_text.cache_clear()
 
 
 def write_report(path, obj):

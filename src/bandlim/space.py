@@ -193,7 +193,7 @@ class Space:
         take the largest pairwise distance.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        if self.coords is None or self.norm == "l2":
+        if self.norm not in ("linf", "l1"):
             return int(self.pairwise(ids, ids).max(initial=0))
         if not len(ids):
             return 0
@@ -491,6 +491,8 @@ def build_space(descriptor):
             upper = [upper, upper]
         upper = np.asarray(upper, dtype=np.int64)
         norm = params.get("norm", "linf")
+        if norm not in ("linf", "l1", "l2"):
+            raise SpaceError(f"unknown lattice norm {norm!r}")
         lower = np.zeros(len(upper), dtype=np.int64)
         axes = [np.arange(0, u + 1, dtype=np.int64) for u in upper]
         grids = np.meshgrid(*axes, indexing="ij")

@@ -7,7 +7,6 @@ report of every query of the three benchmark workloads.
 """
 
 import importlib.util
-import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bandlim import limits, lowernorm, operators, partition, serialize, space
-from bandlim.serialize import report_dumps, round15, round15_each
+from bandlim.serialize import report_dumps
 
 from conftest import reference_dumps
 
@@ -96,20 +95,20 @@ class TestReportDumps:
                 report_dumps(obj)
 
 
-class TestRound15Each:
-    shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
+class TestFloatTexts:
+    def test_equal_values_of_other_types_share_a_text(self):
+        # these meet as equal keys of the per-body text cache
+        x32 = np.float32(0.1)
+        obj = [x32, float(x32), 0.1, -0.0, 0.0, np.float64(-0.0), math.nan,
+               np.float64(math.nan), complex(0.0, -0.0), np.array([-0.0, 0.0])]
+        assert report_dumps(obj) == reference_dumps(obj)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(hnp.arrays(np.float64, shapes, elements=floats),
-                     hnp.arrays(np.float32, shapes, elements=st.floats(width=32))))
-    def test_matches_round15_per_value(self, values):
-        flat = values.ravel().tolist()
-        assert list(map(repr, round15_each(values))) == [repr(round15(v)) for v in flat]
-        assert round15_each(values, text=True) == [json.dumps(round15(v)) for v in flat]
-
-    def test_zeros_and_nans_merge(self):
-        got = round15_each(np.array([-0.0, 0.0, math.nan, -math.nan, 1 / 3]))
-        assert list(map(repr, got)) == ["0.0", "0.0", "nan", "nan", "0.333333333333333"]
+    def test_cache_lasts_one_body(self):
+        report_dumps([0.5, 0.25, 0.5])
+        assert serialize._float_text.cache_info().currsize == 0
+        with pytest.raises(TypeError):
+            report_dumps([0.5, {1}])
+        assert serialize._float_text.cache_info().currsize == 0
 
 
 def load_workloads():

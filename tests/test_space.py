@@ -42,6 +42,11 @@ class TestBuildSpace:
         assert sp.growth(1) == brute_growth(sp, 1)
         assert sp.growth(2) == brute_growth(sp, 2)
 
+    def test_unknown_lattice_norm_rejected(self):
+        for kind in ("quadrant", "zn-window"):
+            with pytest.raises(SpaceError, match="unknown lattice norm"):
+                build_space({"kind": kind, "lower": [0, 0], "upper": [3, 3], "norm": "l3"})
+
     def test_box_space_two_components(self):
         sp = build_space({"kind": "box-cycles", "moduli": [8, 16],
                           "cross_distance": 100})
