@@ -32,7 +32,6 @@ from .operators import (
     BandOperator, OperatorError, schur_bound, _block_norms,
 )
 from .lowernorm import nu
-from .serialize import round15
 
 
 class ExtractError(ValueError):
@@ -275,20 +274,20 @@ class LimitWindow:
         # each block flattens to re, im of (0, 0), (0, 1), ... row-major
         flat = np.stack([blocks.real, blocks.imag], axis=-1)
         flat = flat.reshape(len(i), 2 * k * k)
-        trip = [[a, b] + [round15(v) for v in vals]
+        trip = [[a, b] + vals
                 for a, b, vals in zip(i.tolist(), j.tolist(), flat.tolist())]
         return {
             "template": self.template.to_json(),
             "matrix": trip,
             "radius": int(self.radius),
-            "cauchy_tail": round15(self.cauchy_tail),
+            "cauchy_tail": self.cauchy_tail,
             "stabilized_from": int(self.stabilized_from),
-            "tol": round15(self.tol),
+            "tol": self.tol,
             "direction": self.direction_label,
             "basepoints_used": [int(b) for b in self.basepoints_used],
             "block_dim": int(k),
-            "p": round15(self.p),
-            "norm_check": {key: round15(v) for key, v in self.norm_check.items()},
+            "p": self.p,
+            "norm_check": self.norm_check,
             "propagation": int(self.propagation()),
         }
 
@@ -339,6 +338,28 @@ def _window_matrix(A, ids):
     return out.reshape(m * k, m * k)
 
 
+def _limit_window(A, template, R, tol, tail, label, basepoints, ids, offset):
+    """Certified LimitWindow of A pulled back through ``ids`` at each basepoint.
+
+    ``ids[i]`` lists the points of basepoint ``basepoints[i]`` in template
+    label order; ``offset`` is the index of ``basepoints[0]`` in the usable
+    basepoint list, so ``stabilized_from`` counts from there.
+    """
+    windows = [_window_matrix(A, pts) for pts in ids]
+    s, avg, dev, profile = _certify_windows(windows, tol, tail)
+    wnorm = float(np.linalg.norm(avg, 2)) if avg.size else 0.0
+    return LimitWindow(
+        template=template, matrix=avg, radius=int(R), cauchy_tail=float(dev),
+        stabilized_from=int(offset + s), tol=float(tol), direction_label=label,
+        basepoints_used=[int(b) for b in basepoints[s:]],
+        block_dim=A.block_dim, p=A.p,
+        deviation_profile=[(int(b), float(d))
+                           for b, d in zip(basepoints, profile)],
+        norm_check={"window_norm2": wnorm,
+                    "operator_bound": float(schur_bound(A, 2.0))},
+    )
+
+
 def default_radius(A):
     return 3 * A.propagation + 2
 
@@ -369,24 +390,9 @@ def limit_operator(A, direction, R=None, tol=1e-9, tail=5):
     template = Template(sub_dist, base=0)
 
     used = ls.basepoints[ls.stabilized_from:]
-    windows = []
-    for b in used:
-        ids = [ls.matchings[b][i] for i in keep]
-        windows.append(_window_matrix(A, ids))
-    s, avg, dev, profile = _certify_windows(windows, tol, tail)
-
-    bound = schur_bound(A, 2.0)
-    wnorm = float(np.linalg.norm(avg, 2)) if avg.size else 0.0
-    win = LimitWindow(
-        template=template, matrix=avg, radius=int(R), cauchy_tail=float(dev),
-        stabilized_from=int(ls.stabilized_from + s), tol=float(tol),
-        direction_label=direction.label,
-        basepoints_used=[int(b) for b in used[s:]],
-        block_dim=A.block_dim, p=A.p,
-        deviation_profile=[(int(b), float(d)) for b, d in zip(used, profile)],
-        norm_check={"window_norm2": wnorm, "operator_bound": float(bound)},
-    )
-    return win
+    ids = [[ls.matchings[b][i] for i in keep] for b in used]
+    return _limit_window(A, template, R, tol, tail, direction.label, used, ids,
+                         ls.stabilized_from)
 
 
 def shift_limit(A, direction, R=None, tol=1e-9, tail=5):
@@ -421,24 +427,13 @@ def shift_limit(A, direction, R=None, tol=1e-9, tail=5):
               for o in offsets]
     template = Template(tdist, base=0, labels=labels)
 
-    windows = []
+    ids = []
     for b in usable:
-        ids = [space.offset_point(b, off) for off in offsets]
-        if any(i is None for i in ids):
+        ids.append([space.offset_point(b, off) for off in offsets])
+        if None in ids[-1]:
             raise ExtractError(f"basepoint {b} cannot host radius {R} offsets")
-        windows.append(_window_matrix(A, ids))
-    s, avg, dev, profile = _certify_windows(windows, tol, tail)
-    wnorm = float(np.linalg.norm(avg, 2)) if avg.size else 0.0
-    return LimitWindow(
-        template=template, matrix=avg, radius=int(R), cauchy_tail=float(dev),
-        stabilized_from=int(s), tol=float(tol),
-        direction_label=direction.label,
-        basepoints_used=[int(b) for b in usable[s:]],
-        block_dim=A.block_dim, p=A.p,
-        deviation_profile=[(int(b), float(d)) for b, d in zip(usable, profile)],
-        norm_check={"window_norm2": wnorm,
-                    "operator_bound": float(schur_bound(A, 2.0))},
-    )
+    return _limit_window(A, template, R, tol, tail, direction.label, usable,
+                         ids, 0)
 
 
 def window_deviation(w1: LimitWindow, w2: LimitWindow):

@@ -43,7 +43,6 @@ from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.linalg import eigsh
 
 from .operators import OperatorError, Vector, _unfold, schur_bound
-from .serialize import round15
 
 _DENSE_COLS = 400        # nu solves by dense SVD up to this many columns
 _SLACK = 8.0             # c in the screen slack c max(rows, cols) eps |sub|_F
@@ -57,22 +56,20 @@ class NuReport:
     value: float
     witness: Vector
     support_diameter: float
-    method: str            # exact-svd | iterative-svd | optimizer | brute-force
+    # exact-svd | iterative-svd | iterative-svd-shifted | kernel | optimizer
+    method: str
     tolerance: float
     subset: tuple = ()
     ball_center: int = None
 
     def to_json(self):
         sup = self.witness.support()
-        blocks = self.witness.values[sup].tolist()
-        wit = {x: [[round15(c.real), round15(c.imag)] for c in block]
-               for x, block in zip(sup.tolist(), blocks)}
         return {
-            "value": round15(self.value),
+            "value": self.value,
             "method": self.method,
-            "tolerance": round15(self.tolerance),
-            "support_diameter": round15(self.support_diameter),
-            "witness": wit,
+            "tolerance": self.tolerance,
+            "support_diameter": self.support_diameter,
+            "witness": dict(zip(sup.tolist(), self.witness.values[sup])),
             "subset_size": len(self.subset),
             "ball_center": self.ball_center,
         }

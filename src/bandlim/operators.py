@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .space import PartialTranslation, SpaceError
+from .space import PartialTranslation, SpaceError, same_space
 
 
 class OperatorError(ValueError):
@@ -119,10 +119,6 @@ class BandOperator:
             raise OperatorError("operator too large for a dense matrix")
         return np.asarray(self.csr().todense())
 
-    def triplets(self):
-        for r, c, b in zip(self.rows, self.cols, self.blocks):
-            yield int(r), int(c), (b[0, 0] if self.block_dim == 1 else b.copy())
-
     def __eq__(self, other):
         return (isinstance(other, BandOperator)
                 and self.space is other.space
@@ -150,13 +146,6 @@ class Vector:
     def basis(cls, space, x, p=2.0, block_dim=1, component=0):
         v = np.zeros((space.n, block_dim), dtype=np.complex128)
         v[x, component] = 1.0
-        return cls(space, v, p=p, block_dim=block_dim)
-
-    @classmethod
-    def from_dict(cls, space, entries, p=2.0, block_dim=1):
-        v = np.zeros((space.n, block_dim), dtype=np.complex128)
-        for x, val in entries.items():
-            v[int(x)] = val
         return cls(space, v, p=p, block_dim=block_dim)
 
     def flat(self):
@@ -234,8 +223,7 @@ def partial_translation_operator(space, t: PartialTranslation, block_dim=1, p=2.
 
 
 def _check_compat(A, B):
-    if A.space is not B.space and (A.space.name != B.space.name
-                                   or A.space.n != B.space.n):
+    if not same_space(A.space, B.space):
         raise OperatorError("operators live on different spaces")
     if A.block_dim != B.block_dim:
         raise OperatorError("block dimension mismatch")
@@ -298,7 +286,7 @@ def adjoint(A):
 
 def apply_operator(A, v: Vector) -> Vector:
     """Matrix action (Av)(x) = sum_y A_xy v(y)."""
-    if A.space is not v.space and A.space.n != v.space.n:
+    if not same_space(A.space, v.space):
         raise OperatorError("operator and vector live on different spaces")
     if A.block_dim != v.block_dim:
         raise OperatorError("block dimension mismatch")

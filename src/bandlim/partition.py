@@ -21,8 +21,7 @@ from scipy.sparse import csr_matrix
 from .operators import (
     BandOperator, OperatorError, from_triplets, schur_bound, _from_csr, _unfold,
 )
-from .space import LATTICE_KINDS, SpaceError, space_to_json
-from .serialize import report_dumps, round15
+from .space import LATTICE_KINDS, SpaceError, same_space
 
 
 class SparsifyShortfall(ValueError):
@@ -55,7 +54,7 @@ class Sparsification:
             "parts": [[int(x) for x in part] for part in self.parts],
             "separation": int(self.separation),
             "diameter_bound": int(self.diameter_bound),
-            "mass_fraction": round15(self.mass_fraction),
+            "mass_fraction": self.mass_fraction,
             "method": self.method,
         }
 
@@ -291,11 +290,10 @@ class PPartition:
         return {
             "centers": [int(c) for c in self.centers],
             "scale": int(self.scale),
-            "p": round15(self.p),
+            "p": self.p,
             "multiplicity": int(self.multiplicity),
             "support_diameter": int(self.support_diameter),
-            "variation_table": {str(r): round15(v)
-                                for r, v in sorted(self.variation_table.items())},
+            "variation_table": self.variation_table,
         }
 
 
@@ -364,8 +362,7 @@ def make_partition(space, scale, p=2.0):
 
 def _check_space(space, A):
     """Reject an operator built on another space than the partition's."""
-    if A.space is not space and (report_dumps(space_to_json(A.space))
-                                 != report_dumps(space_to_json(space))):
+    if not same_space(A.space, space):
         raise OperatorError("operator and partition live on different spaces")
 
 

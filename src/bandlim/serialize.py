@@ -1,9 +1,11 @@
 """JSON/CSV emission helpers shared by all report-producing modules.
 
-Report numbers are rounded to 15 significant digits before JSON encoding so
-that repeated runs (and runs with different thread counts) produce
-byte-identical files.  Operator files are the exception: their CSV bodies use
-shortest round-trip ``repr`` because they must reload bit-exactly.
+Report numbers are rounded to 15 significant digits so that repeated runs
+(and runs with different thread counts) produce byte-identical files.  They
+are rounded only where they are written, by ``report_dumps`` and
+``write_csv``; the ``to_json`` methods return the values their results hold.
+Operator files are the exception: their CSV bodies use shortest round-trip
+``repr`` because they must reload bit-exactly.
 
 ``report_dumps`` writes a report body in one walk over the report.  Its
 bytes are those of ``json.dumps(..., sort_keys=True, indent=2)`` plus a final
@@ -138,15 +140,14 @@ def write_report(path, obj):
 
 
 def write_csv(path, header, rows):
-    """Write a small CSV series; numbers formatted like report floats."""
+    """Write a small CSV series; floats are written as in report bodies."""
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(f"{round15(v):.15g}")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    try:
+        for row in rows:
+            lines.append(",".join(
+                _float_text(v) if isinstance(v, (float, np.floating)) else str(v)
+                for v in row))
+    finally:
+        _float_text.cache_clear()
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

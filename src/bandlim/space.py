@@ -34,6 +34,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from .serialize import report_dumps
+
 
 class SpaceError(ValueError):
     """Raised when a descriptor does not define a valid space."""
@@ -559,6 +561,12 @@ def build_space(descriptor):
 
 def space_to_json(space):
     return {"name": space.name, "kind": space.kind, **space.params}
+
+
+def same_space(a, b):
+    """True when a and b are one space: the same object or equal descriptors."""
+    return a is b or (report_dumps(space_to_json(a))
+                      == report_dumps(space_to_json(b)))
 
 
 def save_space(path, space):

@@ -5,6 +5,9 @@ import pytest
 
 from bandlim.space import build_space
 from bandlim.operators import BandOperator, from_triplets
+from bandlim.limits import LimitWindow
+from bandlim.lowernorm import NuReport
+from bandlim.partition import PPartition, Sparsification
 from bandlim.serialize import round15
 
 
@@ -128,3 +131,83 @@ def reference_clean(obj):
 def reference_dumps(obj):
     """Reference report body: clean, then the standard library's encoder."""
     return json.dumps(reference_clean(obj), sort_keys=True, indent=2) + "\n"
+
+
+def torus_graph(g):
+    """The g-by-g discrete torus as a graph space."""
+    edges = [(i * g + j, i * g + (j + 1) % g) for i in range(g) for j in range(g)]
+    edges += [(i * g + j, ((i + 1) % g) * g + j) for i in range(g) for j in range(g)]
+    return build_space({"kind": "graph", "n": g * g, "edges": edges,
+                        "name": "torus"})
+
+
+# -- report structures as to_json built them when it rounded every number -----
+
+
+def reference_nu_json(rep):
+    sup = rep.witness.support()
+    blocks = rep.witness.values[sup].tolist()
+    wit = {x: [[round15(c.real), round15(c.imag)] for c in block]
+           for x, block in zip(sup.tolist(), blocks)}
+    return {
+        "value": round15(rep.value),
+        "method": rep.method,
+        "tolerance": round15(rep.tolerance),
+        "support_diameter": round15(rep.support_diameter),
+        "witness": wit,
+        "subset_size": len(rep.subset),
+        "ball_center": rep.ball_center,
+    }
+
+
+def reference_window_json(win):
+    k = win.block_dim
+    i, j, blocks = win._nonzero_blocks()
+    flat = np.stack([blocks.real, blocks.imag], axis=-1)
+    flat = flat.reshape(len(i), 2 * k * k)
+    trip = [[a, b] + [round15(v) for v in vals]
+            for a, b, vals in zip(i.tolist(), j.tolist(), flat.tolist())]
+    return {
+        "template": win.template.to_json(),
+        "matrix": trip,
+        "radius": int(win.radius),
+        "cauchy_tail": round15(win.cauchy_tail),
+        "stabilized_from": int(win.stabilized_from),
+        "tol": round15(win.tol),
+        "direction": win.direction_label,
+        "basepoints_used": [int(b) for b in win.basepoints_used],
+        "block_dim": int(k),
+        "p": round15(win.p),
+        "norm_check": {key: round15(v) for key, v in win.norm_check.items()},
+        "propagation": int(win.propagation()),
+    }
+
+
+def reference_sparsification_json(res):
+    return {
+        "parts": [[int(x) for x in part] for part in res.parts],
+        "separation": int(res.separation),
+        "diameter_bound": int(res.diameter_bound),
+        "mass_fraction": round15(res.mass_fraction),
+        "method": res.method,
+    }
+
+
+def reference_partition_json(part):
+    return {
+        "centers": [int(c) for c in part.centers],
+        "scale": int(part.scale),
+        "p": round15(part.p),
+        "multiplicity": int(part.multiplicity),
+        "support_diameter": int(part.support_diameter),
+        "variation_table": {str(r): round15(v)
+                            for r, v in sorted(part.variation_table.items())},
+    }
+
+
+REFERENCE_JSON = {
+    NuReport: reference_nu_json,
+    LimitWindow: reference_window_json,
+    Sparsification: reference_sparsification_json,
+    PPartition: reference_partition_json,
+}

@@ -1,4 +1,5 @@
 import ast
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from bandlim.limits import (
     window_deviation, _certify_windows, _window_matrix,
 )
 from bandlim.partition import sparsify
-from bandlim.serialize import report_dumps, round15
+from bandlim.serialize import report_dumps
 
 from conftest import (
-    random_band, reference_isometries, shift_operator, tridiagonal,
+    random_band, reference_dumps, reference_isometries, reference_window_json,
+    shift_operator, tridiagonal,
 )
 
 
@@ -141,6 +143,14 @@ class TestLimitOperator:
                     for j in range(-2, 3))
         assert np.max(np.abs(win.matrix)) <= bound + 1e-12
         assert np.max(np.abs(win.matrix)) < 0.01
+
+    def test_stabilized_from_indexes_the_usable_basepoints(self):
+        sp = big_nat(60)
+        A = tridiagonal(sp)
+        d = Direction.arithmetic(sp, 0, 1)
+        win = limit_operator(A, d, R=2)
+        assert win.stabilized_from > 0
+        assert win.basepoints_used == d.usable(sp, 3)[win.stabilized_from:]
 
     def test_zero_operator(self):
         sp = big_nat()
@@ -297,6 +307,61 @@ class TestShiftLimit:
             for j, oj in enumerate(offs):
                 expected = 1.0 if oi - oj == 1 else 0.0
                 assert win.entry(i, j)[0, 0] == expected
+
+
+@lru_cache(maxsize=None)
+def group_space(kind):
+    if kind == "zn-window":
+        return z_line(40, "zprop")
+    return build_space({"kind": "box-cycles", "moduli": [16, 32, 64, 128],
+                        "cross_distance": 100, "name": "boxprop"})
+
+
+@st.composite
+def periodic_band_operators(draw):
+    """Random periodic band operator on a 1-d group-structured space.
+
+    The entry at (x + off, x) depends on off and on the residue of x modulo
+    the period; the direction's basepoints all have residue 0.
+    """
+    kind = draw(st.sampled_from(["zn-window", "box-cycles"]))
+    sp = group_space(kind)
+    period = draw(st.sampled_from([1, 2, 4]))
+    prop = draw(st.integers(0, 2))
+    k = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if kind == "zn-window":
+        residue = sp.coords[:, 0] % period
+        d = Direction.arithmetic(sp, 0, 2 * period)
+    else:
+        residue = sp.components[1] % period
+        d = Direction.components(sp, residue=0)
+    stencil = {(off, r): rng.standard_normal((k, k))
+               + 1j * rng.standard_normal((k, k))
+               for off in range(-prop, prop + 1) for r in range(period)
+               if rng.random() < 0.7}
+    trip = []
+    for x in range(sp.n):
+        for (off, r), val in stencil.items():
+            y = sp.offset_point(x, off)
+            if residue[x] == r and y is not None:
+                trip.append((y, x, val if k > 1 else val[0, 0]))
+    return from_triplets(sp, trip, block_dim=k), d, prop
+
+
+class TestShiftLimitProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(periodic_band_operators())
+    def test_agrees_with_limit_operator(self, case):
+        A, d, prop = case
+        R, tol = max(2 * prop + 1, 2), 1e-9
+        w1 = shift_limit(A, d, R=R, tol=tol, tail=3)
+        w2 = limit_operator(A, d, R=R, tol=tol, tail=3)
+        assert w1.size == w2.size == 2 * R + 1
+        assert window_deviation(w1, w2) <= 2 * tol
+        for w, margin in ((w1, R), (w2, R + A.propagation)):
+            usable = d.usable(A.space, margin)
+            assert w.basepoints_used == usable[w.stabilized_from:]
 
 
 class TestSampleSpectrum:
@@ -583,7 +648,7 @@ def loop_matrix_json(win):
         flat = []
         for bi in range(k):
             for bj in range(k):
-                flat.extend([round15(b[bi, bj].real), round15(b[bi, bj].imag)])
+                flat.extend([b[bi, bj].real, b[bi, bj].imag])
         trip.append([int(i), int(j)] + flat)
     return trip
 
@@ -604,6 +669,8 @@ class TestBlockWalks:
         assert win.propagation() == loop_propagation(win)
         assert win.to_json()["matrix"] == loop_matrix_json(win)
         assert win.to_json()["propagation"] == loop_propagation(win)
+        assert report_dumps(win.to_json()) == reference_dumps(
+            reference_window_json(win))
         sp, op = win.as_operator()
         ref = from_triplets(sp, loop_triplets(win), block_dim=win.block_dim,
                             p=win.p)

@@ -10,7 +10,7 @@ from bandlim.operators import (
     save_operator, load_operator,
 )
 
-from conftest import random_band, shift_operator, tridiagonal
+from conftest import random_band, shift_operator, torus_graph, tridiagonal
 
 
 class TestConstruction:
@@ -114,6 +114,32 @@ class TestApply:
                 v = Vector(nat_window,
                            rng.standard_normal(nat_window.n), p=p)
                 assert apply_operator(A, v).norm() <= bound * v.norm() + 1e-9
+
+
+class TestSameSpace:
+    """compose, add and apply_operator share one rule for the same space."""
+
+    def test_same_size_other_space_rejected(self):
+        torus = torus_graph(12)
+        for name in ("q12", "torus"):       # a shared name is not enough
+            quad = build_space({"kind": "quadrant", "upper": 11, "name": name})
+            assert quad.n == torus.n == 144
+            A, B = identity(quad), identity(torus)
+            for call in (lambda: compose(A, B), lambda: add(A, B),
+                         lambda: apply_operator(A, Vector.basis(torus, 3))):
+                with pytest.raises(OperatorError, match="different spaces"):
+                    call()
+
+    def test_equal_descriptor_accepted(self):
+        torus, twin = torus_graph(12), torus_graph(12)
+        assert torus is not twin
+        T = random_band(torus, 1, np.random.default_rng(19))
+        D = T.to_dense()
+        assert np.allclose(compose(T, identity(twin)).to_dense(), D, atol=0)
+        assert np.allclose(add(T, identity(twin)).to_dense(),
+                           D + np.eye(torus.n), atol=0)
+        w = apply_operator(T, Vector.basis(twin, 3))
+        assert np.array_equal(w.flat(), D[:, 3])
 
 
 class TestDecompose:

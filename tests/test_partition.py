@@ -15,7 +15,7 @@ from bandlim.partition import (
     average, weighted_sum,
 )
 
-from conftest import random_band, tridiagonal
+from conftest import random_band, torus_graph, tridiagonal
 
 
 def interval(n, name):
@@ -258,13 +258,6 @@ class TestWeightedSum:
         part = make_partition(sp, 4)
         with pytest.raises(Exception, match="bound"):
             weighted_sum(part, lambda i: identity(sp), mode="plain")
-
-
-def torus_graph(g):
-    edges = [(i * g + j, i * g + (j + 1) % g) for i in range(g) for j in range(g)]
-    edges += [(i * g + j, ((i + 1) % g) * g + j) for i in range(g) for j in range(g)]
-    return build_space({"kind": "graph", "n": g * g, "edges": edges,
-                        "name": "torus"})
 
 
 class TestGreedyBalls:

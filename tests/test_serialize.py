@@ -3,7 +3,10 @@
 The reference cleans the report into plain JSON types, rounding every number
 with ``round15``, and hands it to ``json.dumps(sort_keys=True, indent=2)``.
 ``report_dumps`` must give the same bytes for every structure, and for the
-report of every query of the three benchmark workloads.
+report of every query of the three benchmark workloads.  The ``to_json``
+methods hand raw values to ``report_dumps``; ``conftest.REFERENCE_JSON``
+keeps the structures they built when they rounded every number themselves,
+and both must give the same body.
 """
 
 import importlib.util
@@ -19,9 +22,15 @@ from hypothesis.extra import numpy as hnp
 from bandlim import limits, lowernorm, operators, partition, serialize, space
 from bandlim.serialize import report_dumps
 
-from conftest import reference_dumps
+from conftest import REFERENCE_JSON, reference_dumps
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+# the result types with a to_json in one pass of each workload
+WORKLOAD_RESULTS = {
+    "spectrum": {"LimitWindow", "NuReport"},
+    "localize": {"NuReport"},
+    "partition": {"PPartition", "Sparsification"},
+}
 
 SPECIAL = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
            -1e-300, 1.7976931348623157e308, 0.1 + 0.2, 1e16, 123456789012345.67,
@@ -118,16 +127,32 @@ def load_workloads():
     return mod
 
 
-@pytest.mark.parametrize("name", ["spectrum", "localize", "partition"])
+def results_with_to_json(obj):
+    """The NuReport, LimitWindow, Sparsification and PPartition in a result."""
+    if isinstance(obj, tuple(REFERENCE_JSON)):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from results_with_to_json(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from results_with_to_json(v)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_RESULTS)
 def test_workload_report_bodies_match_reference(name):
-    """One pass of a benchmark workload at its tiny size, seed 7."""
+    """One pass of a benchmark workload at its tiny size, seed 7.
+
+    Each to_json body is also checked against the structure that to_json
+    built when it rounded every number itself.
+    """
     wl = load_workloads()
     bl = SimpleNamespace(space=space, operators=operators, limits=limits,
                          lowernorm=lowernorm, partition=partition,
                          serialize=serialize)
     inputs, setup, make_queries = wl.WORKLOADS[name]
     inp = inputs(np.random.default_rng(7), wl.SIZES["tiny"][name])
-    state = {}
+    state, seen = {}, set()
     for q in make_queries(bl, setup(bl, inp), inp):
         if q.expect is None:
             state[q.name] = q.call(state)
@@ -137,3 +162,18 @@ def test_workload_report_bodies_match_reference(name):
             state[q.name] = raised.value
         report = q.report(state[q.name])
         assert report_dumps(report) == reference_dumps(report), q.name
+        for x in results_with_to_json(state[q.name]):
+            seen.add(type(x).__name__)
+            ref = REFERENCE_JSON[type(x)](x)
+            assert report_dumps(x.to_json()) == reference_dumps(ref), q.name
+    assert seen == WORKLOAD_RESULTS[name]
+
+
+def test_write_csv_floats_are_report_floats(tmp_path):
+    floats = [0.1 + 0.2, np.float32(0.1), -0.0, 1e-300, math.nan, -math.inf]
+    path = tmp_path / "series.csv"
+    serialize.write_csv(path, ["r", "a", "b", "c", "d", "e", "f", "g"],
+                        [[3] + floats + ["x"]])
+    assert serialize._float_text.cache_info().currsize == 0
+    cells = path.read_text().splitlines()[1].split(",")
+    assert cells == ["3"] + [report_dumps(v).strip() for v in floats] + ["x"]

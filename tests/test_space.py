@@ -10,10 +10,10 @@ from scipy.sparse.csgraph import shortest_path
 from bandlim.space import (
     SpaceError, Template, build_space, right_translations, match_windows,
     ball_template, match_ball_exact, pointed_isometric, save_space, load_space,
-    _check_metric_matrix, _isometries,
+    _check_metric_matrix, _isometries, same_space,
 )
 
-from conftest import reference_isometries
+from conftest import reference_isometries, torus_graph
 
 
 def brute_growth(space, r):
@@ -105,6 +105,15 @@ class TestBuildSpace:
         save_space(path, quad_window)
         sp = load_space(path)
         assert sp.kind == quad_window.kind and sp.n == quad_window.n
+
+    def test_same_space_compares_descriptors(self):
+        torus = torus_graph(12)
+        assert same_space(torus, torus)
+        assert same_space(torus, torus_graph(12))
+        desc = {"kind": "quadrant", "upper": 11, "name": "torus"}
+        assert not same_space(torus, build_space(desc))
+        assert not same_space(build_space({**desc, "norm": "linf"}),
+                              build_space({**desc, "norm": "l1"}))
 
 
 class TestBalls:
