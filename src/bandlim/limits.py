@@ -119,22 +119,6 @@ class Direction:
                 pts.append(int(ids[0]))
         return cls(pts, label or f"components:{residue}")
 
-    @classmethod
-    def from_rule(cls, space, rule):
-        """Parse a CLI rule: 'x0,step', 'geo:x0,ratio', 'ray:x0,y0,dx,dy',
-        or 'components:residue'."""
-        if rule.startswith("geo:"):
-            a, r = rule[4:].split(",")
-            return cls.geometric(space, float(a), float(r), label=rule)
-        if rule.startswith("ray:"):
-            nums = [int(v) for v in rule[4:].split(",")]
-            d = len(nums) // 2
-            return cls.ray(space, nums[:d], nums[d:], label=rule)
-        if rule.startswith("components:"):
-            return cls.components(space, int(rule.split(":")[1]), label=rule)
-        a, s = rule.split(",")
-        return cls.arithmetic(space, int(a), int(s), label=rule)
-
 
 @dataclass
 class DivergenceReport:
@@ -402,6 +386,12 @@ def shift_limit(A, direction, R=None, tol=1e-9, tail=5):
     the group offsets instead of isometry matching; the result must agree
     with ``limit_operator`` through the canonical matching within 2 tol.
 
+    The template is the distance matrix of the first basepoint's offset
+    points.  Within the interior margin it is the model group's: on a
+    ``zn-window`` window distances are lattice distances, and on
+    ``box-cycles`` a margin of R means 2R <= k/2 on a cycle of length k, so
+    no two offsets within R of the identity wrap around.
+
     The template labels are the group offsets: a rank-1 offset (1-d
     ``zn-window``, ``box-cycles``) is written as its integer, e.g. ``"-1"``,
     and a higher-rank offset as its tuple, e.g. ``"(0, 1)"``, so every space
@@ -418,20 +408,14 @@ def shift_limit(A, direction, R=None, tol=1e-9, tail=5):
         raise ExtractError(
             f"no basepoint of {direction.label!r} has margin {R}")
     offsets = space.group_offsets(R)
-    tdist = np.array([[space.group_offset_dist(a, b) for b in offsets]
-                      for a in offsets], dtype=np.int64)
-    keep = [i for i, off in enumerate(offsets) if tdist[0, i] <= R]
-    offsets = [offsets[i] for i in keep]
-    tdist = tdist[np.ix_(keep, keep)]
-    labels = [str(o[0]) if isinstance(o, tuple) and len(o) == 1 else str(o)
-              for o in offsets]
-    template = Template(tdist, base=0, labels=labels)
-
     ids = []
     for b in usable:
         ids.append([space.offset_point(b, off) for off in offsets])
         if None in ids[-1]:
             raise ExtractError(f"basepoint {b} cannot host radius {R} offsets")
+    labels = [str(o[0]) if isinstance(o, tuple) and len(o) == 1 else str(o)
+              for o in offsets]
+    template = Template(space.pairwise(ids[0], ids[0]), base=0, labels=labels)
     return _limit_window(A, template, R, tol, tail, direction.label, usable,
                          ids, 0)
 

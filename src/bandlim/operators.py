@@ -3,9 +3,8 @@
 A band operator is a point-indexed matrix whose nonzero entries sit within a
 fixed distance (the propagation) of the diagonal.  Entries are complex scalars
 or small square blocks of a fixed dimension.  The module provides the algebra
-operations, vector action in weighted p-norms, the exact decomposition into
-multiplication operators composed with partial translations, certified Schur
-norm bounds, and a deterministic power-iteration 2-norm.
+operations, vector action in weighted p-norms, certified Schur norm bounds,
+and a deterministic power-iteration 2-norm.
 
 Entries are stored as complex128; ``BandOperator.is_real`` records once
 whether every imaginary part is zero.  The dense route of ``norm2`` then
@@ -13,12 +12,10 @@ takes the SVD of the real matrix, whose singular values are those over the
 complex numbers.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .space import PartialTranslation, SpaceError, same_space
+from .space import same_space
 
 
 class OperatorError(ValueError):
@@ -212,16 +209,6 @@ def multiplier(space, func, block_dim=1, p=2.0):
                         block_dim=block_dim, p=p)
 
 
-def partial_translation_operator(space, t: PartialTranslation, block_dim=1, p=2.0):
-    """Operator with entry 1 at (t(x), x) for x in the domain of t."""
-    eye = np.eye(block_dim, dtype=np.complex128)
-    rows = np.array(t.image, dtype=np.int64)
-    cols = np.array(t.domain, dtype=np.int64)
-    return BandOperator(space, rows, cols,
-                        np.repeat(eye[None], len(rows), axis=0),
-                        block_dim=block_dim, p=p)
-
-
 def _check_compat(A, B):
     if not same_space(A.space, B.space):
         raise OperatorError("operators live on different spaces")
@@ -293,176 +280,6 @@ def apply_operator(A, v: Vector) -> Vector:
     w = A.csr() @ v.flat()
     return Vector(v.space, w.reshape(v.space.n, v.block_dim), p=v.p,
                   block_dim=v.block_dim)
-
-
-# -- decomposition into multipliers and partial translations ------------------
-
-
-@dataclass
-class Decomposition:
-    """Exact splitting A = sum_k f_k V_k (multipliers times translations)."""
-
-    space: object
-    block_dim: int
-    multipliers: list        # dicts point -> block, supported on range(t_k)
-    translations: list       # PartialTranslation per summand
-
-    def __len__(self):
-        return len(self.translations)
-
-    def summands(self):
-        out = []
-        for f, t in zip(self.multipliers, self.translations):
-            V = partial_translation_operator(self.space, t, self.block_dim)
-            F = multiplier(self.space, lambda x, f=f: f.get(
-                x, np.zeros((self.block_dim, self.block_dim))), self.block_dim)
-            out.append(compose(F, V))
-        return out
-
-    def reconstruct(self):
-        rows, cols, blocks = [], [], []
-        for f, t in zip(self.multipliers, self.translations):
-            for x, y in zip(t.domain, t.image):
-                rows.append(y)
-                cols.append(x)
-                blocks.append(np.asarray(f[y], dtype=np.complex128).reshape(
-                    self.block_dim, self.block_dim))
-        if not rows:
-            return from_triplets(self.space, [], block_dim=self.block_dim)
-        return BandOperator(self.space, rows, cols, np.stack(blocks),
-                            block_dim=self.block_dim)
-
-    def multiplier_sups(self):
-        out = []
-        for f in self.multipliers:
-            if not f:
-                out.append(0.0)
-                continue
-            arr = np.stack([np.asarray(b, dtype=np.complex128).reshape(
-                self.block_dim, self.block_dim) for b in f.values()])
-            out.append(float(_block_norms(arr).max()))
-        return out
-
-
-def decompose(A: BandOperator) -> Decomposition:
-    """Split a band operator into multipliers composed with translations.
-
-    The nonzero entries, viewed as edges of a bipartite graph (columns to
-    rows), are edge-colored with at most max-degree colors via augmenting
-    color swaps; each color class is the graph of one partial translation.
-    The count is therefore at most growth(prop(A)) and reconstruction is
-    entrywise exact.
-    """
-    n = A.space.n
-    row_used = {}   # row id -> {color: entry index}
-    col_used = {}
-    color_of = np.full(A.nnz, -1, dtype=np.int64)
-
-    def smallest_free(used):
-        c = 0
-        while c in used:
-            c += 1
-        return c
-
-    for e in range(A.nnz):
-        y, x = int(A.rows[e]), int(A.cols[e])
-        ru = row_used.setdefault(y, {})
-        cu = col_used.setdefault(x, {})
-        c1 = smallest_free(ru)
-        c2 = smallest_free(cu)
-        if c1 != c2:
-            # c1 is free at row y but used at column x.  Flip the alternating
-            # c1/c2 path starting from x; it cannot reach row y (rows on the
-            # path are entered via c1-colored edges, and y has none), so after
-            # the flip c1 is free at both endpoints of e.
-            cur = cu.get(c1)
-            entry_is_col = True
-            old, new = c1, c2
-            guard = 0
-            while cur is not None:
-                cy, cx = int(A.rows[cur]), int(A.cols[cur])
-                if entry_is_col:
-                    exit_used = row_used.setdefault(cy, {})
-                    entry_used = col_used.setdefault(cx, {})
-                else:
-                    exit_used = col_used.setdefault(cx, {})
-                    entry_used = row_used.setdefault(cy, {})
-                nxt = exit_used.get(new)
-                del exit_used[old]
-                exit_used[new] = cur
-                entry_used[new] = cur
-                color_of[cur] = new
-                cur = nxt
-                entry_is_col = not entry_is_col
-                old, new = new, old
-                guard += 1
-                if guard > 2 * A.nnz:
-                    raise AssertionError("edge coloring path did not terminate")
-        ru[c1] = e
-        cu[c1] = e
-        color_of[e] = c1
-
-    ncolors = int(color_of.max()) + 1 if A.nnz else 0
-    multipliers, translations = [], []
-    for c in range(ncolors):
-        idx = np.nonzero(color_of == c)[0]
-        dom = [int(A.cols[i]) for i in idx]
-        img = [int(A.rows[i]) for i in idx]
-        order = np.argsort(dom)
-        dom = [dom[i] for i in order]
-        img = [img[i] for i in order]
-        disp = int(A.space.pair_dist(np.array(img), np.array(dom)).max()) \
-            if dom else 0
-        translations.append(PartialTranslation(tuple(dom), tuple(img), disp))
-        f = {int(A.rows[i]): A.blocks[i].copy() for i in idx}
-        multipliers.append(f)
-    return Decomposition(A.space, A.block_dim, multipliers, translations)
-
-
-# -- disjointness three-coloring ----------------------------------------------
-
-
-def three_color(indices, s, t):
-    """Partition indices into at most three classes B_i with s(B_i), t(B_i) disjoint.
-
-    ``s`` and ``t`` are dicts (bijections onto a common codomain) that disagree
-    everywhere.  Walks the orbits of s^{-1} o t: even cycles alternate two
-    classes, odd cycles park their last element in the third.
-    """
-    idx = sorted(indices)
-    for a in idx:
-        if a not in s or a not in t:
-            raise OperatorError(f"maps not defined at index {a!r}")
-        if s[a] == t[a]:
-            raise OperatorError(f"s and t agree at index {a!r}")
-    s_vals = list(s[a] for a in idx)
-    t_vals = list(t[a] for a in idx)
-    if len(set(s_vals)) != len(idx) or len(set(t_vals)) != len(idx):
-        raise OperatorError("maps are not injective")
-    if set(s_vals) != set(t_vals):
-        raise OperatorError("maps do not share a codomain")
-    s_inv = {s[a]: a for a in idx}
-    u = {a: s_inv[t[a]] for a in idx}
-
-    classes = ([], [], [])
-    seen = set()
-    for a in idx:
-        if a in seen:
-            continue
-        orbit = [a]
-        seen.add(a)
-        cur = u[a]
-        while cur != a:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = u[cur]
-        L = len(orbit)
-        for i, b in enumerate(orbit):
-            if L % 2 == 1 and i == L - 1:
-                classes[2].append(b)
-            else:
-                classes[i % 2].append(b)
-    return tuple(sorted(cl) for cl in classes)
 
 
 # -- norm bounds ---------------------------------------------------------------

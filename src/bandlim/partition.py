@@ -43,12 +43,6 @@ class Sparsification:
     measure: np.ndarray
     method: str
 
-    def omega(self):
-        out = []
-        for part in self.parts:
-            out.extend(part)
-        return sorted(out)
-
     def to_json(self):
         return {
             "parts": [[int(x) for x in part] for part in self.parts],
@@ -67,8 +61,6 @@ class BlockSparsifierModel:
     L / (L + m) of any measure at separation m; with the default L = 3m the
     captured fraction is 3/4 and the part diameter is bounded by f(m) = 3m.
     """
-
-    base_c: float = 0.75
 
     def block_length(self, m, c=None):
         if c is None:

@@ -134,11 +134,6 @@ def report_dumps(obj) -> str:
         _float_text.cache_clear()
 
 
-def write_report(path, obj):
-    with open(path, "w") as fh:
-        fh.write(report_dumps(obj))
-
-
 def write_csv(path, header, rows):
     """Write a small CSV series; floats are written as in report bodies."""
     lines = [",".join(header)]

@@ -13,7 +13,7 @@ arrays; ``pairwise``, ``row`` and ``dist`` are views of it, and so is
 and norm cut the ball from its clipped bounding box in row-major order, the
 other kinds scan a row of ``pair_dist``.
 
-Besides ball queries the module provides partial translations (for
+Besides ball queries the module provides group offsets (for
 group-structured windows), pointed isometry matching between a finite template
 and balls of the space, and an interior-margin notion used to discard
 truncation artifacts near the window boundary.
@@ -25,7 +25,7 @@ canonical ``ball_template`` matrices need no search at all: the balls are
 pointed isometric and the template's id list is the least isometry.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 import json
 import math
@@ -44,27 +44,6 @@ class SpaceError(ValueError):
 LATTICE_KINDS = ("zn-window", "n-window", "quadrant")
 GROUP_KINDS = ("zn-window", "box-cycles")
 DENSE_CAP = 1500
-
-
-@dataclass(frozen=True)
-class PartialTranslation:
-    """Injective map between subsets of a space with bounded displacement."""
-
-    domain: tuple
-    image: tuple
-    displacement: int
-
-    def __post_init__(self):
-        if len(self.domain) != len(self.image):
-            raise SpaceError("domain and image length mismatch")
-        if len(set(self.image)) != len(self.image):
-            raise SpaceError("translation image is not injective")
-
-    def as_dict(self):
-        return dict(zip(self.domain, self.image))
-
-    def inverse(self):
-        return PartialTranslation(self.image, self.domain, self.displacement)
 
 
 @dataclass(frozen=True)
@@ -155,7 +134,6 @@ class Space:
         self.cross_distance = cross_distance
         self._matrix = matrix           # dense int64 matrix for explicit/graph kinds
         self._growth_cache = {}
-        self._value_set = None
         self._dims = None if coords is None else coords.shape[1]
 
     # -- distance queries ---------------------------------------------------
@@ -240,36 +218,6 @@ class Space:
                                         tuple(self.upper - self.lower + 1)))
 
     # -- derived geometry ---------------------------------------------------
-
-    @property
-    def value_set(self):
-        """Sorted list of attained distance values."""
-        if self._value_set is None:
-            self._value_set = self._compute_value_set()
-        return self._value_set
-
-    def _compute_value_set(self):
-        if self._matrix is not None:
-            return [int(v) for v in np.unique(self._matrix)]
-        if self.kind in LATTICE_KINDS:
-            spans = (self.upper - self.lower).astype(np.int64)
-            if self.norm == "linf":
-                return list(range(int(spans.max()) + 1))
-            if self.norm == "l1":
-                return list(range(int(spans.sum()) + 1))
-            axes = [np.arange(s + 1) for s in spans]
-            grids = np.meshgrid(*axes, indexing="ij")
-            deltas = np.stack([g.reshape(-1) for g in grids], axis=-1)
-            vals = np.unique(_lattice_dist(deltas, self.norm))
-            return [int(v) for v in vals]
-        if self.kind == "box-cycles":
-            mods = self.params["moduli"]
-            top = max(int(k) // 2 for k in mods)
-            vals = set(range(top + 1))
-            if len(mods) > 1:
-                vals.add(int(self.cross_distance))
-            return sorted(vals)
-        raise SpaceError(f"no value set for kind {self.kind!r}")
 
     def growth(self, r):
         """Max ball size N(r) over all centers (bounded geometry constant)."""
@@ -366,54 +314,6 @@ class Space:
             return sorted(range(-r, r + 1), key=lambda g: (abs(g), g))
         raise SpaceError("space has no group structure")
 
-    def group_offset_dist(self, off1, off2):
-        """Model-group distance between two offsets."""
-        if self.kind == "zn-window":
-            a = np.asarray(off1, dtype=np.int64)
-            b = np.asarray(off2, dtype=np.int64)
-            return int(_lattice_dist((a - b)[None, :], self.norm)[0])
-        if self.kind == "box-cycles":
-            return abs(int(off1) - int(off2))
-        raise SpaceError("space has no group structure")
-
-
-def right_translations(space, offsets=None):
-    """Translation maps restricted to the window, one per requested offset.
-
-    Returns None for descriptors without group structure.  For lattice windows
-    an offset is a coordinate tuple; for box spaces over cyclic quotients an
-    integer acting by rotation within each component.
-    """
-    if not space.group_structured:
-        return None
-    if space.kind == "zn-window":
-        if offsets is None:
-            offsets = [tuple(int(v) for v in row) for row in np.eye(space._dims, dtype=np.int64)]
-        out = []
-        for off in offsets:
-            off = np.asarray(off, dtype=np.int64)
-            dom, img = [], []
-            for x in range(space.n):
-                y = space.lattice_id(space.coords[x] + off)
-                if y is not None:
-                    dom.append(x)
-                    img.append(y)
-            disp = int(_lattice_dist(off[None, :], space.norm)[0])
-            out.append(PartialTranslation(tuple(dom), tuple(img), disp))
-        return out
-    if space.kind == "box-cycles":
-        if offsets is None:
-            offsets = [1]
-        ci, res, mod = space.components
-        out = []
-        for g in offsets:
-            img = [space.offset_point(x, g) for x in range(space.n)]
-            diffs = [space.dist(x, y) for x, y in zip(range(space.n), img) if x != y]
-            disp = max(diffs) if diffs else 0
-            out.append(PartialTranslation(tuple(range(space.n)), tuple(img), disp))
-        return out
-    return None
-
 
 # -- constructors -------------------------------------------------------------
 
@@ -447,6 +347,11 @@ def build_space(descriptor):
     ``quadrant`` (nonnegative lattice quadrant window), ``box-cycles`` (box
     space over cyclic quotient graphs), ``explicit`` (distance matrix) and
     ``graph`` (shortest-path metric of a connected graph).
+
+    The space keeps its params with every default filled in (a quadrant's
+    scalar ``upper`` as a list), so ``space_to_json`` is canonical: two
+    descriptors that differ only in a spelled-out default give one space
+    under ``same_space``.
     """
     if not isinstance(descriptor, dict) or "kind" not in descriptor:
         raise SpaceError("descriptor must be a dict with a 'kind' field")
@@ -471,7 +376,7 @@ def build_space(descriptor):
             raise SpaceError("zn-window bounds must be 1-d and aligned")
         if np.any(upper < lower):
             raise SpaceError("zn-window upper bound below lower bound")
-        norm = params.get("norm", "linf")
+        norm = params.setdefault("norm", "linf")
         if norm not in ("linf", "l1", "l2"):
             raise SpaceError(f"unknown lattice norm {norm!r}")
         axes = [np.arange(l, u + 1, dtype=np.int64) for l, u in zip(lower, upper)]
@@ -484,7 +389,7 @@ def build_space(descriptor):
         sp = Space(name, kind, params, n, center=0, coords=coords, norm=norm,
                    lower=lower, upper=upper)
         cid = sp.lattice_id(np.clip(zero, lower, upper))
-        sp.center = int(params.get("center", cid))
+        sp.center = params["center"] = int(params.get("center", cid))
         return sp
 
     if kind == "quadrant":
@@ -492,7 +397,8 @@ def build_space(descriptor):
         if isinstance(upper, int):
             upper = [upper, upper]
         upper = np.asarray(upper, dtype=np.int64)
-        norm = params.get("norm", "linf")
+        params["upper"] = upper.tolist()
+        norm = params.setdefault("norm", "linf")
         if norm not in ("linf", "l1", "l2"):
             raise SpaceError(f"unknown lattice norm {norm!r}")
         lower = np.zeros(len(upper), dtype=np.int64)
@@ -507,7 +413,7 @@ def build_space(descriptor):
         mods = [int(k) for k in params["moduli"]]
         if any(k < 3 for k in mods):
             raise SpaceError("cycle moduli must be at least 3")
-        cross = int(params.get("cross_distance", 100))
+        cross = params["cross_distance"] = int(params.get("cross_distance", 100))
         if max(k // 2 for k in mods) > 2 * cross:
             raise SpaceError("cross-component distance too small for triangle inequality")
         ci, res, mod = [], [], []
@@ -537,8 +443,8 @@ def build_space(descriptor):
             raise SpaceError(f"negative distance at pair ({i}, {j})")
         mat = np.ceil(raw - 1e-12).astype(np.int64)
         _check_metric_matrix(mat)
-        sp = Space(name, kind, params, mat.shape[0],
-                   center=int(params.get("center", 0)), matrix=mat)
+        center = params["center"] = int(params.get("center", 0))
+        sp = Space(name, kind, params, mat.shape[0], center=center, matrix=mat)
         return sp
 
     if kind == "graph":
@@ -552,8 +458,8 @@ def build_space(descriptor):
         d = shortest_path(adj, method="D", unweighted=True)
         if np.any(np.isinf(d)):
             raise SpaceError("graph is not connected")
-        sp = Space(name, kind, params, n, center=int(params.get("center", 0)),
-                   matrix=d.astype(np.int64))
+        center = params["center"] = int(params.get("center", 0))
+        sp = Space(name, kind, params, n, center=center, matrix=d.astype(np.int64))
         return sp
 
     raise SpaceError(f"unknown descriptor kind {kind!r}")

@@ -294,6 +294,11 @@ class TestShiftLimit:
         with pytest.raises(ExtractError, match="group"):
             shift_limit(identity(sp), Direction.arithmetic(sp, 10, 10), R=2)
 
+    def test_quadrant_rejected(self, quad_window):
+        d = Direction.ray(quad_window, [2, 2], [1, 1])
+        with pytest.raises(ExtractError, match="no group structure"):
+            shift_limit(identity(quad_window), d, R=1)
+
     def test_box_space_rotation_limit(self):
         sp = build_space({"kind": "box-cycles",
                           "moduli": [16, 32, 64, 128, 256],
@@ -317,6 +322,31 @@ def group_space(kind):
                         "cross_distance": 100, "name": "boxprop"})
 
 
+@lru_cache(maxsize=None)
+def plane(norm):
+    return build_space({"kind": "zn-window", "lower": [-14, -14],
+                        "upper": [14, 14], "norm": norm, "name": f"p{norm}"})
+
+
+def periodic_operator_draw(draw, sp, offsets, residue, period, k):
+    """Random operator whose entry at (x + off, x) depends on off and residue[x].
+
+    Each (offset, residue) pair of the stencil is kept with probability 0.7.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    stencil = {(off, r): rng.standard_normal((k, k))
+               + 1j * rng.standard_normal((k, k))
+               for off in offsets for r in range(period)
+               if rng.random() < 0.7}
+    trip = []
+    for x in range(sp.n):
+        for (off, r), val in stencil.items():
+            y = sp.offset_point(x, off)
+            if residue[x] == r and y is not None:
+                trip.append((y, x, val if k > 1 else val[0, 0]))
+    return from_triplets(sp, trip, block_dim=k)
+
+
 @st.composite
 def periodic_band_operators(draw):
     """Random periodic band operator on a 1-d group-structured space.
@@ -329,39 +359,58 @@ def periodic_band_operators(draw):
     period = draw(st.sampled_from([1, 2, 4]))
     prop = draw(st.integers(0, 2))
     k = draw(st.sampled_from([1, 2]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     if kind == "zn-window":
         residue = sp.coords[:, 0] % period
         d = Direction.arithmetic(sp, 0, 2 * period)
     else:
         residue = sp.components[1] % period
         d = Direction.components(sp, residue=0)
-    stencil = {(off, r): rng.standard_normal((k, k))
-               + 1j * rng.standard_normal((k, k))
-               for off in range(-prop, prop + 1) for r in range(period)
-               if rng.random() < 0.7}
-    trip = []
-    for x in range(sp.n):
-        for (off, r), val in stencil.items():
-            y = sp.offset_point(x, off)
-            if residue[x] == r and y is not None:
-                trip.append((y, x, val if k > 1 else val[0, 0]))
-    return from_triplets(sp, trip, block_dim=k), d, prop
+    A = periodic_operator_draw(draw, sp, range(-prop, prop + 1), residue,
+                               period, k)
+    return A, d, prop
+
+
+@st.composite
+def periodic_plane_operators(draw):
+    """Random band operator on a 2-d window, periodic in x, with a ray.
+
+    The stencil's offsets are the group offsets within the propagation under
+    the window's norm; every ray basepoint has an even x coordinate.
+    """
+    sp = plane(draw(st.sampled_from(["linf", "l1", "l2"])))
+    period = draw(st.integers(1, 2))
+    prop = draw(st.integers(0, 1))
+    k = draw(st.integers(1, 2))
+    A = periodic_operator_draw(draw, sp, sp.group_offsets(prop),
+                               sp.coords[:, 0] % period, period, k)
+    step = draw(st.sampled_from([[2, 0], [0, 2], [2, 2]]))
+    return A, Direction.ray(sp, [0, 0], step), prop
+
+
+def check_shift_against_matching(A, d, prop):
+    """shift_limit within 2 tol of limit_operator; returns its window and R."""
+    R, tol = max(2 * prop + 1, 2), 1e-9
+    w1 = shift_limit(A, d, R=R, tol=tol, tail=3)
+    w2 = limit_operator(A, d, R=R, tol=tol, tail=3)
+    assert w1.size == w2.size
+    assert window_deviation(w1, w2) <= 2 * tol
+    for w, margin in ((w1, R), (w2, R + A.propagation)):
+        usable = d.usable(A.space, margin)
+        assert w.basepoints_used == usable[w.stabilized_from:]
+    return w1, R
 
 
 class TestShiftLimitProperty:
     @settings(max_examples=40, deadline=None)
     @given(periodic_band_operators())
     def test_agrees_with_limit_operator(self, case):
-        A, d, prop = case
-        R, tol = max(2 * prop + 1, 2), 1e-9
-        w1 = shift_limit(A, d, R=R, tol=tol, tail=3)
-        w2 = limit_operator(A, d, R=R, tol=tol, tail=3)
-        assert w1.size == w2.size == 2 * R + 1
-        assert window_deviation(w1, w2) <= 2 * tol
-        for w, margin in ((w1, R), (w2, R + A.propagation)):
-            usable = d.usable(A.space, margin)
-            assert w.basepoints_used == usable[w.stabilized_from:]
+        w, R = check_shift_against_matching(*case)
+        assert w.size == 2 * R + 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(periodic_plane_operators())
+    def test_agrees_with_limit_operator_on_the_plane(self, case):
+        check_shift_against_matching(*case)
 
 
 class TestSampleSpectrum:

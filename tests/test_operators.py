@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandlim.space import build_space
+from bandlim.space import build_space, same_space
 from bandlim.operators import (
-    OperatorError, Vector, from_triplets, identity, multiplier,
-    partial_translation_operator, compose, add, scale, subtract, adjoint,
-    apply_operator, decompose, three_color, schur_bound, norm2,
+    OperatorError, Vector, from_triplets, identity, multiplier, compose, add,
+    scale, subtract, adjoint, apply_operator, schur_bound, norm2,
     save_operator, load_operator,
 )
 
@@ -141,91 +140,22 @@ class TestSameSpace:
         w = apply_operator(T, Vector.basis(twin, 3))
         assert np.array_equal(w.flat(), D[:, 3])
 
-
-class TestDecompose:
-    def test_identity_single_summand(self, nat_window):
-        dec = decompose(identity(nat_window))
-        assert len(dec) == 1
-        assert dec.reconstruct() == identity(nat_window)
-
-    def test_tridiagonal_at_most_three(self, z_window):
-        T = tridiagonal(z_window)
-        dec = decompose(T)
-        assert len(dec) <= z_window.growth(1) == 3
-        assert dec.reconstruct() == T
-
-    def test_random_quadrant_exact(self, quad_window):
-        rng = np.random.default_rng(23)
-        A = random_band(quad_window, 2, rng)
-        dec = decompose(A)
-        assert dec.reconstruct() == A
-
-    def test_invariants_random(self, quad_window):
-        rng = np.random.default_rng(29)
-        for _ in range(60):
-            prop = int(rng.integers(0, 4))
-            A = random_band(quad_window, prop, rng, density=0.4)
-            dec = decompose(A)
-            assert dec.reconstruct() == A
-            assert len(dec) <= quad_window.growth(A.propagation)
-            assert all(s <= A.entry_sup + 1e-12 for s in dec.multiplier_sups())
-            assert all(t.displacement <= A.propagation for t in dec.translations)
-
-    def test_summands_rebuild(self, nat_window):
-        rng = np.random.default_rng(31)
-        A = random_band(nat_window, 1, rng)
-        total = from_triplets(nat_window, [])
-        for s in decompose(A).summands():
-            total = add(total, s)
-        assert np.allclose(total.to_dense(), A.to_dense(), atol=0)
-
-    def test_block_decompose(self, nat_window):
-        rng = np.random.default_rng(37)
-        A = random_band(nat_window, 1, rng, block_dim=2)
-        assert decompose(A).reconstruct() == A
-
-
-def check_three_coloring(classes, s, t):
-    for cl in classes:
-        s_img = {s[a] for a in cl}
-        t_img = {t[a] for a in cl}
-        assert not (s_img & t_img)
-
-
-class TestThreeColor:
-    def test_three_cycle_needs_three_classes(self):
-        s = {1: 1, 2: 2, 3: 3}
-        t = {1: 2, 2: 3, 3: 1}
-        classes = three_color([1, 2, 3], s, t)
-        assert all(len(cl) > 0 for cl in classes)
-        assert sorted(sum(classes, [])) == [1, 2, 3]
-        check_three_coloring(classes, s, t)
-
-    def test_involution_needs_two(self):
-        s = {a: a for a in range(4)}
-        t = {0: 1, 1: 0, 2: 3, 3: 2}
-        classes = three_color(range(4), s, t)
-        assert classes[2] == []
-        check_three_coloring(classes, s, t)
-
-    def test_random_derangement(self):
-        rng = np.random.default_rng(41)
-        n = 100
-        while True:
-            perm = rng.permutation(n)
-            if np.all(perm != np.arange(n)):
-                break
-        s = {a: a for a in range(n)}
-        t = {a: int(perm[a]) for a in range(n)}
-        classes = three_color(range(n), s, t)
-        assert sorted(sum(classes, [])) == list(range(n))
-        check_three_coloring(classes, s, t)
-
-    def test_agreement_reported_with_witness(self):
-        s = {1: 5, 2: 6}
-        t = {1: 5, 2: 6}
-        with pytest.raises(OperatorError, match="agree at index 1"):
-            three_color([1, 2], s, t)
+    @pytest.mark.parametrize("desc, default", [
+        ({"kind": "quadrant", "upper": [4, 4]}, {"norm": "linf"}),
+        ({"kind": "quadrant", "upper": 4}, {"upper": [4, 4]}),
+        ({"kind": "zn-window", "lower": [-3, -2], "upper": [3, 2]},
+         {"norm": "linf"}),
+        ({"kind": "zn-window", "lower": [-3, -2], "upper": [3, 2]},
+         {"center": 17}),                  # the id of the origin
+        ({"kind": "box-cycles", "moduli": [5, 8]}, {"cross_distance": 100}),
+        ({"kind": "explicit", "matrix": [[0, 1], [1, 0]]}, {"center": 0}),
+        ({"kind": "graph", "n": 3, "edges": [[0, 1], [1, 2]]}, {"center": 0}),
+    ])
+    def test_spelled_out_default_is_one_space(self, desc, default):
+        a, b = build_space(desc), build_space({**desc, **default})
+        assert same_space(a, b) and same_space(b, a)
+        S = add(identity(a), identity(b))
+        assert np.array_equal(S.to_dense(), 2 * np.eye(a.n))
 
 
 class TestNorms:
@@ -293,15 +223,7 @@ class TestFiles:
             load_operator(path, z_window)
 
 
-class TestPartialTranslationOperator:
-    def test_from_translation(self, z_window):
-        from bandlim.space import right_translations
-        [t] = right_translations(z_window, offsets=[(1,)])
-        V = partial_translation_operator(z_window, t)
-        assert V.propagation == 1
-        w = apply_operator(V, Vector.basis(z_window, 0))
-        assert w.values[1, 0] == 1.0
-
+class TestMultiplier:
     def test_multiplier_diagonal(self, nat_window):
         f = multiplier(nat_window, lambda x: float(x % 2))
         assert f.propagation == 0
@@ -330,11 +252,6 @@ def band_operators(draw):
 
 
 class TestBandProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(band_operators())
-    def test_decompose_reconstructs_exactly(self, A):
-        assert decompose(A).reconstruct() == A
-
     @settings(max_examples=60, deadline=None)
     @given(band_operators())
     def test_schur_bound_dominates_the_dense_norm(self, A):

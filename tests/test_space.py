@@ -8,8 +8,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from bandlim.space import (
-    SpaceError, Template, build_space, right_translations, match_windows,
-    ball_template, match_ball_exact, pointed_isometric, save_space, load_space,
+    SpaceError, Template, build_space, match_windows, ball_template,
+    match_ball_exact, pointed_isometric, save_space, load_space,
     _check_metric_matrix, _isometries, same_space,
 )
 
@@ -33,7 +33,6 @@ def check_metric_axioms(space):
 class TestBuildSpace:
     def test_nat_window_basics(self, nat_window):
         assert nat_window.n == 51
-        assert nat_window.value_set == list(range(51))
         assert nat_window.growth(1) == 3
 
     def test_quadrant_growth_enumerated(self):
@@ -55,6 +54,7 @@ class TestBuildSpace:
         assert sp.growth(2) == brute_growth(sp, 2)
         assert sp.dist(0, 8) == 100       # first points of each component
         assert sp.dist(0, 7) == 1         # cycle wraparound in Z/8
+        assert sp.offset_point(7, 1) == 0  # the rotation wraps within Z/8
         check_metric_axioms(sp)
 
     def test_growth_monotone(self, quad_window):
@@ -75,7 +75,8 @@ class TestBuildSpace:
         mat = [[0, 1.2, 2.0], [1.2, 0, 1.0], [2.0, 1.0, 0]]
         sp = build_space({"kind": "explicit", "matrix": mat})
         assert sp.dist(0, 1) == 2
-        assert sp.value_set == [0, 1, 2]
+        ids = np.arange(sp.n)
+        assert np.unique(sp.pairwise(ids, ids)).tolist() == [0, 1, 2]
 
     def test_explicit_triangle_violation_rejected(self):
         mat = [[0, 1, 9], [1, 0, 1], [9, 1, 0]]
@@ -230,35 +231,6 @@ class TestMatching:
 
 def tdist_template(tdist):
     return Template(np.asarray(tdist))
-
-
-class TestTranslations:
-    def test_z_window_offset_one(self):
-        sp = build_space({"kind": "zn-window", "lower": [-20], "upper": [20]})
-        [t] = right_translations(sp, offsets=[(1,)])
-        assert t.displacement == 1
-        assert len(t.domain) == 40
-        coords = sorted(int(sp.coords[x, 0]) for x in t.domain)
-        assert coords[0] == -20 and coords[-1] == 19
-        for x, y in zip(t.domain, t.image):
-            assert sp.coords[y, 0] - sp.coords[x, 0] == 1
-
-    def test_z2_diagonal_offset(self):
-        sp = build_space({"kind": "zn-window", "lower": [-4, -4],
-                          "upper": [4, 4], "norm": "linf"})
-        [t] = right_translations(sp, offsets=[(1, 1)])
-        assert t.displacement == 1
-
-    def test_quadrant_has_no_group(self, quad_window):
-        assert right_translations(quad_window) is None
-
-    def test_box_rotation(self):
-        sp = build_space({"kind": "box-cycles", "moduli": [8, 16],
-                          "cross_distance": 100})
-        [t] = right_translations(sp, offsets=[1])
-        assert t.displacement == 1
-        assert len(t.domain) == sp.n
-        assert t.image[7] == 0        # wraps within the Z/8 component
 
 
 # -- property tests over every space kind -------------------------------------
@@ -426,7 +398,7 @@ def zn3_descriptors(draw):
             "norm": draw(st.sampled_from(["l1", "l2"]))}
 
 
-# radii past the window are checked separately, from the space's value set
+# radii past the window are checked separately, from the space's diameter
 radii = st.one_of(st.just(0), st.integers(0, 6),
                   st.floats(0, 6, allow_nan=False).filter(lambda r: r != int(r)))
 
@@ -439,7 +411,8 @@ class TestOneBallRoutine:
                                              zn3_descriptors())))
         ref = np.array([reference_row(sp, a) for a in range(sp.n)])
         r = data.draw(radii)
-        past = sp.value_set[-1] + data.draw(st.sampled_from([0, 0.5, 7]))
+        past = sp.diameter(np.arange(sp.n)) + data.draw(
+            st.sampled_from([0, 0.5, 7]))
         for x in range(sp.n):
             assert np.array_equal(sp.row(x), ref[x])
             for rad in (r, 1, 1.5, 2):
