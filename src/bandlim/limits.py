@@ -65,20 +65,13 @@ class Direction:
 
     def usable(self, space, margin):
         """Basepoints with window margin at least ``margin``, in order."""
-        return [b for b in self.basepoints if space.margin(b) >= margin]
+        keep = space.margin(self.basepoints) >= margin
+        return [b for b, k in zip(self.basepoints, keep) if k]
 
     @classmethod
     def arithmetic(cls, space, start, step, label=None):
         """1-d lattice rule: coordinates start, start+step, ... while inside."""
-        pts = []
-        c = start
-        while True:
-            pid = space.lattice_id([c])
-            if pid is None:
-                break
-            pts.append(pid)
-            c += step
-        return cls(pts, label or f"arith:{start},{step}")
+        return cls.ray(space, [start], [step], label or f"arith:{start},{step}")
 
     @classmethod
     def geometric(cls, space, start, ratio, label=None):
@@ -111,6 +104,8 @@ class Direction:
     @classmethod
     def components(cls, space, residue=0, label=None):
         """Box-space rule: the point with a fixed residue in each component."""
+        if space.components is None:
+            raise ExtractError(f"space {space.name!r} has no components")
         ci, res, mod = space.components
         pts = []
         for comp in sorted(set(int(c) for c in ci)):
@@ -163,8 +158,9 @@ def limit_space(space, direction, R, tol_count=5):
     Basepoints with margin below R violate the precondition and raise.
     """
     direction.validate(space)
-    bad = [b for b in direction.basepoints if space.margin(b) < R]
     usable = direction.usable(space, R)
+    inside = set(usable)
+    bad = [b for b in direction.basepoints if b not in inside]
     if not usable:
         raise ExtractError(
             f"no basepoint of {direction.label!r} has margin {R}")
@@ -439,13 +435,11 @@ def window_deviation(w1: LimitWindow, w2: LimitWindow):
     return best
 
 
-def interior_nu(window: LimitWindow, p=2.0, margin=None):
+def interior_nu(window: LimitWindow, p=2.0):
     """Lower norm of the window restricted to interior template columns."""
-    if margin is None:
-        margin = window.propagation()
+    reach = window.radius - window.propagation()
     base_row = window.template.dist[window.template.base]
-    F = [i for i in range(window.size)
-         if base_row[i] <= window.radius - margin]
+    F = [i for i in range(window.size) if base_row[i] <= reach]
     if not F:
         F = list(range(window.size))
     sp, op = window.as_operator()

@@ -43,6 +43,7 @@ from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.linalg import eigsh
 
 from .operators import OperatorError, Vector, _unfold, schur_bound
+from .space import _grid
 
 _DENSE_COLS = 400        # nu solves by dense SVD up to this many columns
 _SLACK = 8.0             # c in the screen slack c max(rows, cols) eps |sub|_F
@@ -286,7 +287,7 @@ def nu(A, F, p=2.0):
                     method=method, tolerance=tol, subset=tuple(int(x) for x in Fs))
 
 
-def nu_brute(A, F, p, samples=10 ** 6, seed=0):
+def nu_brute(A, F, p, samples=10 ** 6):
     """Grid oracle for the p lower norm, real coefficients, dimension <= 5.
 
     Scans a uniform cube grid (about ``samples`` points) of real coefficient
@@ -300,8 +301,7 @@ def nu_brute(A, F, p, samples=10 ** 6, seed=0):
         raise OperatorError("brute-force oracle limited to dimension 5")
     per_axis = max(3, int(round(samples ** (1.0 / m))))
     axis = np.linspace(-1.0, 1.0, per_axis)
-    grids = np.meshgrid(*([axis] * m), indexing="ij")
-    V = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    V = _grid([axis] * m)
     V = V[np.any(V != 0, axis=1)]
     best = np.inf
     best_v = None
@@ -467,7 +467,7 @@ def localization_check(A, delta, sparsifier, family, p=2.0, norm_bound=None):
                               delta=float(delta))
 
 
-def essential_nu(A, exclusion_radii, p=2.0, margin=None, threads=1):
+def essential_nu(A, exclusion_radii, p=2.0, threads=1):
     """Lower norms off growing balls around the designated center.
 
     Columns are restricted to interior-margin points outside each exclusion
@@ -475,8 +475,7 @@ def essential_nu(A, exclusion_radii, p=2.0, margin=None, threads=1):
     essential spectrum at zero, a flat positive one is Fredholm-like.
     """
     space = A.space
-    margin = A.propagation if margin is None else margin
-    inter = [int(x) for x in space.interior(margin)]
+    inter = [int(x) for x in space.interior(A.propagation)]
     center_row = space.row(space.center)
     out = []
 

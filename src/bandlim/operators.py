@@ -217,29 +217,13 @@ def _check_compat(A, B):
 
 
 def _from_csr(space, mat, block_dim, p):
-    mat = mat.tocoo()
-    k = block_dim
-    if k == 1:
-        keep = mat.data != 0
-        return BandOperator(space, mat.row[keep], mat.col[keep],
-                            mat.data[keep], block_dim=1, p=p)
-    acc = {}
-    for r, c, v in zip(mat.row, mat.col, mat.data):
-        if v == 0:
-            continue
-        key = (int(r) // k, int(c) // k)
-        b = acc.get(key)
-        if b is None:
-            b = np.zeros((k, k), dtype=np.complex128)
-            acc[key] = b
-        b[int(r) % k, int(c) % k] = v
-    if not acc:
-        return from_triplets(space, [], block_dim=k, p=p)
-    keys = sorted(acc)
-    rows = [x for x, _ in keys]
-    cols = [y for _, y in keys]
-    return BandOperator(space, rows, cols, np.stack([acc[key] for key in keys]),
-                        block_dim=k, p=p)
+    """Band operator of an unfolded matrix: nonzero entries folded into blocks."""
+    mat = mat.tocsr(copy=True)
+    mat.eliminate_zeros()
+    bsr = mat.tobsr((block_dim, block_dim))
+    rows = np.repeat(np.arange(space.n), np.diff(bsr.indptr))
+    return BandOperator(space, rows, bsr.indices, bsr.data,
+                        block_dim=block_dim, p=p)
 
 
 def compose(A, B):

@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from .operators import (
     BandOperator, OperatorError, from_triplets, schur_bound, _from_csr, _unfold,
 )
-from .space import LATTICE_KINDS, SpaceError, same_space
+from .space import LATTICE_KINDS, SpaceError, _grid, same_space
 
 
 class SparsifyShortfall(ValueError):
@@ -104,9 +104,7 @@ def _sparsify_blocks(space, mu, m, L):
     if period ** dims > 200000:
         raise OperatorError("offset search too large for this block length")
     best = None
-    offsets = np.stack(np.meshgrid(*([np.arange(period)] * dims),
-                                   indexing="ij"), axis=-1).reshape(-1, dims)
-    for off in offsets:
+    for off in _grid([np.arange(period)] * dims):
         keep = np.all((rel - off[None, :]) % period < L, axis=1)
         mass = float(mu[keep].sum())
         key = (-mass, tuple(int(v) for v in off))
@@ -292,12 +290,8 @@ class PPartition:
 def _net(space, L):
     """L-net centers: lattice-aligned on lattice windows, greedy elsewhere."""
     if space.kind in LATTICE_KINDS:
-        axes = [np.arange(int(lo), int(up) + 1, L)
-                for lo, up in zip(space.lower, space.upper)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        return sorted(cid for cid in (space.lattice_id(c) for c in coords)
-                      if cid is not None)
+        on_net = np.all((space.coords - space.lower) % L == 0, axis=1)
+        return np.nonzero(on_net)[0].tolist()
     # the next center is the first point farther than L from every center
     centers = []
     nearest = np.full(space.n, np.inf)

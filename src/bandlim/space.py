@@ -3,8 +3,15 @@
 A ``Space`` is a finite ordered set of points (ids ``0..n-1``) with an integer
 metric.  Distances are ceil-rounded on ingestion so the attained value set is
 always a discrete subset of the nonnegative integers.  Generators cover
-integer-lattice windows, quadrant windows, box spaces over cyclic quotients,
-explicit distance matrices and graph shortest-path metrics.
+lattice windows, box spaces over cyclic quotients, explicit distance matrices
+and graph shortest-path metrics.
+
+The lattice kinds are boxes [lower, upper] of Z^d built by one routine,
+``_lattice_space``, under one set of checks and a 500,000-point cap.  Every
+side of a ``zn-window`` box is an artificial boundary; a ``quadrant`` (N^d)
+or ``n-window`` (N under l1) has artificial upper sides only.  The margin of a
+point c is its distance to those sides, min(upper - c), and on a
+``zn-window`` also min(c - lower).
 
 Each kind has one distance formula, ``Space.pair_dist``, broadcast over id
 arrays; ``pairwise``, ``row`` and ``dist`` are views of it, and so is
@@ -44,6 +51,7 @@ class SpaceError(ValueError):
 LATTICE_KINDS = ("zn-window", "n-window", "quadrant")
 GROUP_KINDS = ("zn-window", "box-cycles")
 DENSE_CAP = 1500
+LATTICE_CAP = 500000
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,12 @@ def _ceil_sqrt_int(sq):
     r = np.where((r + 1) * (r + 1) <= sq, r + 1, r)
     r = np.where(r * r > sq, r - 1, r)
     return np.where(r * r == sq, r, r + 1)
+
+
+def _grid(axes):
+    """Row-major product of 1-d axes, one point per row."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
 def _lattice_dist(delta, norm):
@@ -252,28 +266,28 @@ class Space:
             return max(rest - k + min(2 * r + 1, k) for k in mods)
         raise SpaceError(f"no growth rule for kind {self.kind!r}")
 
-    def margin(self, x):
-        """Distance from x to the artificial window boundary (inf if none).
+    def margin(self, ids):
+        """Distance from each id to the artificial window boundary (inf if none).
 
-        Balls of radius at most margin(x) about x agree with the balls of the
-        infinite model space the window was cut from.
+        Takes one id or an id array and answers in kind.  Balls of radius at
+        most margin(x) about x agree with the balls of the infinite model
+        space the window was cut from.
         """
-        if self.kind == "n-window":
-            return int(self.upper[0] - self.coords[x, 0])
-        if self.kind == "zn-window":
-            c = self.coords[x]
-            return int(min(np.minimum(c - self.lower, self.upper - c)))
-        if self.kind == "quadrant":
-            return int(min(self.upper - self.coords[x]))
-        if self.kind == "box-cycles":
-            ci, res, mod = self.components
-            return min(int(self.cross_distance) - 1, int(mod[x]) // 4)
-        return math.inf
+        ids = np.asarray(ids, dtype=np.int64)
+        if self.coords is not None:
+            c = self.coords[ids]
+            out = (self.upper - c).min(axis=-1)
+            if self.kind == "zn-window":
+                out = np.minimum(out, (c - self.lower).min(axis=-1))
+        elif self.components is not None:
+            out = np.minimum(self.cross_distance - 1, self.components[2][ids] // 4)
+        else:
+            out = np.full(ids.shape, math.inf)
+        return out.item() if out.ndim == 0 else out
 
     def interior(self, margin):
         """Ids whose window margin is at least ``margin``."""
-        return np.array([x for x in range(self.n) if self.margin(x) >= margin],
-                        dtype=np.int64)
+        return np.nonzero(self.margin(np.arange(self.n)) >= margin)[0]
 
     # -- group structure ----------------------------------------------------
 
@@ -301,15 +315,10 @@ class Space:
         """
         r = math.floor(r)
         if self.kind == "zn-window":
-            dims = self._dims
-            rng = np.arange(-r, r + 1, dtype=np.int64)
-            grids = np.meshgrid(*([rng] * dims), indexing="ij")
-            offs = np.stack([g.reshape(-1) for g in grids], axis=-1)
+            offs = _grid([np.arange(-r, r + 1, dtype=np.int64)] * self._dims)
             d = _lattice_dist(offs, self.norm)
-            keep = d <= r
-            offs, d = offs[keep], d[keep]
-            order = sorted(range(len(offs)), key=lambda i: (int(d[i]), tuple(offs[i])))
-            return [tuple(int(v) for v in offs[i]) for i in order]
+            order = np.lexsort((*offs.T[::-1], d))
+            return [tuple(o) for o in offs[order][d[order] <= r].tolist()]
         if self.kind == "box-cycles":
             return sorted(range(-r, r + 1), key=lambda g: (abs(g), g))
         raise SpaceError("space has no group structure")
@@ -339,6 +348,44 @@ def _check_metric_matrix(mat):
                 f"triangle inequality violated on triple ({i}, {k}, {j})")
 
 
+def _lattice_space(name, kind, params):
+    """Space of a lattice kind: its bounds and norm, one set of checks, one grid.
+
+    A scalar ``quadrant`` upper means the 2-d square.  Only a ``zn-window``
+    has a center param, by default its point nearest the origin; the other
+    kinds are centered at id 0.
+    """
+    if kind == "n-window":
+        lower, upper, norm = [0], [params["upper"]], "l1"
+    else:
+        upper = params["upper"]
+        if kind == "quadrant":
+            if np.ndim(upper) == 0:
+                upper = [upper, upper]
+            upper = params["upper"] = np.asarray(upper, dtype=np.int64).tolist()
+        lower = params["lower"] if kind == "zn-window" else np.zeros_like(upper)
+        norm = params.setdefault("norm", "linf")
+    lower = np.asarray(lower, dtype=np.int64)
+    upper = np.asarray(upper, dtype=np.int64)
+    if lower.ndim != 1 or lower.shape != upper.shape or not len(lower):
+        raise SpaceError(f"{kind} bounds must be 1-d, aligned and nonempty")
+    if np.any(upper < lower):
+        raise SpaceError(f"{kind} upper bound below lower bound")
+    if norm not in ("linf", "l1", "l2"):
+        raise SpaceError(f"unknown lattice norm {norm!r}")
+    if math.prod(u - l + 1 for l, u in zip(lower.tolist(), upper.tolist())) \
+            > LATTICE_CAP:
+        raise SpaceError(f"lattice window over {LATTICE_CAP} points")
+    coords = _grid([np.arange(l, u + 1, dtype=np.int64)
+                    for l, u in zip(lower, upper)])
+    sp = Space(name, kind, params, len(coords), center=0, coords=coords,
+               norm=norm, lower=lower, upper=upper)
+    if kind == "zn-window":
+        cid = sp.lattice_id(np.clip(0, lower, upper))
+        sp.center = params["center"] = int(params.get("center", cid))
+    return sp
+
+
 def build_space(descriptor):
     """Construct a Space from a JSON-style descriptor.
 
@@ -346,7 +393,9 @@ def build_space(descriptor):
     metric, ceil-rounded), ``n-window`` (initial segment of the naturals),
     ``quadrant`` (nonnegative lattice quadrant window), ``box-cycles`` (box
     space over cyclic quotient graphs), ``explicit`` (distance matrix) and
-    ``graph`` (shortest-path metric of a connected graph).
+    ``graph`` (shortest-path metric of a connected graph).  The three lattice
+    kinds share ``_lattice_space``.  Every kind's center must be a point of
+    the space.
 
     The space keeps its params with every default filled in (a quadrant's
     scalar ``upper`` as a list), so ``space_to_json`` is canonical: two
@@ -359,57 +408,9 @@ def build_space(descriptor):
     params = {k: v for k, v in descriptor.items() if k not in ("kind", "name")}
     name = descriptor.get("name", kind)
 
-    if kind == "n-window":
-        upper = int(params["upper"])
-        if upper < 0:
-            raise SpaceError("n-window upper bound must be nonnegative")
-        coords = np.arange(upper + 1, dtype=np.int64)[:, None]
-        sp = Space(name, kind, params, upper + 1, center=0, coords=coords,
-                   norm="l1", lower=np.array([0], dtype=np.int64),
-                   upper=np.array([upper], dtype=np.int64))
-        return sp
-
-    if kind == "zn-window":
-        lower = np.asarray(params["lower"], dtype=np.int64)
-        upper = np.asarray(params["upper"], dtype=np.int64)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise SpaceError("zn-window bounds must be 1-d and aligned")
-        if np.any(upper < lower):
-            raise SpaceError("zn-window upper bound below lower bound")
-        norm = params.setdefault("norm", "linf")
-        if norm not in ("linf", "l1", "l2"):
-            raise SpaceError(f"unknown lattice norm {norm!r}")
-        axes = [np.arange(l, u + 1, dtype=np.int64) for l, u in zip(lower, upper)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        n = len(coords)
-        if n > 500000:
-            raise SpaceError("lattice window too large")
-        zero = np.zeros(len(lower), dtype=np.int64)
-        sp = Space(name, kind, params, n, center=0, coords=coords, norm=norm,
-                   lower=lower, upper=upper)
-        cid = sp.lattice_id(np.clip(zero, lower, upper))
-        sp.center = params["center"] = int(params.get("center", cid))
-        return sp
-
-    if kind == "quadrant":
-        upper = params["upper"]
-        if isinstance(upper, int):
-            upper = [upper, upper]
-        upper = np.asarray(upper, dtype=np.int64)
-        params["upper"] = upper.tolist()
-        norm = params.setdefault("norm", "linf")
-        if norm not in ("linf", "l1", "l2"):
-            raise SpaceError(f"unknown lattice norm {norm!r}")
-        lower = np.zeros(len(upper), dtype=np.int64)
-        axes = [np.arange(0, u + 1, dtype=np.int64) for u in upper]
-        grids = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        sp = Space(name, kind, params, len(coords), center=0, coords=coords,
-                   norm=norm, lower=lower, upper=upper)
-        return sp
-
-    if kind == "box-cycles":
+    if kind in LATTICE_KINDS:
+        sp = _lattice_space(name, kind, params)
+    elif kind == "box-cycles":
         mods = [int(k) for k in params["moduli"]]
         if any(k < 3 for k in mods):
             raise SpaceError("cycle moduli must be at least 3")
@@ -425,9 +426,7 @@ def build_space(descriptor):
                 np.array(mod, dtype=np.int64))
         sp = Space(name, kind, params, len(comp[0]), center=0,
                    components=comp, cross_distance=cross)
-        return sp
-
-    if kind == "explicit":
+    elif kind == "explicit":
         raw = np.asarray(params["matrix"], dtype=np.float64)
         if raw.ndim == 1:
             m = int(round(math.sqrt(len(raw))))
@@ -445,9 +444,7 @@ def build_space(descriptor):
         _check_metric_matrix(mat)
         center = params["center"] = int(params.get("center", 0))
         sp = Space(name, kind, params, mat.shape[0], center=center, matrix=mat)
-        return sp
-
-    if kind == "graph":
+    elif kind == "graph":
         n = int(params["n"])
         edges = params["edges"]
         rows = [int(u) for u, v in edges] + [int(v) for u, v in edges]
@@ -460,9 +457,12 @@ def build_space(descriptor):
             raise SpaceError("graph is not connected")
         center = params["center"] = int(params.get("center", 0))
         sp = Space(name, kind, params, n, center=center, matrix=d.astype(np.int64))
-        return sp
-
-    raise SpaceError(f"unknown descriptor kind {kind!r}")
+    else:
+        raise SpaceError(f"unknown descriptor kind {kind!r}")
+    if not 0 <= sp.center < sp.n:
+        raise SpaceError(f"center {sp.center} is not a point of the "
+                         f"{sp.n}-point space")
+    return sp
 
 
 def space_to_json(space):

@@ -115,6 +115,11 @@ class TestDirections:
         assert d.basepoints == [2, 9, 16]
         assert d.label == "arith:2,7"
 
+    def test_components_needs_a_box_space(self):
+        sp = build_space({"kind": "quadrant", "upper": 5})
+        with pytest.raises(ExtractError, match="no components"):
+            Direction.components(sp)
+
 
 class TestLimitOperator:
     def test_unilateral_shift_gives_bilateral_stencil(self):

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from bandlim.space import build_space, same_space
 from bandlim.operators import (
-    OperatorError, Vector, from_triplets, identity, multiplier, compose, add,
-    scale, subtract, adjoint, apply_operator, schur_bound, norm2,
-    save_operator, load_operator,
+    BandOperator, OperatorError, Vector, from_triplets, identity, multiplier,
+    compose, add, scale, subtract, adjoint, apply_operator, schur_bound, norm2,
+    save_operator, load_operator, _from_csr,
 )
 
 from conftest import random_band, shift_operator, torus_graph, tridiagonal
@@ -257,3 +257,21 @@ class TestBandProperties:
     def test_schur_bound_dominates_the_dense_norm(self, A):
         # the bound is exact arithmetic; allow only the rounding of the SVD
         assert schur_bound(A, 2) >= np.linalg.norm(A.to_dense(), 2) * (1 - 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_block_fold_inverts_the_unfolding(self, data):
+        sp = build_space(data.draw(st.sampled_from(BAND_SPACES)))
+        k = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        A = random_band(sp, data.draw(st.integers(0, 2)), rng, block_dim=k,
+                        real=data.draw(st.booleans()))
+        # zero whole blocks and single entries: the unfolding stores them
+        blocks = A.blocks.copy()
+        blocks[rng.random(A.nnz) < 0.3] = 0
+        blocks[rng.random(blocks.shape) < 0.2] = 0
+        A = BandOperator(sp, A.rows, A.cols, blocks, block_dim=k, p=A.p)
+        live = np.any(blocks != 0, axis=(1, 2))
+        expected = BandOperator(sp, A.rows[live], A.cols[live], blocks[live],
+                                block_dim=k, p=A.p)
+        assert _from_csr(sp, A.csr(), k, A.p) == expected

@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import shortest_path
 from bandlim.space import (
     SpaceError, Template, build_space, match_windows, ball_template,
     match_ball_exact, pointed_isometric, save_space, load_space,
-    _check_metric_matrix, _isometries, same_space,
+    _check_metric_matrix, _isometries, same_space, space_to_json,
 )
 
 from conftest import reference_isometries, torus_graph
@@ -465,3 +465,158 @@ class TestOneBallRoutine:
         line = build_space({"kind": "n-window", "upper": 9})
         with pytest.raises(SpaceError, match="dimension 1"):
             line.lattice_id([1, 1])
+
+
+class TestCenters:
+    SPACES = {
+        "zn-window": {"kind": "zn-window", "lower": [-2], "upper": [2]},
+        "explicit": {"kind": "explicit", "matrix": [[0, 1], [1, 0]]},
+        "graph": {"kind": "graph", "n": 3, "edges": [[0, 1], [1, 2]]},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SPACES))
+    @pytest.mark.parametrize("past", [False, True])
+    def test_center_outside_the_space_rejected(self, kind, past):
+        desc = self.SPACES[kind]
+        n = build_space(desc).n
+        with pytest.raises(SpaceError, match="center"):
+            build_space({**desc, "center": n if past else -1})
+        assert build_space({**desc, "center": n - 1}).center == n - 1
+
+
+# lattice bounds of every shape the descriptors meet: Python and numpy
+# integers, scalars and lists of up to three axes, some empty or misaligned
+lattice_ints = st.builds(lambda v, t: t(v), st.integers(-2, 3),
+                         st.sampled_from([int, np.int64, np.int32]))
+lattice_bounds = st.one_of(lattice_ints,
+                           st.lists(lattice_ints, min_size=0, max_size=3))
+
+
+@st.composite
+def lattice_descriptors(draw):
+    kind = draw(st.sampled_from(["n-window", "zn-window", "quadrant"]))
+    if kind == "n-window":
+        lower, upper = None, draw(st.integers(-2, 12))
+    elif draw(st.booleans()):
+        # aligned axes, upper mostly at or above lower
+        lower = draw(st.lists(lattice_ints, min_size=1, max_size=3))
+        upper = [type(l)(l + draw(st.integers(-1, 3))) for l in lower]
+    else:
+        lower, upper = draw(lattice_bounds), draw(lattice_bounds)
+    desc = {"kind": kind, "upper": upper}
+    if kind == "zn-window":
+        desc["lower"] = lower
+        if draw(st.booleans()):
+            desc["center"] = draw(st.integers(-1, 20))
+    if kind != "n-window" and draw(st.booleans()):
+        desc["norm"] = draw(st.sampled_from(["linf", "l1", "l2", "l3"]))
+    return desc
+
+
+def expected_box(desc):
+    """(lower, upper, norm, center) a lattice descriptor builds, or None."""
+    kind, up = desc["kind"], desc["upper"]
+    norm = "l1" if kind == "n-window" else desc.get("norm", "linf")
+    if kind == "n-window":
+        lower, upper = [0], [int(up)]
+    elif kind == "quadrant":
+        upper = [int(v) for v in up] if isinstance(up, list) else [int(up)] * 2
+        lower = [0] * len(upper)
+    elif isinstance(up, list) and isinstance(desc["lower"], list):
+        lower, upper = [int(v) for v in desc["lower"]], [int(v) for v in up]
+    else:
+        return None
+    if not upper or len(lower) != len(upper) \
+            or any(u < l for l, u in zip(lower, upper)) \
+            or norm not in ("linf", "l1", "l2"):
+        return None
+    origin = [min(max(0, l), u) for l, u in zip(lower, upper)]
+    points = list(itertools.product(*(range(l, u + 1)
+                                      for l, u in zip(lower, upper))))
+    center = desc.get("center", points.index(tuple(origin))) \
+        if kind == "zn-window" else 0
+    if not 0 <= center < len(points):
+        return None
+    return lower, upper, norm, center
+
+
+def model_dist(delta, norm):
+    delta = np.abs(delta)
+    if norm == "linf":
+        return delta.max(axis=-1)
+    if norm == "l1":
+        return delta.sum(axis=-1)
+    # ceil(sqrt(v)) = isqrt(v - 1) + 1 for v >= 1
+    return np.array([math.isqrt(v - 1) + 1 if v else 0
+                     for v in (delta * delta).sum(axis=-1).tolist()])
+
+
+def brute_margins(sp, lower, upper, norm):
+    """One less than the distance from each point to the nearest point of the
+    model lattice (Z^d for a zn-window, N^d otherwise) outside the window."""
+    lower, upper = np.array(lower), np.array(upper)
+    reach = int((upper - lower).max()) + 1
+    offs = np.array(list(itertools.product(range(-reach, reach + 1),
+                                           repeat=len(lower))))
+    out = []
+    for c in sp.coords:
+        pts = c + offs
+        model = np.ones(len(pts), dtype=bool) if sp.kind == "zn-window" \
+            else np.all(pts >= 0, axis=1)
+        outside = np.any((pts < lower) | (pts > upper), axis=1)
+        out.append(int(model_dist(offs[model & outside], norm).min()) - 1)
+    return out
+
+
+class TestOneLatticeWindow:
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_descriptors(), st.integers(-1, 7))
+    def test_descriptor_builds_the_box_or_raises(self, desc, m):
+        box = expected_box(desc)
+        if box is None:
+            with pytest.raises(SpaceError):
+                build_space(desc)
+            return
+        lower, upper, norm, center = box
+        sp = build_space(desc)
+        assert sp.n == math.prod(u - l + 1 for l, u in zip(lower, upper)) >= 1
+        assert sp.center == center and 0 <= sp.center < sp.n
+        assert sp.coords.tolist() == [list(c) for c in itertools.product(
+            *(range(l, u + 1) for l, u in zip(lower, upper)))]
+        assert same_space(sp, build_space(space_to_json(sp)))
+
+        ids = np.arange(sp.n)
+        margins = sp.margin(ids)
+        assert margins.tolist() == [sp.margin(x) for x in ids]
+        assert all(type(sp.margin(x)) is int for x in ids)
+        assert margins.tolist() == brute_margins(sp, lower, upper, norm)
+        assert sp.interior(m).tolist() == [x for x in range(sp.n)
+                                           if margins[x] >= m]
+
+    @settings(max_examples=60, deadline=None)
+    @given(space_descriptors(explicit=True), st.integers(-1, 7))
+    def test_margin_of_an_id_array_is_the_scalar_margins(self, desc, m):
+        sp = build_space(desc)
+        ids = np.arange(sp.n)
+        scalars = [sp.margin(x) for x in ids]
+        assert sp.margin(ids).tolist() == scalars
+        assert sp.margin(ids[::-1][:3]).tolist() == scalars[::-1][:3]
+        assert sp.interior(m).tolist() == [x for x in ids if scalars[x] >= m]
+
+    @pytest.mark.parametrize("desc", [
+        {"kind": "quadrant", "upper": -1},
+        {"kind": "quadrant", "upper": [3, -2]},
+        {"kind": "quadrant", "upper": 2000},
+        {"kind": "n-window", "upper": 500000},
+        {"kind": "zn-window", "lower": [0, 0], "upper": [999, 500]},
+        {"kind": "zn-window", "lower": [0], "upper": [5], "center": -1},
+    ])
+    def test_empty_huge_and_off_center_windows_rejected(self, desc):
+        with pytest.raises(SpaceError):
+            build_space(desc)
+
+    @pytest.mark.parametrize("upper", [np.int64(3), np.int32(3), 3])
+    def test_scalar_quadrant_upper_is_the_square(self, upper):
+        sp = build_space({"kind": "quadrant", "upper": upper})
+        assert sp.n == 16 and sp.params["upper"] == [3, 3]
+        assert same_space(sp, build_space({"kind": "quadrant", "upper": [3, 3]}))
