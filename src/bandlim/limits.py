@@ -75,6 +75,13 @@ class Direction:
 
     @classmethod
     def geometric(cls, space, start, ratio, label=None):
+        """1-d rule: coordinates floor(start * ratio^n) while inside.
+
+        A walk that cannot leave the window (start 0, or |ratio| <= 1) raises.
+        """
+        if start == 0 or abs(ratio) <= 1:
+            raise ExtractError(f"geometric walk from {start} by {ratio} "
+                               f"never leaves the window")
         pts, seen = [], set()
         c = float(start)
         while True:
@@ -89,10 +96,15 @@ class Direction:
 
     @classmethod
     def ray(cls, space, start, step, label=None):
-        """Lattice ray: coordinates start + n * step while inside the window."""
+        """Lattice ray: coordinates start + n * step while inside the window.
+
+        An all-zero step never leaves the window and raises.
+        """
         pts = []
         c = np.asarray(start, dtype=np.int64)
         step = np.asarray(step, dtype=np.int64)
+        if not step.any():
+            raise ExtractError("ray with a zero step never leaves the window")
         while True:
             pid = space.lattice_id(c)
             if pid is None:

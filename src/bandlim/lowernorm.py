@@ -10,6 +10,11 @@ nonzero rows than columns has a kernel, and its lower norm is 0 exactly.
 Every routine extracts restrictions through ``_restricted``, a gather over
 the operator's cached column index.
 
+A dense p = 2 restriction takes its value from LAPACK's values-only SVD and
+its witness from one LU inverse iteration on the Gram matrix, which also
+finds kernel vectors; the tolerance covers the witness's computed quotient.
+No p = 2 route asks an SVD for singular vectors.
+
 The restriction of a real operator (``BandOperator.is_real``) is real, so
 every p = 2 route runs in real arithmetic: its singular values are those over
 the complex numbers, and a real singular vector is a complex witness.  The
@@ -19,14 +24,11 @@ scales every witness so that its first entry of largest modulus is real and
 positive, whichever route found it.
 
 ``nu_s`` restricts witnesses to ball neighborhoods inside F.  The balls that
-``nu`` would solve by dense SVD are screened with one values-only SVD per
-stack of equal-shape restrictions.  The slack e = 8 max(rows, cols) eps
-|sub|_F bounds the gap between LAPACK's values-only and vector-computing
-SVDs, so only a ball whose screen value minus e is at most the least screen
-value plus e can attain the minimum; those balls alone are run again through
-the SVD ``nu`` uses.  The witness and report are built once, by ``nu`` on the
-winning ball.  ``threads`` sizes the pool that runs the SVD stacks and the
-balls that go through ``nu`` one by one.
+``nu`` would solve by dense SVD get their values from one values-only SVD per
+stack of equal-shape restrictions, the same LAPACK call ``nu`` makes, so they
+are ``nu``'s values bitwise.  The witness and report are built once, by
+``nu`` on the winning ball.  ``threads`` sizes the pool that runs the SVD
+stacks and the balls that go through ``nu`` one by one.
 
 ``localization_check`` computes the support bound under which the localized
 value provably sits within delta of the global one, given the sparsifier
@@ -39,6 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.linalg import eigsh
 
@@ -46,7 +49,6 @@ from .operators import OperatorError, Vector, _unfold, schur_bound
 from .space import _grid
 
 _DENSE_COLS = 400        # nu solves by dense SVD up to this many columns
-_SLACK = 8.0             # c in the screen slack c max(rows, cols) eps |sub|_F
 _STACK_BYTES = 1 << 22   # largest stack of restrictions in one SVD call
 
 
@@ -112,16 +114,20 @@ def _witness_vector(A, F, coeffs, p):
 
 
 def _sigma_min(sub):
-    """(value, right singular vector, method) of the smallest singular value.
+    """(value, right singular vector, method, tolerance) of sigma_min.
 
-    Dense LAPACK SVD up to ``_DENSE_COLS`` columns, shift-invert Lanczos on
-    the Gram matrix beyond.  ``sub`` has at least as many rows as columns.
+    Up to ``_DENSE_COLS`` columns: the least value of LAPACK's values-only
+    SVD, and the vector w of ``_inverse_iteration`` at it, whose quotient
+    |sub w| / |w| is computed; the tolerance is max(1e-10, |quotient -
+    value|).  Beyond: shift-invert Lanczos on the Gram matrix, tolerance
+    1e-10.  ``sub`` has at least as many rows as columns.
     """
     if sub.shape[1] > _DENSE_COLS:
         return _sigma_min_iterative(sub)
-    _, s, vh = np.linalg.svd(sub, full_matrices=False)
-    i = int(np.argmin(s))
-    return float(s[i]), vh[i].conj(), "exact-svd"
+    sigma = float(np.linalg.svd(sub, compute_uv=False).min())
+    w = _inverse_iteration(sub, sigma)
+    gap = abs(np.linalg.norm(sub @ w) / np.linalg.norm(w) - sigma)
+    return sigma, w, "exact-svd", max(1e-10, gap)
 
 
 def _sigma_min_iterative(sub):
@@ -141,22 +147,48 @@ def _sigma_min_iterative(sub):
         vals, vecs = eigsh(G, k=1, sigma=shift, which="LM", v0=v0, tol=0)
         method = "iterative-svd-shifted"
     lam = max(float(vals[0]), 0.0)
-    return float(np.sqrt(lam)), vecs[:, 0], method
+    return float(np.sqrt(lam)), vecs[:, 0], method, 1e-10
+
+
+def _inverse_iteration(sub, sigma):
+    """Unit right singular vector of dense ``sub`` for its least value sigma.
+
+    Inverse iteration on the Gram matrix G = sub* sub, shifted just below
+    sigma^2 by 8 n eps |G|_inf (n columns): one LU factorization, then three
+    solves from a fixed-seed random start, as LAPACK's own inverse iteration
+    starts.  At n eps |G|_inf some restrictions gave exactly singular
+    factors; a zero pivot that still occurs is replaced by the shift
+    distance, as LAPACK's ``xLAGTS`` does.  Real ``sub`` gives a real vector.
+    """
+    G = sub.conj().T @ sub
+    n = G.shape[0]
+    dist = 8.0 * n * np.finfo(float).eps * float(np.abs(G).sum(axis=1).max())
+    dist = dist or 1.0                 # G = 0: every vector is a witness
+    G.flat[::n + 1] -= sigma * sigma - dist
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (G,))
+    lu, piv, info = getrf(G, overwrite_a=True)
+    if info > 0:
+        zero = np.flatnonzero(lu.diagonal() == 0)
+        lu[zero, zero] = dist
+    w = np.random.default_rng(0).standard_normal(n)
+    for _ in range(3):
+        w = getrs(lu, piv, w)[0]
+        w /= np.linalg.norm(w)
+    return w
 
 
 def _kernel_vector(sub):
     """Unit vector in the kernel of a restriction with fewer rows than columns.
 
-    The first zero column if there is one, else the last right singular
-    vector of a full dense SVD.
+    The first zero column if there is one, else ``_inverse_iteration`` at
+    sigma = 0.
     """
     zero = np.flatnonzero(np.asarray(abs(sub).sum(axis=0)).ravel() == 0)
     if len(zero):
         vec = np.zeros(sub.shape[1], dtype=np.complex128)
         vec[zero[0]] = 1.0
         return vec
-    dense = sub.toarray() if issparse(sub) else sub
-    return np.linalg.svd(dense)[2][-1].conj()
+    return _inverse_iteration(sub.toarray() if issparse(sub) else sub, 0.0)
 
 
 def _site_norms(flat, k):
@@ -176,8 +208,9 @@ def _nu_descent(A, F, sub, p, restarts=16, max_iter=80):
     singular vector problem); the weights are then refreshed.  At p = 2 the
     weights are constant and the first step is already exact.  Steps that
     fail to decrease the true quotient are damped toward the previous
-    iterate, and the best visited value wins.  The search runs over complex
-    vectors even for a real restriction.
+    iterate, after each step's vector is phase-aligned to it, and the best
+    visited value wins.  The search runs over complex vectors even for a real
+    restriction.
     """
     k = A.block_dim
     m = sub.shape[1]
@@ -207,7 +240,7 @@ def _nu_descent(A, F, sub, p, restarts=16, max_iter=80):
         return v_new / nrm if nrm > 0 else v
 
     starts = []
-    _, warm, _ = _sigma_min(sub)
+    warm = _sigma_min(sub)[1]
     if np.linalg.norm(warm) > 0:
         starts.append(warm / np.linalg.norm(warm))
     j = 0
@@ -225,6 +258,10 @@ def _nu_descent(A, F, sub, p, restarts=16, max_iter=80):
         stall = 0
         for _ in range(max_iter):
             cand = step(v)
+            dot = np.vdot(cand, v)
+            if dot != 0:
+                # phase-align to v, so the damped v + cand is never 0
+                cand = cand * (dot / abs(dot))
             cval = value(cand)
             if cval >= cur - 1e-14:
                 damped = v + cand
@@ -252,10 +289,12 @@ def nu(A, F, p=2.0):
     kernel: its value is 0 exactly, method ``kernel``, and the tolerance is at
     least the computed quotient |Aw|_p / |w|_p of the kernel witness w.
     Otherwise, for p = 2 the smallest singular value of the restricted matrix:
-    dense up to 400 columns, shift-invert Lanczos on the Gram matrix beyond,
-    and method ``iterative-svd-shifted`` where shift-invert at 0 failed and a
-    small negative shift was used; both run in real arithmetic when A is
-    real.  For other exponents a 16-start deterministic descent over the
+    up to 400 columns (``exact-svd``) a values-only dense SVD with an
+    inverse-iteration witness, and a tolerance that covers the witness's
+    computed quotient; shift-invert Lanczos on the Gram matrix
+    beyond, and method ``iterative-svd-shifted`` where shift-invert at 0
+    failed and a small negative shift was used.  Every p = 2 route runs in
+    real arithmetic when A is real.  For other exponents a 16-start deterministic descent over the
     quotient |Av|_p / |v|_p over complex vectors, warm started from the
     p = 2 witness.  The unit witness is scaled so that its first entry of
     largest modulus is real and positive.
@@ -269,8 +308,7 @@ def nu(A, F, p=2.0):
         val, method = 0.0, "kernel"
         tol = max(1e-10, _pnorm(sub @ coeffs, k, p) / _pnorm(coeffs, k, p))
     elif p == 2.0:
-        val, coeffs, method = _sigma_min(sub)
-        tol = 1e-10
+        val, coeffs, method, tol = _sigma_min(sub)
     else:
         val, coeffs = _nu_descent(A, Fs, sub, p)
         method, tol = "optimizer", 1e-6
@@ -325,14 +363,12 @@ def nu_s(A, F, s, p=2.0, threads=1):
 
     Identical restriction sets are computed once.  A restriction with fewer
     rows than columns has value 0 without an SVD.  Restrictions that ``nu``
-    solves by ``exact-svd`` (p = 2, at most 400 columns) are screened by
-    values-only SVDs, one stacked call per chunk of equal shapes; screen and
-    exact values differ by at most the slack e = 8 max(rows, cols) eps
-    |sub|_F.  Those that may attain the minimum within that slack are run
-    again through the stacked SVD ``nu`` itself uses, so their values are
-    bitwise those of ``nu``; every other restriction goes through ``nu``.  The
-    first strict minimum in ascending center order wins, and its report comes
-    from one ``nu`` call on the winning ball (or the call already made).
+    solves by ``exact-svd`` (p = 2, at most 400 columns) take their values
+    from values-only SVDs, one stacked call per chunk of equal shapes: the
+    LAPACK call ``nu`` makes, so the values are bitwise those of ``nu``.  Every
+    other restriction goes through ``nu``.  The first strict minimum in
+    ascending center order wins, and its report comes from one ``nu`` call on
+    the winning ball (or the call already made).
     ``threads`` sizes the pool that runs the SVD chunks and the ``nu`` calls;
     the result is independent of it.
     """
@@ -351,7 +387,7 @@ def nu_s(A, F, s, p=2.0, threads=1):
         seen.add(sub)
         jobs.append((x, tuple(sorted(sub))))
 
-    value = np.full(len(jobs), np.inf)    # exact values where computed
+    value = np.full(len(jobs), np.inf)    # nu's value of each job
     screened = {}                          # shape -> [(job, restriction)]
     direct = []
     for j, (_, ball) in enumerate(jobs):
@@ -365,27 +401,14 @@ def nu_s(A, F, s, p=2.0, threads=1):
 
     def screen(chunk):
         idx, stack = chunk
-        sv = np.linalg.svd(stack, compute_uv=False).min(axis=1)
-        slack = (_SLACK * max(stack.shape[1:]) * np.finfo(float).eps
-                 * np.linalg.norm(stack, axis=(1, 2)))
-        return idx, sv, slack
-
-    def exact(chunk):
-        idx, stack = chunk
-        return idx, np.linalg.svd(stack, full_matrices=False)[1].min(axis=1)
+        return idx, np.linalg.svd(stack, compute_uv=False).min(axis=1)
 
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         run = pool.map if threads > 1 else map
         reports = dict(zip(direct, run(lambda j: nu(A, jobs[j][1], p=p), direct)))
         for j, rep in reports.items():
             value[j] = rep.value
-        low, bound = {}, value.min()
-        for idx, sv, slack in run(screen, _stacks(screened, threads)):
-            low.update(zip(idx, sv - slack))
-            bound = min(bound, float((sv + slack).min()))
-        near = {shape: [(j, sub) for j, sub in group if low[j] <= bound]
-                for shape, group in screened.items()}
-        for idx, sv in run(exact, _stacks(near, threads)):
+        for idx, sv in run(screen, _stacks(screened, threads)):
             value[idx] = sv
 
     j = int(np.argmin(value))

@@ -359,10 +359,8 @@ def _lattice_space(name, kind, params):
         lower, upper, norm = [0], [params["upper"]], "l1"
     else:
         upper = params["upper"]
-        if kind == "quadrant":
-            if np.ndim(upper) == 0:
-                upper = [upper, upper]
-            upper = params["upper"] = np.asarray(upper, dtype=np.int64).tolist()
+        if kind == "quadrant" and np.ndim(upper) == 0:
+            upper = [upper, upper]
         lower = params["lower"] if kind == "zn-window" else np.zeros_like(upper)
         norm = params.setdefault("norm", "linf")
     lower = np.asarray(lower, dtype=np.int64)
@@ -376,6 +374,10 @@ def _lattice_space(name, kind, params):
     if math.prod(u - l + 1 for l, u in zip(lower.tolist(), upper.tolist())) \
             > LATTICE_CAP:
         raise SpaceError(f"lattice window over {LATTICE_CAP} points")
+    # the params keep the bounds as Python ints, so they save as JSON
+    params["upper"] = int(upper[0]) if kind == "n-window" else upper.tolist()
+    if kind == "zn-window":
+        params["lower"] = lower.tolist()
     coords = _grid([np.arange(l, u + 1, dtype=np.int64)
                     for l, u in zip(lower, upper)])
     sp = Space(name, kind, params, len(coords), center=0, coords=coords,

@@ -1,4 +1,5 @@
 import ast
+import signal
 from functools import lru_cache
 
 import numpy as np
@@ -103,6 +104,10 @@ class TestLimitSpace:
             limit_space(sp, d, R=5, tol_count=3)
 
 
+def _timeout(signum, frame):
+    raise TimeoutError("direction walk did not end")
+
+
 class TestDirections:
     def test_arithmetic_rejects_a_2d_window(self):
         sp = build_space({"kind": "quadrant", "upper": 5})
@@ -114,6 +119,36 @@ class TestDirections:
         d = Direction.arithmetic(sp, 2, 7)
         assert d.basepoints == [2, 9, 16]
         assert d.label == "arith:2,7"
+
+    @pytest.mark.parametrize("make", [
+        lambda sp: Direction.arithmetic(sp, 0, 0),
+        lambda sp: Direction.ray(sp, [3], [0]),
+        lambda sp: Direction.geometric(sp, 4, 0.5),
+        lambda sp: Direction.geometric(sp, 4, 1),
+        lambda sp: Direction.geometric(sp, 4, -1),
+        lambda sp: Direction.geometric(sp, 0, 2),
+    ])
+    def test_walk_that_cannot_leave_raises(self, make):
+        # before the guards these walks looped forever; the alarm turns a
+        # regression into a failure instead of a hang
+        sp = build_space({"kind": "n-window", "upper": 10})
+        old = signal.signal(signal.SIGALRM, _timeout)
+        signal.alarm(3)
+        try:
+            with pytest.raises(ExtractError, match="never leaves"):
+                make(sp)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    def test_walks_that_leave_still_build(self):
+        sp = build_space({"kind": "n-window", "upper": 40})
+        assert Direction.geometric(sp, 2, 1.5).basepoints == \
+            [2, 3, 4, 6, 10, 15, 22, 34]
+        assert Direction.ray(sp, [38], [1]).basepoints == [38, 39, 40]
+        z = build_space({"kind": "zn-window", "lower": [-10], "upper": [10]})
+        assert [int(z.coords[b][0]) for b in
+                Direction.geometric(z, 1, -2).basepoints] == [1, -2, 4, -8]
 
     def test_components_needs_a_box_space(self):
         sp = build_space({"kind": "quadrant", "upper": 5})

@@ -120,6 +120,25 @@ class TestNuIdentities:
             exact = nu(A, F, p=2.0).value
             assert abs(val - exact) < 1e-6
 
+    def test_descent_survives_a_negated_warm_start(self):
+        # at p = 2 the first step returns the smallest right singular vector
+        # of the restriction; a warm start of minus that vector once met
+        # v + cand = 0 and damped by 0 / 0
+        sp = build_space({"kind": "n-window", "upper": 29, "name": "n30"})
+        A = random_band(sp, 1, np.random.default_rng(73), density=0.8)
+        F = list(range(20))
+        Fs, _, sub = lowernorm._restricted(A, F)
+        sigma_min = lowernorm._sigma_min
+
+        def negated(sub):
+            val, _, *rest = sigma_min(sub)
+            step = np.linalg.svd(sub, full_matrices=False)[2][-1].conj()
+            return (val, -step, *rest)
+
+        with mock.patch.object(lowernorm, "_sigma_min", negated):
+            val, _ = lowernorm._nu_descent(A, Fs, sub, 2.0)
+        assert abs(val - nu(A, F).value) < 1e-6
+
     def test_brute_oracle_brackets_optimizer(self):
         sp = build_space({"kind": "n-window", "upper": 9, "name": "n10"})
         rng = np.random.default_rng(79)
@@ -533,3 +552,129 @@ class TestRealArithmetic:
         ref = body(nu_s(A, range(sp.n), 3, threads=2))
         monkeypatch.setattr(lowernorm, "_STACK_BYTES", 1)
         assert body(nu_s(A, range(sp.n), 3, threads=2)) == ref
+
+
+def dense_operator(M):
+    """Operator on an n-window whose matrix is the square array M."""
+    sp = build_space({"kind": "n-window", "upper": len(M) - 1})
+    return from_triplets(sp, [(i, j, M[i, j]) for i, j in zip(*np.nonzero(M))])
+
+
+def rounding_slack(rep):
+    # the test recomputes the quotient through apply_operator, whose rounding
+    # differs from the one the tolerance was measured with
+    return 1e-12 * max(1.0, rep.value)
+
+
+class TestDenseWitness:
+    """Values-only SVD for the value, LU inverse iteration for the witness."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(desc=nu_s_spaces, seed=st.integers(0, 2 ** 32 - 1),
+           block_dim=st.sampled_from([1, 2]), prop=st.integers(0, 2),
+           real=st.booleans(), keep=st.floats(0.3, 1.0))
+    def test_value_is_values_only_svd(self, desc, seed, block_dim, prop,
+                                      real, keep):
+        sp = build_space(desc)
+        rng = np.random.default_rng(seed)
+        A = random_band(sp, prop, rng, density=0.6, block_dim=block_dim,
+                        real=real)
+        F = [x for x in range(sp.n) if rng.random() < keep] or [0]
+        rep = nu(A, F)
+        sub = lowernorm._restricted(A, F)[2]
+        if rep.method == "kernel":
+            assert rep.value == 0.0
+            assert quotient(A, rep) <= rep.tolerance + rounding_slack(rep)
+            return
+        assert rep.method == "exact-svd"
+        assert rep.value == np.linalg.svd(sub, compute_uv=False).min()
+        assert rep.tolerance >= 1e-10
+        assert abs(quotient(A, rep) - rep.value) <= \
+            rep.tolerance + rounding_slack(rep)
+
+    def test_p2_never_asks_an_svd_for_vectors(self):
+        sp = build_space({"kind": "n-window", "upper": 60, "name": "n61"})
+        A = random_band(sp, 2, np.random.default_rng(127), density=0.7)
+        C = from_triplets(sp, [(0, 0, 1.0), (0, 1, 2.0)]
+                          + [(x, x, 1.0) for x in range(2, sp.n)])
+        svd, calls = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            calls.append((args, kwargs))
+            return svd(a, *args, **kwargs)
+
+        with mock.patch.object(np.linalg, "svd", spy):
+            assert nu(A, range(sp.n)).method == "exact-svd"
+            assert nu(C, [0, 1]).method == "kernel"      # no zero column
+            nu_s(A, range(sp.n), 3, threads=2)
+            essential_nu(A, [5, 20], threads=2)
+        assert calls
+        assert all(args == () and kwargs == {"compute_uv": False}
+                   for args, kwargs in calls)
+
+    def test_clustered_spectrum_at_dense_limit(self):
+        # 3I - T on 400 points: neighbouring singular values 2e-4 apart
+        sp = build_space({"kind": "n-window", "upper": 399, "name": "n400"})
+        A = three_i_minus_tridiag(sp)
+        rep = nu(A, range(sp.n))
+        assert rep.method == "exact-svd" and rep.tolerance == 1e-10
+        assert abs(rep.value - (3 - 2 * np.cos(np.pi / 401))) < 1e-12
+        assert abs(quotient(A, rep) - rep.value) < 1e-15
+
+    def test_two_equal_columns(self):
+        M = np.eye(300)
+        M[0, 1] = M[1, 0] = 1.0
+        A = dense_operator(M)
+        rep = nu(A, range(300))
+        assert rep.method == "exact-svd" and rep.tolerance == 1e-10
+        assert rep.value < 1e-15
+        assert abs(quotient(A, rep) - rep.value) < 1e-30
+        lead = sorted(np.abs(rep.witness.flat()))[-2:]
+        assert abs(lead[0] - lead[1]) < 1e-15     # (e0 - e1) / sqrt 2
+
+    def test_neumann_kernel_with_small_gram_gap(self):
+        # the path Laplacian on 300 points: kernel the constants, and the
+        # next Gram eigenvalue (pi / 300)^4 = 1.2e-8
+        n = 300
+        M = np.diag([float((x > 0) + (x < n - 1)) for x in range(n)])
+        M -= np.eye(n, k=1) + np.eye(n, k=-1)
+        A = dense_operator(M)
+        rep = nu(A, range(n))
+        assert rep.method == "exact-svd" and rep.tolerance == 1e-10
+        assert rep.value < 1e-15
+        assert abs(quotient(A, rep) - rep.value) < 1e-12
+        vals = rep.witness.flat()
+        assert np.allclose(vals, vals[0], atol=1e-12)
+
+    def test_gram_limit_widens_the_tolerance(self):
+        # sigma_1 = 1e-9 and sigma_2 = 1e-7 next to unit values: their Gram
+        # eigenvalues 1e-18 and 1e-14 sit below the rounding of G, so the
+        # witness mixes the two vectors and the tolerance must say so
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((10, 10)))[0]
+        d = np.ones(10)
+        d[:2] = 1e-9, 1e-7
+        A = dense_operator(Q @ np.diag(d) @ Q.T)
+        rep = nu(A, range(10))
+        gap = abs(quotient(A, rep) - rep.value)
+        assert rep.method == "exact-svd"
+        assert abs(rep.value - 1e-9) < 1e-15
+        assert 1e-9 < gap <= rep.tolerance + rounding_slack(rep)
+        assert rep.tolerance < 1e-6
+
+    def test_zero_pivot_is_perturbed(self):
+        # sigma^2 - 8 n eps |G|_inf is exactly 1, an eigenvalue of G = diag(1, 4)
+        eps = np.finfo(float).eps
+        sigma = np.sqrt(1.0 + 64 * eps)
+        assert sigma * sigma - 64 * eps == 1.0
+        w = lowernorm._inverse_iteration(np.diag([1.0, 2.0]), sigma)
+        assert np.all(np.isfinite(w))
+        assert abs(abs(w[0]) - 1.0) < 1e-12 and abs(w[1]) < 1e-12
+
+    def test_zero_restriction(self):
+        # an explicit zero entry keeps its row: a 1 x 1 zero restriction, G = 0
+        sp = build_space({"kind": "n-window", "upper": 3, "name": "n4"})
+        A = from_triplets(sp, [(0, 0, 0.0), (1, 1, 1.0), (2, 2, 1.0)])
+        rep = nu(A, [0])
+        assert rep.value == 0.0 and rep.method == "exact-svd"
+        assert rep.tolerance == 1e-10
+        assert rep.witness.flat().tolist() == [1.0, 0.0, 0.0, 0.0]

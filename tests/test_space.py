@@ -107,6 +107,22 @@ class TestBuildSpace:
         sp = load_space(path)
         assert sp.kind == quad_window.kind and sp.n == quad_window.n
 
+    @pytest.mark.parametrize("desc", [
+        {"kind": "zn-window", "lower": [np.int64(-2)], "upper": [np.int64(3)]},
+        {"kind": "zn-window", "lower": np.array([-1, 0]),
+         "upper": np.array([2, 2]), "norm": "l1"},
+        {"kind": "n-window", "upper": np.int64(7)},
+        {"kind": "quadrant", "upper": np.int32(4)},
+    ])
+    def test_numpy_bounds_save_and_load(self, tmp_path, desc):
+        sp = build_space(desc)
+        path = tmp_path / "space.json"
+        save_space(path, sp)
+        back = load_space(path)
+        assert same_space(sp, back) and back.n == sp.n
+        assert back.coords.tolist() == sp.coords.tolist()
+        assert back.center == sp.center
+
     def test_same_space_compares_descriptors(self):
         torus = torus_graph(12)
         assert same_space(torus, torus)
