@@ -4,18 +4,22 @@ A band operator is a point-indexed matrix whose nonzero entries sit within a
 fixed distance (the propagation) of the diagonal.  Entries are complex scalars
 or small square blocks of a fixed dimension.  The module provides the algebra
 operations, vector action in weighted p-norms, certified Schur norm bounds,
-and a deterministic power-iteration 2-norm.
+and the exact 2-norm from the top eigenvalue of the banded Gram matrix.
 
 Entries are stored as complex128; ``BandOperator.is_real`` records once
-whether every imaginary part is zero.  The dense route of ``norm2`` then
-takes the SVD of the real matrix, whose singular values are those over the
-complex numbers.
+whether every imaginary part is zero.  ``norm2`` then runs real LAPACK,
+whose eigenvalues are those over the complex numbers.
 """
 
 import numpy as np
+from scipy.linalg import eigvals_banded
 from scipy.sparse import csr_matrix
 
 from .space import same_space
+
+# largest unfolded side of a dense matrix; norm2's band storage holds at
+# most its square in entries
+DENSE_SIDE = 4000
 
 
 class OperatorError(ValueError):
@@ -64,19 +68,23 @@ class BandOperator:
             blocks = blocks.reshape(-1, 1, 1)
         if blocks.shape[1:] != (self.block_dim, self.block_dim):
             raise OperatorError("block shape does not match block_dim")
+        if rows.shape != cols.shape or rows.shape != blocks.shape[:1]:
+            raise OperatorError("rows, cols and blocks differ in length")
+        # ids first: an out-of-range id can collide with another entry's key
+        bad = (rows < 0) | (rows >= space.n) | (cols < 0) | (cols >= space.n)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise OperatorError(
+                f"entry index ({rows[i]}, {cols[i]}) outside the space")
         order = np.lexsort((cols, rows))
         self.rows = rows[order]
         self.cols = cols[order]
         self.blocks = blocks[order]
-        if len(self.rows):
-            key = self.rows * space.n + self.cols
-            if np.any(np.diff(key) == 0):
-                i = int(np.nonzero(np.diff(key) == 0)[0][0])
-                raise OperatorError(
-                    f"duplicate entry at ({self.rows[i]}, {self.cols[i]})")
-            if self.rows.min() < 0 or self.rows.max() >= space.n \
-                    or self.cols.min() < 0 or self.cols.max() >= space.n:
-                raise OperatorError("entry index outside the space")
+        dup = np.diff(self.rows * space.n + self.cols) == 0
+        if np.any(dup):
+            i = int(np.argmax(dup))
+            raise OperatorError(
+                f"duplicate entry at ({self.rows[i]}, {self.cols[i]})")
         self.is_real = not np.any(self.blocks.imag)
         self._csr = None
         self._col_index = None
@@ -112,7 +120,7 @@ class BandOperator:
 
     def to_dense(self):
         nk = self.space.n * self.block_dim
-        if nk > 4000:
+        if nk > DENSE_SIDE:
             raise OperatorError("operator too large for a dense matrix")
         return np.asarray(self.csr().todense())
 
@@ -162,26 +170,21 @@ class Vector:
 def from_triplets(space, triplets, block_dim=1, p=2.0):
     """Build a band operator from (row, col, value) triplets.
 
-    Values are scalars for block_dim 1, else k-by-k arrays.  Duplicate (row,
-    col) pairs and out-of-range ids are rejected.
+    Values are scalars for block_dim 1, else k-by-k arrays.  ``BandOperator``
+    rejects duplicate (row, col) pairs and out-of-range ids.
     """
-    rows, cols, blocks = [], [], []
     k = int(block_dim)
-    for x, y, val in triplets:
-        x, y = int(x), int(y)
-        if x < 0 or x >= space.n or y < 0 or y >= space.n:
-            raise OperatorError(f"entry index ({x}, {y}) outside the space")
-        rows.append(x)
-        cols.append(y)
-        b = np.asarray(val, dtype=np.complex128)
-        if k == 1 and b.ndim == 0:
-            b = b.reshape(1, 1)
-        if b.shape != (k, k):
-            raise OperatorError(f"entry at ({x}, {y}) has wrong block shape")
-        blocks.append(b)
-    if not rows:
-        return BandOperator(space, [], [], np.zeros((0, k, k)), block_dim=k, p=p)
-    return BandOperator(space, rows, cols, np.stack(blocks), block_dim=k, p=p)
+    bad = f"triplets are not (row, col, {k}-by-{k} block) entries"
+    try:
+        rows, cols, vals = list(zip(*triplets, strict=True)) or ((), (), ())
+        blocks = np.asarray(vals, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise OperatorError(bad) from exc
+    if blocks.size == 0 or (k == 1 and blocks.ndim == 1):
+        blocks = blocks.reshape(-1, k, k)
+    if blocks.shape != (len(vals), k, k):
+        raise OperatorError(bad)
+    return BandOperator(space, rows, cols, blocks, block_dim=k, p=p)
 
 
 def identity(space, block_dim=1, p=2.0):
@@ -291,39 +294,29 @@ def schur_bound(A: BandOperator, p=2.0) -> float:
     return float(min(interp, basic))
 
 
-def norm2(A: BandOperator, rtol=1e-10, max_iter=10000, method="auto") -> float:
-    """Largest singular value (p = 2 operator norm).
+def norm2(A: BandOperator) -> float:
+    """Largest singular value (p = 2 operator norm), exact up to rounding.
 
-    ``method='power'`` runs deterministic power iteration on A*A from the
-    normalized all-ones vector, stopping when the eigenvalue estimate moves by
-    less than rtol relatively; it raises after max_iter without convergence.
-    ``'auto'`` uses a dense SVD for small operators (the iteration cap makes
-    rtol unreachable when the top of the spectrum clusters) and power
-    iteration beyond.  The dense SVD runs in real arithmetic when A is real.
+    The square root of the top eigenvalue of the Gram matrix G = A*A, held
+    in LAPACK lower band storage (its band is the widest row - column offset
+    of a nonzero entry), in real arithmetic when A is real.  Raises when the
+    storage would exceed DENSE_SIDE**2 entries, the size of the largest
+    dense matrix.
     """
-    nk = A.space.n * A.block_dim
     if A.nnz == 0:
         return 0.0
-    if method == "auto":
-        method = "dense" if nk <= 600 else "power"
-    if method == "dense":
-        dense = A.to_dense()
-        return float(np.linalg.norm(dense.real if A.is_real else dense, 2))
-    M = A.csr()
-    v = np.ones(nk, dtype=np.complex128) / np.sqrt(nk)
-    lam_prev = -1.0
-    for _ in range(max_iter):
-        w = M @ v
-        u = (w.conj() @ M).conj()
-        lam = float(np.real(np.vdot(v, u)))
-        nu_ = np.linalg.norm(u)
-        if nu_ == 0:
-            return 0.0
-        v = u / nu_
-        if lam_prev >= 0 and abs(lam - lam_prev) <= rtol * max(lam, 1e-300):
-            return float(np.sqrt(max(lam, 0.0)))
-        lam_prev = lam
-    raise OperatorError(f"norm2 power iteration did not converge in {max_iter} steps")
+    M = A.csr().real if A.is_real else A.csr()
+    G = (M.conj().T @ M).tocoo()
+    low = G.row >= G.col
+    r, c, v = G.row[low], G.col[low], G.data[low]
+    band = int((r - c).max(initial=0))
+    nk = M.shape[0]
+    if (band + 1) * nk > DENSE_SIDE ** 2:
+        raise OperatorError(f"Gram band {band} too wide for {nk} unfolded columns")
+    ab = np.zeros((band + 1, nk), dtype=v.dtype)
+    ab[r - c, c] = v
+    top = eigvals_banded(ab, lower=True, select="i", select_range=(nk - 1, nk - 1))
+    return float(np.sqrt(max(top[0], 0.0)))
 
 
 # -- operator files ------------------------------------------------------------

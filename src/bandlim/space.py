@@ -26,10 +26,10 @@ and balls of the space, and an interior-margin notion used to discard
 truncation artifacts near the window boundary.
 
 Every isometry search runs through one backtracker, ``_isometries``, which
-yields the pointed isometries in lexicographic order; ``match_windows``,
-``match_ball_exact`` and ``pointed_isometric`` take its first one.  Equal
-canonical ``ball_template`` matrices need no search at all: the balls are
-pointed isometric and the template's id list is the least isometry.
+yields the pointed isometries in lexicographic order; ``match_ball_exact``
+and ``pointed_isometric`` take its first one.  Equal canonical
+``ball_template`` matrices need no search at all: the balls are pointed
+isometric and the template's id list is the least isometry.
 """
 
 from dataclasses import dataclass
@@ -52,17 +52,6 @@ LATTICE_KINDS = ("zn-window", "n-window", "quadrant")
 GROUP_KINDS = ("zn-window", "box-cycles")
 DENSE_CAP = 1500
 LATTICE_CAP = 500000
-
-
-@dataclass(frozen=True)
-class SubsetIsometry:
-    """Distance-preserving bijection from a labeled template onto its image."""
-
-    source: tuple      # template labels, in label order
-    target: tuple      # image point ids, aligned with source
-
-    def as_dict(self):
-        return dict(zip(self.source, self.target))
 
 
 @dataclass
@@ -245,18 +234,11 @@ class Space:
     def _compute_growth(self, r):
         if self._matrix is not None:
             return int((self._matrix <= r).sum(axis=1).max())
-        if self.kind in LATTICE_KINDS:
-            spans = (self.upper - self.lower).astype(np.int64)
-            if self.norm == "linf":
-                out = 1
-                for s in spans:
-                    out *= min(2 * r + 1, int(s) + 1)
-                return int(out)
-            # non-separable norms: scan ball sizes over all window points
-            best = 0
-            for x in range(self.n):
-                best = max(best, len(self.ball(x, r)))
-            return best
+        if self.coords is not None:
+            # along every axis line the clipped ball count is concave and
+            # symmetric about the box midpoint, so the midpoint ball is largest
+            mid = self.lattice_id((self.lower + self.upper) // 2)
+            return len(self.ball(mid, r))
         if self.kind == "box-cycles":
             ci, res, mod = self.components
             mods = [int(k) for k in self.params["moduli"]]
@@ -543,30 +525,6 @@ def _isometries(tdist, base, bdist, center_pos):
             continue
         used[p] = True
         k += 1
-
-
-def match_windows(space, template, candidates):
-    """Match a pointed template into candidate balls of the space.
-
-    For each ``(center, radius)`` pair, searches for a distance-preserving
-    injection of the template into the ball ``B(center, radius)`` that sends
-    the template basepoint to the center.  The lexicographically least image
-    sequence (in template label order, ids ascending) is returned as a
-    SubsetIsometry; None marks candidates with no match.
-    """
-    out = []
-    for center, radius in candidates:
-        ball = space.ball(center, radius)
-        bdist = space.pairwise(ball, ball)
-        center_pos = int(np.searchsorted(ball, center))
-        img = next(_isometries(template.dist, template.base, bdist, center_pos),
-                   None)
-        if img is None:
-            out.append(None)
-        else:
-            out.append(SubsetIsometry(tuple(range(template.size)),
-                                      tuple(int(ball[p]) for p in img)))
-    return out
 
 
 def ball_template(space, center, radius):

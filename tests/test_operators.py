@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from bandlim.space import build_space, same_space
 from bandlim.operators import (
     BandOperator, OperatorError, Vector, from_triplets, identity, multiplier,
     compose, add, scale, subtract, adjoint, apply_operator, schur_bound, norm2,
-    save_operator, load_operator, _from_csr,
+    save_operator, load_operator, _from_csr, DENSE_SIDE,
 )
 
 from conftest import random_band, shift_operator, torus_graph, tridiagonal
@@ -35,6 +37,38 @@ class TestConstruction:
     def test_bad_index_rejected(self, nat_window):
         with pytest.raises(OperatorError, match="outside"):
             from_triplets(nat_window, [(0, 999, 1.0)])
+
+    def test_bad_index_checked_before_duplicates(self, nat_window):
+        # row * n + col keys of (0, n) and (1, 0) collide
+        n = nat_window.n
+        with pytest.raises(OperatorError, match=rf"\(0, {n}\) outside"):
+            BandOperator(nat_window, [0, 1], [n, 0], [1.0, 2.0])
+
+    def test_misaligned_arrays_rejected(self, nat_window):
+        with pytest.raises(OperatorError, match="differ in length"):
+            BandOperator(nat_window, [0, 1], [0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("values, k", [
+        ([1.0, np.eye(2)], 1),                  # ragged
+        ([np.eye(2), np.eye(3)], 2),            # ragged blocks
+        ([1.0, 2.0], 2),                        # scalars for 2-by-2 blocks
+        ([np.eye(2), np.eye(2)], 1),            # blocks for scalars
+        ([np.ones((2, 3)), np.ones((2, 3))], 2),
+        (["a", 1.0], 1),
+    ])
+    def test_bad_values_rejected(self, nat_window, values, k):
+        trip = [(x, x, v) for x, v in enumerate(values)]
+        with pytest.raises(OperatorError, match="block"):
+            from_triplets(nat_window, trip, block_dim=k)
+
+    @pytest.mark.parametrize("trip", [
+        [(0, 0, 1.0), (1, 1, 2.0, 3.0)],        # a stray fourth field
+        [(0, 0, 1.0, 3.0), (1, 1, 2.0, 3.0)],
+        [(0, 0)],
+    ])
+    def test_bad_triplets_rejected(self, nat_window, trip):
+        with pytest.raises(OperatorError, match="triplets"):
+            from_triplets(nat_window, trip)
 
 
 class TestAlgebra:
@@ -178,8 +212,16 @@ class TestNorms:
         T = tridiagonal(sp)
         expected = np.abs(np.linalg.eigvalsh(T.to_dense().real)).max()
         assert abs(expected - 2 * np.cos(np.pi / 101)) < 1e-12
-        assert abs(norm2(T, method="power") - expected) < 1e-7
-        assert abs(norm2(T, method="dense") - expected) < 1e-12
+        assert abs(norm2(T) - expected) < 1e-12
+
+    def test_norm2_neumann_laplacian(self):
+        # the all-ones vector spans the kernel; the top is 2 - 2 cos(999 pi / n)
+        n = 1000
+        sp = build_space({"kind": "n-window", "upper": n - 1})
+        trip = [(x, x, float((x > 0) + (x < n - 1))) for x in range(n)]
+        trip += [t for x in range(n - 1) for t in ((x, x + 1, -1.0), (x + 1, x, -1.0))]
+        want = 2 - 2 * math.cos(999 * math.pi / n)
+        assert abs(norm2(from_triplets(sp, trip)) - want) <= 1e-13 * want
 
     def test_norm2_rank_one(self, nat_window):
         A = from_triplets(nat_window, [(0, 0, 1.0)])
@@ -188,10 +230,15 @@ class TestNorms:
     def test_norm2_zero(self, nat_window):
         assert norm2(from_triplets(nat_window, [])) == 0.0
 
-    def test_norm2_nonconvergence_raises(self, nat_window):
-        T = tridiagonal(nat_window)
-        with pytest.raises(OperatorError, match="converge"):
-            norm2(T, method="power", max_iter=2)
+    def test_norm2_band_too_wide_rejected(self):
+        # entries (0, 0) and (0, n - 1) give A*A the full band of n columns
+        n = DENSE_SIDE ** 2 // 1000
+        sp = build_space({"kind": "n-window", "upper": n - 1})
+        A = from_triplets(sp, [(0, 0, 1.0), (0, n - 1, 1.0)])
+        with pytest.raises(OperatorError, match="too wide"):
+            norm2(A)
+        assert norm2(from_triplets(sp, [(0, 0, 1.0), (n - 1, 0, 1.0)])) \
+            == pytest.approx(math.sqrt(2), rel=1e-15)
 
     def test_norm2_below_schur_random(self, quad_window):
         rng = np.random.default_rng(43)
@@ -238,6 +285,8 @@ BAND_SPACES = [
     {"kind": "box-cycles", "moduli": [5, 8], "cross_distance": 4},
     {"kind": "graph", "n": 9,
      "edges": [[i, (i + 1) % 9] for i in range(9)] + [[0, 4], [2, 7]]},
+    {"kind": "explicit", "matrix": [[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1],
+                                    [2, 2, 1, 0]]},
 ]
 
 
@@ -275,3 +324,39 @@ class TestBandProperties:
         expected = BandOperator(sp, A.rows[live], A.cols[live], blocks[live],
                                 block_dim=k, p=A.p)
         assert _from_csr(sp, A.csr(), k, A.p) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_operators())
+    def test_norm2_is_the_dense_norm(self, A):
+        dense = np.linalg.norm(A.to_dense(), 2)
+        assert abs(norm2(A) - dense) <= 1e-12 * dense
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_operators(), st.data())
+    def test_from_triplets_is_the_entry_loop(self, A, data):
+        perm = data.draw(st.permutations(range(A.nnz)))
+        vals = A.blocks[:, 0, 0] if A.block_dim == 1 else A.blocks
+        trip = [(int(A.rows[i]), int(A.cols[i]), vals[i]) for i in perm]
+        assert from_triplets(A.space, trip, A.block_dim) \
+            == reference_from_triplets(A.space, trip, A.block_dim) == A
+
+
+def reference_from_triplets(space, triplets, block_dim=1, p=2.0):
+    """The per-triplet loop ``from_triplets`` once ran, kept as an oracle."""
+    rows, cols, blocks = [], [], []
+    k = int(block_dim)
+    for x, y, val in triplets:
+        x, y = int(x), int(y)
+        if x < 0 or x >= space.n or y < 0 or y >= space.n:
+            raise OperatorError(f"entry index ({x}, {y}) outside the space")
+        rows.append(x)
+        cols.append(y)
+        b = np.asarray(val, dtype=np.complex128)
+        if k == 1 and b.ndim == 0:
+            b = b.reshape(1, 1)
+        if b.shape != (k, k):
+            raise OperatorError(f"entry at ({x}, {y}) has wrong block shape")
+        blocks.append(b)
+    if not rows:
+        return BandOperator(space, [], [], np.zeros((0, k, k)), block_dim=k, p=p)
+    return BandOperator(space, rows, cols, np.stack(blocks), block_dim=k, p=p)

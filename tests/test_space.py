@@ -8,7 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from bandlim.space import (
-    SpaceError, Template, build_space, match_windows, ball_template,
+    SpaceError, Template, build_space, ball_template,
     match_ball_exact, pointed_isometric, save_space, load_space,
     _check_metric_matrix, _isometries, same_space, space_to_json,
 )
@@ -199,24 +199,34 @@ def brute_pointed_embedding(space, template, center, radius):
     return best
 
 
+def first_embedding(space, template, center, radius):
+    """First pointed embedding ``_isometries`` finds in a ball, as ids."""
+    ball = space.ball(center, radius)
+    bdist = space.pairwise(ball, ball)
+    img = next(_isometries(template.dist, template.base, bdist,
+                           int(np.searchsorted(ball, center))), None)
+    return None if img is None else tuple(int(ball[p]) for p in img)
+
+
 class TestMatching:
     def test_path_template_lex_least(self, nat_window):
         tdist = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
         template = Template(tdist)
-        [iso] = match_windows(nat_window, template, [(10, 3)])
+        iso = first_embedding(nat_window, template, 10, 3)
         oracle = brute_pointed_embedding(nat_window, template, 10, 3)
-        assert iso.target == oracle
-        assert iso.target == (10, 9, 7)
+        assert iso == oracle
+        assert iso == (10, 9, 7)
 
     def test_single_point_maps_to_center(self, nat_window):
         template = Template(np.zeros((1, 1), dtype=int))
-        [iso] = match_windows(nat_window, template, [(17, 2)])
-        assert iso.target == (17,)
+        assert first_embedding(nat_window, template, 17, 2) == (17,)
+        assert brute_pointed_embedding(nat_window, template, 17, 2) == (17,)
 
     def test_diameter_obstruction_absent(self, nat_window):
         tdist = np.array([[0, 7], [7, 0]])
-        [res] = match_windows(nat_window, tdist_template(tdist), [(25, 3)])
-        assert res is None
+        assert first_embedding(nat_window, tdist_template(tdist), 25, 3) is None
+        assert brute_pointed_embedding(nat_window, tdist_template(tdist), 25, 3) \
+            is None
 
     def test_match_preserves_distances_random(self, quad_window):
         rng = np.random.default_rng(7)
@@ -224,9 +234,9 @@ class TestMatching:
             center = int(rng.integers(0, quad_window.n))
             radius = int(rng.integers(1, 4))
             template, ids = ball_template(quad_window, center, radius)
-            [iso] = match_windows(quad_window, template, [(center, radius)])
+            iso = first_embedding(quad_window, template, center, radius)
             assert iso is not None
-            targets = np.array(iso.target)
+            targets = np.array(iso)
             got = quad_window.pairwise(targets, targets)
             assert np.array_equal(got, template.dist)
 
@@ -585,6 +595,17 @@ def brute_margins(sp, lower, upper, norm):
 
 
 class TestOneLatticeWindow:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_growth_is_the_midpoint_ball(self, data):
+        dims = data.draw(st.integers(1, 3))
+        lower = [data.draw(st.integers(-3, 0)) for _ in range(dims)]
+        upper = [l + data.draw(st.integers(0, 6 if dims < 3 else 4)) for l in lower]
+        sp = build_space({"kind": "zn-window", "lower": lower, "upper": upper,
+                          "norm": data.draw(norms)})
+        for r in range(7):
+            assert sp.growth(r) == brute_growth(sp, r)
+
     @settings(max_examples=200, deadline=None)
     @given(lattice_descriptors(), st.integers(-1, 7))
     def test_descriptor_builds_the_box_or_raises(self, desc, m):
