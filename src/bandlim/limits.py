@@ -318,15 +318,11 @@ def _certify_windows(windows, tol, tail):
 
 
 def _window_matrix(A, ids):
-    """Unfolded matrix of A compressed to the listed points, in that order."""
-    k = A.block_dim
-    m = len(ids)
-    pos = np.full(A.space.n, -1, dtype=np.int64)
-    pos[np.asarray(ids, dtype=np.int64)] = np.arange(m)
-    i, j = pos[A.rows], pos[A.cols]
-    hit = (i >= 0) & (j >= 0)
+    """Unfolded matrix of A on the listed points, in order, from ``A.entries``."""
+    k, m = A.block_dim, len(ids)
+    pos, i, j = A.entries(ids, ids)
     out = np.zeros((m, k, m, k), dtype=np.complex128)
-    out[i[hit], :, j[hit], :] = A.blocks[hit]
+    out[i, :, j, :] = A.blocks[pos]
     return out.reshape(m * k, m * k)
 
 

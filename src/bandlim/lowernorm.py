@@ -7,8 +7,8 @@ smallest singular value of the restricted matrix; for other exponents a
 deterministic multi-start descent is used and tagged as such, with a brute
 force grid oracle available in small dimension.  A restriction with fewer
 nonzero rows than columns has a kernel, and its lower norm is 0 exactly.
-Every routine extracts restrictions through ``_restricted``, a gather over
-the operator's cached column index.
+Every routine extracts restrictions through ``_restricted``, which takes the
+entries of a column set from ``BandOperator.entries``.
 
 A dense p = 2 restriction takes its value from LAPACK's values-only SVD and
 its witness from one LU inverse iteration on the Gram matrix, which also
@@ -79,26 +79,21 @@ class NuReport:
 
 
 def _restricted(A, F):
-    """Column restriction of A to F with zero rows trimmed.
+    """Column restriction of A to the set F with zero rows trimmed.
 
-    Returns (F, row_ids, sub): F sorted, row_ids the points whose row holds an
-    entry in a column of F, and the unfolded restricted matrix, dense up to
-    ``_DENSE_COLS`` columns and CSR beyond.  The entries are gathered through
-    ``A.col_index()``.  Dropping all-zero rows leaves the singular values
+    Returns (F, row_ids, sub): F sorted without repeats, row_ids the points
+    whose row holds an entry in a column of F, and the unfolded restricted
+    matrix, dense up to ``_DENSE_COLS`` columns and CSR beyond.  The entries
+    come from ``A.entries(F)``, which raises ``OperatorError`` for an id
+    outside the space.  Dropping all-zero rows leaves the singular values
     unchanged.  The matrix is float64 when A is real, complex128 otherwise.
     """
-    F = np.asarray(sorted(int(x) for x in F), dtype=np.int64)
+    F = np.unique(np.fromiter(F, dtype=np.int64))
     k = A.block_dim
-    order, ptr = A.col_index()
-    counts = ptr[F + 1] - ptr[F]
-    ends = np.cumsum(counts)
-    pos = order[np.arange(int(counts.sum()))
-                + np.repeat(ptr[F] - ends + counts, counts)]
-    rows = A.rows[pos]
+    pos, rows, cols = A.entries(F)
     row_ids = np.unique(rows)
     blocks = A.blocks[pos].real if A.is_real else A.blocks[pos]
-    r, c, v = _unfold(np.searchsorted(row_ids, rows),
-                      np.repeat(np.arange(len(F)), counts), blocks)
+    r, c, v = _unfold(np.searchsorted(row_ids, rows), cols, blocks)
     shape = (len(row_ids) * k, len(F) * k)
     if shape[1] > _DENSE_COLS:
         return F, row_ids, csr_matrix((v, (r, c)), shape=shape)
@@ -500,7 +495,6 @@ def essential_nu(A, exclusion_radii, p=2.0, threads=1):
     space = A.space
     inter = [int(x) for x in space.interior(A.propagation)]
     center_row = space.row(space.center)
-    out = []
 
     def work(r):
         F = [x for x in inter if center_row[x] > r]
@@ -509,14 +503,9 @@ def essential_nu(A, exclusion_radii, p=2.0, threads=1):
         return nu(A, F, p=p)
 
     radii = [float(r) for r in exclusion_radii]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reps = list(pool.map(work, radii))
-    else:
-        reps = [work(r) for r in radii]
-    for r, rep in zip(radii, reps):
-        out.append((r, rep))
-    return out
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        run = pool.map if threads > 1 else map
+        return list(zip(radii, run(work, radii)))
 
 
 def witness_cascade(A, delta_schedule, s_schedule, p=2.0, F=None):

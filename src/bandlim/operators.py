@@ -105,18 +105,39 @@ class BandOperator:
             self._csr = csr_matrix((v, (r, c)), shape=(nk, nk))
         return self._csr
 
-    def col_index(self):
-        """Column-ordered view of the entries; cached.
+    def _ids(self, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        bad = ids[(ids < 0) | (ids >= self.space.n)]
+        if len(bad):
+            raise OperatorError(f"point id {bad[0]} outside the space")
+        return ids
 
-        Returns (order, ptr): ``order`` is a stable argsort of ``cols``, and
-        the entries of column y are ``order[ptr[y]:ptr[y + 1]]``, in row order.
+    def entries(self, cols, rows=None):
+        """The entries in the listed columns (and rows): (pos, i, j).
+
+        ``pos`` indexes the stored entries; ``j`` is the index of each
+        entry's column in ``cols``, and ``i`` that of its row in ``rows``, or
+        the row id when rows is None.  Entries come column by column in the
+        order of ``cols``, by row within a column.  The gather reads a cached
+        column index; an id outside the space raises ``OperatorError``.
         """
         if self._col_index is None:
-            order = np.argsort(self.cols, kind="stable")
             counts = np.bincount(self.cols, minlength=self.space.n)
-            ptr = np.concatenate(([0], np.cumsum(counts)))
-            self._col_index = (order, ptr)
-        return self._col_index
+            self._col_index = (np.argsort(self.cols, kind="stable"),
+                               np.concatenate(([0], np.cumsum(counts))))
+        order, ptr = self._col_index
+        cols = self._ids(cols)
+        counts = ptr[cols + 1] - ptr[cols]
+        ends = np.cumsum(counts)
+        pos = order[np.arange(int(counts.sum()))
+                    + np.repeat(ptr[cols] - ends + counts, counts)]
+        i, j = self.rows[pos], np.repeat(np.arange(len(cols)), counts)
+        if rows is not None:
+            where = np.full(self.space.n, -1, dtype=np.int64)
+            where[self._ids(rows)] = np.arange(len(rows))
+            i = where[i]
+            pos, i, j = pos[i >= 0], i[i >= 0], j[i >= 0]
+        return pos, i, j
 
     def to_dense(self):
         nk = self.space.n * self.block_dim

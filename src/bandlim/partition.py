@@ -201,17 +201,6 @@ def _validate_sparsification(space, sp):
 _SWEEP_POINTS = 32
 
 
-def _row_sums(mat):
-    """Sum of each CSR row's stored values, added one by one in column order."""
-    counts = np.diff(mat.indptr)
-    total = np.zeros(mat.shape[0])
-    rows = np.arange(mat.shape[0])
-    for j in range(counts.max(initial=0)):
-        rows = rows[counts[rows] > j]
-        total[rows] += mat.data[mat.indptr[rows] + j]
-    return total
-
-
 @dataclass
 class PPartition:
     """Metric p-partition of unity with measured variation.
@@ -270,7 +259,8 @@ class PPartition:
             xs, ys = np.concatenate(xs), np.concatenate(ys)
             if not len(xs):
                 continue
-            gaps = _row_sums(abs(phi[ys] - phi[xs]).power(self.p))
+            # CSR mat-vec adds each row's stored values one by one from 0
+            gaps = abs(phi[ys] - phi[xs]).power(self.p) @ np.ones(phi.shape[1])
             np.maximum.at(worst, space.pair_dist(xs, ys), gaps)
         eps = np.maximum.accumulate(worst[1:]) ** (1.0 / self.p)
         for r in range(1, r_max + 1):
@@ -337,7 +327,9 @@ def make_partition(space, scale, p=2.0):
     if not counts.all():
         x = int(np.argmin(counts))
         raise SpaceError(f"net does not cover point {x} at this scale")
-    bumps.data /= np.repeat(_row_sums(bumps.power(p)) ** (1.0 / p), counts)
+    # CSR mat-vec adds each row's stored values one by one from 0
+    mass = bumps.power(p) @ np.ones(len(centers))
+    bumps.data /= np.repeat(mass ** (1.0 / p), counts)
 
     part = PPartition(space=space, centers=centers, scale=L, p=float(p),
                       bumps=bumps, multiplicity=int(counts.max()),
@@ -362,7 +354,8 @@ def average(A: BandOperator, part: PPartition) -> BandOperator:
     _check_space(part.space, A)
     left = part.bumps[A.rows]
     left.data **= part.p - 1.0       # p / q for the conjugate exponent q
-    coeff = _row_sums(left.multiply(part.bumps[A.cols]))
+    # CSR mat-vec adds each row's stored values one by one from 0
+    coeff = left.multiply(part.bumps[A.cols]) @ np.ones(len(part.centers))
     keep = coeff != 0
     if not keep.any():
         return from_triplets(A.space, [], block_dim=A.block_dim, p=A.p)

@@ -85,6 +85,45 @@ class TestNu:
         assert abs(rep.value - dense_val) < 1e-9
 
 
+class TestColumnSet:
+    """Every lower-norm routine reads F as a set of point ids of the space."""
+
+    def operator(self):
+        return three_i_minus_tridiag(build_space(
+            {"kind": "n-window", "upper": 9, "name": "n10set"}))
+
+    def test_repeated_id_counts_once(self):
+        A = self.operator()
+        rep, once = nu(A, [3, 3, 4]), nu(A, [3, 4])
+        assert abs(rep.value - np.sqrt(5.0)) < 1e-12
+        assert rep.subset == once.subset == (3, 4)
+        assert body(rep) == body(once)
+
+    @pytest.mark.parametrize("x", [-2, 10])
+    def test_id_outside_the_space_raises(self, x):
+        A = self.operator()
+        with pytest.raises(OperatorError, match=f"point id {x} outside"):
+            nu(A, [x])
+        with pytest.raises(OperatorError, match=f"point id {x} outside"):
+            nu(A, [3, x])
+        with pytest.raises(OperatorError, match=f"point id {x} outside"):
+            nu_brute(A, [x], 2.0, samples=100)
+
+    @pytest.mark.parametrize("F", [
+        {3, 4}, frozenset({4, 3}), (4, 3), range(3, 5),
+        np.array([4, 3], dtype=np.int32), np.array([4, 3, 4]),
+    ])
+    def test_every_iterable_is_the_sorted_list(self, F):
+        A = self.operator()
+        assert body(nu(A, F)) == body(nu(A, [4, 3]))
+        assert body(nu(A, F, p=3.0)) == body(nu(A, [3, 4], p=3.0))
+
+    def test_brute_oracle_drops_repeats(self):
+        A = self.operator()
+        assert nu_brute(A, [4, 3, 3], 2.0, samples=400)[0] \
+            == nu_brute(A, [3, 4], 2.0, samples=400)[0]
+
+
 class TestNuIdentities:
     def test_inverse_norm_identity(self):
         sp = build_space({"kind": "n-window", "upper": 39, "name": "n40"})

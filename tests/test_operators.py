@@ -340,6 +340,40 @@ class TestBandProperties:
         assert from_triplets(A.space, trip, A.block_dim) \
             == reference_from_triplets(A.space, trip, A.block_dim) == A
 
+    @settings(max_examples=80, deadline=None)
+    @given(band_operators(), st.data())
+    def test_entries_is_the_entry_mask(self, A, data):
+        n = A.space.n
+        cols = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+        rows = None
+        if data.draw(st.booleans()):
+            perm = data.draw(st.permutations(range(n)))
+            rows = perm[:data.draw(st.integers(0, n - 1))]
+        pos, i, j = A.entries(cols, rows)
+        assert pos.dtype == i.dtype == j.dtype == np.int64
+        assert list(zip(pos, i, j)) == reference_entries(A, cols, rows)
+
+    @pytest.mark.parametrize("cols, rows", [
+        ([-1], None), ([3, 13], None), ([0], [13]), ([0], [2, -1]),
+    ])
+    def test_entries_rejects_ids_outside_the_space(self, cols, rows):
+        A = tridiagonal(build_space(BAND_SPACES[0]))
+        with pytest.raises(OperatorError, match="outside the space"):
+            A.entries(cols, rows)
+
+
+def reference_entries(A, cols, rows=None):
+    """(pos, i, j) of the entries in cols (and rows), by a mask over every entry."""
+    out = []
+    for j, y in enumerate(cols):
+        for pos in np.flatnonzero(A.cols == y):    # stored by row within y
+            x = int(A.rows[pos])
+            if rows is None:
+                out.append((pos, x, j))
+            elif x in rows:
+                out.append((pos, list(rows).index(x), j))
+    return out
+
 
 def reference_from_triplets(space, triplets, block_dim=1, p=2.0):
     """The per-triplet loop ``from_triplets`` once ran, kept as an oracle."""

@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 from bandlim import partition
 from bandlim.space import LATTICE_KINDS, build_space
@@ -469,3 +470,37 @@ class TestDenseReference:
             assert np.max(np.abs(op.to_dense() - plain)) <= 1e-13
             op, _ = weighted_sum(part, locals_, mode="commutator", A=A, M=1.0)
             assert np.max(np.abs(op.to_dense() - comm)) <= 1e-13
+
+
+def reference_row_sums(mat):
+    """The loop partition once used for CSR row sums, kept as an oracle.
+
+    Each row's stored values are added one by one, in storage order, from 0.
+    """
+    counts = np.diff(mat.indptr)
+    total = np.zeros(mat.shape[0])
+    rows = np.arange(mat.shape[0])
+    for j in range(counts.max(initial=0)):
+        rows = rows[counts[rows] > j]
+        total[rows] += mat.data[mat.indptr[rows] + j]
+    return total
+
+
+@st.composite
+def csr_matrices(draw):
+    """CSR matrices with empty rows, unsorted indices and spread magnitudes."""
+    m, n = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    counts = rng.integers(0, n + 1, size=m) * (rng.random(m) > 0.3)
+    indices = np.concatenate([rng.permutation(n)[:c] for c in counts] + [[]])
+    data = rng.standard_normal(len(indices)) * 10.0 ** rng.integers(-8, 9, len(indices))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return csr_matrix((data, indices.astype(np.int64), indptr), shape=(m, n))
+
+
+class TestRowSums:
+    @settings(max_examples=200, deadline=None)
+    @given(csr_matrices())
+    def test_matvec_with_ones_is_the_row_loop(self, mat):
+        got = mat @ np.ones(mat.shape[1])
+        assert got.tobytes() == reference_row_sums(mat).tobytes()
