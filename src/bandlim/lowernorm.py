@@ -10,10 +10,19 @@ nonzero rows than columns has a kernel, and its lower norm is 0 exactly.
 Every routine extracts restrictions through ``_restricted``, which takes the
 entries of a column set from ``BandOperator.entries``.
 
-A dense p = 2 restriction takes its value from LAPACK's values-only SVD and
-its witness from one LU inverse iteration on the Gram matrix, which also
-finds kernel vectors; the tolerance covers the witness's computed quotient.
-No p = 2 route asks an SVD for singular vectors.
+The p = 2 route is picked by column count: a restriction of at most
+``_DENSE_MAX`` columns is solved dense, a wider one banded, by one rule that
+``nu`` and the ``nu_s`` screen share.  A dense restriction sub takes its
+value from LAPACK's values-only SVD and its witness from one LU inverse
+iteration on the Gram matrix G = sub* sub, which also finds kernel vectors;
+the tolerance covers the witness's computed quotient.  A banded one holds G
+in LAPACK band storage (``operators.gram_band``, which ``norm2`` also
+reads): the least eigenvalue from ``eigvals_banded`` places the shift of one
+banded Cholesky factorization, whose solves give the witness and whose
+success certifies a lower bound.  The value is the witness quotient, an
+attained upper bound, and the tolerance reaches down to the certified lower
+bound, so the reported number is a checked interval [value - tolerance,
+value].  No p = 2 route asks an SVD for singular vectors.
 
 The restriction of a real operator (``BandOperator.is_real``) is real, so
 every p = 2 route runs in real arithmetic: its singular values are those over
@@ -41,15 +50,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import eigvals_banded, get_lapack_funcs
 from scipy.sparse import csr_matrix, issparse
-from scipy.sparse.linalg import eigsh
 
-from .operators import OperatorError, Vector, _unfold, schur_bound
+from .operators import OperatorError, Vector, _unfold, gram_band, schur_bound
 from .space import _grid
 
-_DENSE_COLS = 400        # nu solves by dense SVD up to this many columns
+# nu's p = 2 route is dense iff the restriction has at most _DENSE_MAX
+# columns: on a 2-core Xeon, BLAS on one thread, a whole nu call took less
+# time dense than banded up to 72 columns at Gram band 2 (1-d tridiagonal
+# restrictions, the common case), 80 at band 4, 96 to 128 at bands 16 to 32
+# and 192 to 256 at band 64, and dense SVD grows as columns cubed past them
+_DENSE_MAX = 72
 _STACK_BYTES = 1 << 22   # largest stack of restrictions in one SVD call
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -59,7 +73,7 @@ class NuReport:
     value: float
     witness: Vector
     support_diameter: float
-    # exact-svd | iterative-svd | iterative-svd-shifted | kernel | optimizer
+    # exact-svd | banded-gram | kernel | optimizer
     method: str
     tolerance: float
     subset: tuple = ()
@@ -78,24 +92,35 @@ class NuReport:
         }
 
 
+def _column_set(F):
+    """F as sorted ids without repeats; ``OperatorError`` if it is empty."""
+    F = np.unique(np.fromiter(F, dtype=np.int64))
+    if len(F) == 0:
+        raise OperatorError("lower norm needs a nonempty column set")
+    return F
+
+
 def _restricted(A, F):
     """Column restriction of A to the set F with zero rows trimmed.
 
     Returns (F, row_ids, sub): F sorted without repeats, row_ids the points
     whose row holds an entry in a column of F, and the unfolded restricted
-    matrix, dense up to ``_DENSE_COLS`` columns and CSR beyond.  The entries
-    come from ``A.entries(F)``, which raises ``OperatorError`` for an id
-    outside the space.  Dropping all-zero rows leaves the singular values
-    unchanged.  The matrix is float64 when A is real, complex128 otherwise.
+    matrix.  The entries come from ``A.entries(F)``, which raises
+    ``OperatorError`` for an id outside the space, as ``_column_set`` does
+    for an empty F.  ``sub`` is dense when it has at most ``_DENSE_MAX``
+    (unfolded) columns, CSR otherwise; that rule picks the p = 2 route
+    (``_sigma_min``) for ``nu`` and the ``nu_s`` screen alike.  Dropping
+    all-zero rows leaves the singular values unchanged.  The matrix is
+    float64 when A is real, complex128 otherwise.
     """
-    F = np.unique(np.fromiter(F, dtype=np.int64))
+    F = _column_set(F)
     k = A.block_dim
     pos, rows, cols = A.entries(F)
     row_ids = np.unique(rows)
     blocks = A.blocks[pos].real if A.is_real else A.blocks[pos]
     r, c, v = _unfold(np.searchsorted(row_ids, rows), cols, blocks)
     shape = (len(row_ids) * k, len(F) * k)
-    if shape[1] > _DENSE_COLS:
+    if shape[1] > _DENSE_MAX:
         return F, row_ids, csr_matrix((v, (r, c)), shape=shape)
     sub = np.zeros(shape, dtype=v.dtype)
     sub[r, c] = v
@@ -111,38 +136,104 @@ def _witness_vector(A, F, coeffs, p):
 def _sigma_min(sub):
     """(value, right singular vector, method, tolerance) of sigma_min.
 
-    Up to ``_DENSE_COLS`` columns: the least value of LAPACK's values-only
-    SVD, and the vector w of ``_inverse_iteration`` at it, whose quotient
-    |sub w| / |w| is computed; the tolerance is max(1e-10, |quotient -
-    value|).  Beyond: shift-invert Lanczos on the Gram matrix, tolerance
-    1e-10.  ``sub`` has at least as many rows as columns.
+    Dense ``sub``: the least value of LAPACK's values-only SVD, and the
+    vector w of ``_inverse_iteration`` at it, whose quotient |sub w| / |w|
+    is computed; the tolerance is max(1e-10, |quotient - value|).  CSR
+    ``sub``: ``_sigma_min_banded``.  ``sub`` has at least as many rows as
+    columns.
     """
-    if sub.shape[1] > _DENSE_COLS:
-        return _sigma_min_iterative(sub)
+    if issparse(sub):
+        return _sigma_min_banded(sub)
     sigma = float(np.linalg.svd(sub, compute_uv=False).min())
     w = _inverse_iteration(sub, sigma)
     gap = abs(np.linalg.norm(sub @ w) / np.linalg.norm(w) - sigma)
     return sigma, w, "exact-svd", max(1e-10, gap)
 
 
-def _sigma_min_iterative(sub):
-    G = (sub.conj().T @ sub).tocsc()
-    m = G.shape[0]
-    v0 = np.ones(m) / np.sqrt(m)
-    try:
-        vals, vecs = eigsh(G, k=1, sigma=0, which="LM", v0=v0, tol=0)
-        method = "iterative-svd"
-    except RuntimeError:
-        # an exactly singular G has no factor at sigma = 0 and ARPACK may not
-        # converge (both raise RuntimeError subclasses).  G - sigma I is
-        # positive definite for sigma < 0, and the eigenvalue nearest such a
-        # sigma is still the smallest one.  (A smallest-algebraic Lanczos run
-        # returned 1 for a Gram matrix with a zero column.)
-        shift = -1e-8 * float(abs(G).sum(axis=1).max())
-        vals, vecs = eigsh(G, k=1, sigma=shift, which="LM", v0=v0, tol=0)
-        method = "iterative-svd-shifted"
-    lam = max(float(vals[0]), 0.0)
-    return float(np.sqrt(lam)), vecs[:, 0], method, 1e-10
+def _sigma_min_banded(sub):
+    """sigma_min of a CSR restriction as a checked interval, method
+    ``banded-gram``.
+
+    The least eigenvalue lam of G = sub* sub comes from ``eigvals_banded``
+    on its band storage (``_gram_band``), and ``_banded_inverse_iteration``
+    gives a witness w and a shift mu whose Cholesky factor proves
+    lambda_min(G) >= mu - slack.  The value is the computed quotient
+    q = |sub w| / |w|, an attained upper bound; the lower bound is
+    sqrt(max(0, mu - slack - e)), where e bounds the rounding made when G
+    was formed: the products of a column pair have at most r terms (r the
+    most entries of one column), so |dG|_2 <= gamma_{r+2} |sub|_1 |sub|_inf.
+    The tolerance is max(1e-10, q - lower bound): sigma_min lies in
+    [value - tolerance, value].
+    """
+    ab = _gram_band(sub)
+    lam = float(eigvals_banded(ab, lower=True, select="i",
+                               select_range=(0, 0))[0])
+    w, mu, slack = _banded_inverse_iteration(ab, lam)
+    q = float(np.linalg.norm(sub @ w) / np.linalg.norm(w))
+    size = np.abs(sub.data)
+    col = np.bincount(sub.indices)
+    rows = np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr))
+    formed = (_gamma(int(col.max()) + 2)
+              * np.bincount(sub.indices, weights=size).max()
+              * np.bincount(rows, weights=size).max())
+    lower = float(np.sqrt(max(0.0, mu - slack - formed)))
+    return q, w, "banded-gram", max(1e-10, q - lower)
+
+
+def _gram_band(sub):
+    """``gram_band`` of a CSR restriction; ``OperatorError`` when G holds a
+    non-finite entry, which no shift would factor."""
+    ab = gram_band(sub)
+    if not np.isfinite(ab).all():
+        raise OperatorError("restriction has a non-finite Gram matrix")
+    return ab
+
+
+def _gamma(n):
+    return n * _EPS / (1.0 - n * _EPS)
+
+
+def _banded_inverse_iteration(ab, lam):
+    """(w, mu, slack): a unit vector for the least eigenvalue lam of the
+    Gram matrix G in lower band storage ab, and the certified shift.
+
+    One banded Cholesky factorization (``pbtrf``) of H = G - mu I at
+    mu = lam - d, with d = 4 (b + 1) eps |G|_inf for band b; where it fails,
+    d doubles and it runs again.  That loop ends: once mu <= -|G|_inf, H is
+    diagonally dominant.  Then three ``pbtrs`` solves from a fixed-seed
+    random start, as in ``_inverse_iteration``.  A G whose |G|_inf
+    overflows raises ``OperatorError``, as the loop would not end.  A factor
+    R that completes gives R* R = fl(H) + E, so G - mu I >= -E - D with D
+    the rounding of the shifted diagonal, |D| <= eps max |h_ii|.  By Higham
+    (ch. 10, Thm 10.3) |E| <= gamma_{b+4} |R*| |R| (b + 4 covers complex
+    arithmetic); a row of |R*| |R| has at most 2b + 1 entries, each at most
+    max diag R* R <= max h_ii / (1 - gamma_{b+4}).  ``slack`` sums the two
+    bounds, so lambda_min(G) >= mu - slack.  Real ab gives a real vector.
+    """
+    b, m = ab.shape[0] - 1, ab.shape[1]
+    size = np.abs(ab)
+    row_sums = size.sum(axis=0)
+    for d in range(1, b + 1):
+        row_sums[d:] += size[d, :m - d]
+    dist = 4.0 * (b + 1) * _EPS * float(row_sums.max()) or 1.0   # G = 0
+    if not np.isfinite(dist):
+        raise OperatorError("restriction has a non-finite Gram norm")
+    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+    while True:
+        mu = lam - dist
+        h = ab.copy()
+        h[0] -= mu
+        top = float(np.abs(h[0]).max())
+        factor, info = pbtrf(h, lower=1, overwrite_ab=True)
+        if info == 0:
+            break
+        dist *= 2.0
+    w = np.random.default_rng(0).standard_normal(m)
+    for _ in range(3):
+        w = pbtrs(factor, w, lower=1)[0]
+        w /= np.linalg.norm(w)
+    g = _gamma(b + 4)
+    return w, mu, (g / (1.0 - g) * (2 * b + 1) + _EPS) * top
 
 
 def _inverse_iteration(sub, sigma):
@@ -175,15 +266,18 @@ def _inverse_iteration(sub, sigma):
 def _kernel_vector(sub):
     """Unit vector in the kernel of a restriction with fewer rows than columns.
 
-    The first zero column if there is one, else ``_inverse_iteration`` at
-    sigma = 0.
+    The first zero column if there is one, else inverse iteration at 0:
+    ``_inverse_iteration`` on a dense ``sub``, the banded factor of
+    ``_banded_inverse_iteration`` on a CSR one.
     """
     zero = np.flatnonzero(np.asarray(abs(sub).sum(axis=0)).ravel() == 0)
     if len(zero):
         vec = np.zeros(sub.shape[1], dtype=np.complex128)
         vec[zero[0]] = 1.0
         return vec
-    return _inverse_iteration(sub.toarray() if issparse(sub) else sub, 0.0)
+    if issparse(sub):
+        return _banded_inverse_iteration(_gram_band(sub), 0.0)[0]
+    return _inverse_iteration(sub, 0.0)
 
 
 def _site_norms(flat, k):
@@ -283,19 +377,23 @@ def nu(A, F, p=2.0):
     A restriction with fewer (unfolded, nonzero) rows than columns has a
     kernel: its value is 0 exactly, method ``kernel``, and the tolerance is at
     least the computed quotient |Aw|_p / |w|_p of the kernel witness w.
-    Otherwise, for p = 2 the smallest singular value of the restricted matrix:
-    up to 400 columns (``exact-svd``) a values-only dense SVD with an
-    inverse-iteration witness, and a tolerance that covers the witness's
-    computed quotient; shift-invert Lanczos on the Gram matrix
-    beyond, and method ``iterative-svd-shifted`` where shift-invert at 0
-    failed and a small negative shift was used.  Every p = 2 route runs in
-    real arithmetic when A is real.  For other exponents a 16-start deterministic descent over the
-    quotient |Av|_p / |v|_p over complex vectors, warm started from the
-    p = 2 witness.  The unit witness is scaled so that its first entry of
-    largest modulus is real and positive.
+    Otherwise, for p = 2 the smallest singular value of the restricted
+    matrix, by the route that ``_restricted``'s column rule picks.  At most
+    ``_DENSE_MAX`` columns go dense (``exact-svd``): the value is LAPACK's
+    values-only SVD, exact up to rounding, with an inverse-iteration
+    witness, and the tolerance covers the witness's computed quotient.
+    Wider restrictions go banded (``banded-gram``): the value is the witness
+    quotient, an attained upper bound, and value - tolerance is a lower bound
+    that a banded Cholesky factor certifies, so sigma_min lies in
+    [value - tolerance, value].  Every tolerance is at least 1e-10.  Every
+    p = 2 route runs in real arithmetic when A is real.  For other exponents
+    a 16-start deterministic descent over the quotient |Av|_p / |v|_p over
+    complex vectors, warm started from the p = 2 witness.  The unit witness
+    is scaled so that its first entry of largest modulus is real and
+    positive.
+    F is read as a set; ``OperatorError`` if it is empty or holds an id
+    outside the space.
     """
-    if len(F) == 0:
-        raise OperatorError("lower norm needs a nonempty column set")
     Fs, row_ids, sub = _restricted(A, F)
     k = A.block_dim
     if sub.shape[0] < sub.shape[1]:
@@ -317,7 +415,7 @@ def nu(A, F, p=2.0):
         wit = Vector(A.space, wit.values / nrm, p=p, block_dim=k)
     return NuReport(value=val, witness=wit,
                     support_diameter=float(A.space.diameter(wit.support())),
-                    method=method, tolerance=tol, subset=tuple(int(x) for x in Fs))
+                    method=method, tolerance=tol, subset=tuple(Fs.tolist()))
 
 
 def nu_brute(A, F, p, samples=10 ** 6):
@@ -358,29 +456,31 @@ def nu_s(A, F, s, p=2.0, threads=1):
 
     Identical restriction sets are computed once.  A restriction with fewer
     rows than columns has value 0 without an SVD.  Restrictions that ``nu``
-    solves by ``exact-svd`` (p = 2, at most 400 columns) take their values
-    from values-only SVDs, one stacked call per chunk of equal shapes: the
-    LAPACK call ``nu`` makes, so the values are bitwise those of ``nu``.  Every
-    other restriction goes through ``nu``.  The first strict minimum in
-    ascending center order wins, and its report comes from one ``nu`` call on
-    the winning ball (or the call already made).
+    solves by ``exact-svd`` (p = 2, dense under ``_restricted``'s column
+    rule) take their values from values-only SVDs, one stacked call per
+    chunk of equal shapes: the LAPACK call ``nu`` makes, so the values are
+    bitwise those of ``nu``.  Every other restriction goes through ``nu``.
+    The first strict minimum in ascending center order wins, and its report
+    comes from one ``nu`` call on the winning ball (or the call already
+    made).
     ``threads`` sizes the pool that runs the SVD chunks and the ``nu`` calls;
     the result is independent of it.
     """
     if s < 0:
         raise OperatorError("support scale must be nonnegative")
-    F = sorted(int(x) for x in F)
-    if not F:
-        raise OperatorError("lower norm needs a nonempty column set")
-    Fset = set(F)
+    F = A._ids(_column_set(F))
+    in_F = np.zeros(A.space.n, dtype=bool)
+    in_F[F] = True
     jobs = []
     seen = set()
-    for x in F:
-        sub = frozenset(int(y) for y in A.space.ball(x, s) if y in Fset)
-        if not sub or sub in seen:
+    for x in F.tolist():
+        ball = A.space.ball(x, s)
+        ball = ball[in_F[ball]]           # sorted, and holds x
+        key = ball.tobytes()
+        if key in seen:
             continue
-        seen.add(sub)
-        jobs.append((x, tuple(sorted(sub))))
+        seen.add(key)
+        jobs.append((x, ball))
 
     value = np.full(len(jobs), np.inf)    # nu's value of each job
     screened = {}                          # shape -> [(job, restriction)]
@@ -389,7 +489,7 @@ def nu_s(A, F, s, p=2.0, threads=1):
         sub = _restricted(A, ball)[2]
         if sub.shape[0] < sub.shape[1]:
             value[j] = 0.0
-        elif p == 2.0 and sub.shape[1] <= _DENSE_COLS:
+        elif p == 2.0 and not issparse(sub):
             screened.setdefault(sub.shape, []).append((j, sub))
         else:
             direct.append(j)
@@ -493,12 +593,12 @@ def essential_nu(A, exclusion_radii, p=2.0, threads=1):
     essential spectrum at zero, a flat positive one is Fredholm-like.
     """
     space = A.space
-    inter = [int(x) for x in space.interior(A.propagation)]
-    center_row = space.row(space.center)
+    inter = space.interior(A.propagation)
+    outside = space.row(space.center)[inter]
 
     def work(r):
-        F = [x for x in inter if center_row[x] > r]
-        if not F:
+        F = inter[outside > r]
+        if len(F) == 0:
             raise OperatorError(f"exclusion radius {r} exhausts the space")
         return nu(A, F, p=p)
 

@@ -315,27 +315,36 @@ def schur_bound(A: BandOperator, p=2.0) -> float:
     return float(min(interp, basic))
 
 
-def norm2(A: BandOperator) -> float:
-    """Largest singular value (p = 2 operator norm), exact up to rounding.
+def gram_band(M):
+    """Gram matrix G = M* M of a sparse matrix in LAPACK lower band storage.
 
-    The square root of the top eigenvalue of the Gram matrix G = A*A, held
-    in LAPACK lower band storage (its band is the widest row - column offset
-    of a nonzero entry), in real arithmetic when A is real.  Raises when the
-    storage would exceed DENSE_SIDE**2 entries, the size of the largest
-    dense matrix.
+    Returns ab of shape (band + 1, columns) with ab[d, j] = G[j + d, j]; the
+    band is the widest row - column offset of a nonzero entry of G.  Raises
+    when the storage would exceed DENSE_SIDE**2 entries, the size of the
+    largest dense matrix.
     """
-    if A.nnz == 0:
-        return 0.0
-    M = A.csr().real if A.is_real else A.csr()
     G = (M.conj().T @ M).tocoo()
     low = G.row >= G.col
     r, c, v = G.row[low], G.col[low], G.data[low]
     band = int((r - c).max(initial=0))
-    nk = M.shape[0]
-    if (band + 1) * nk > DENSE_SIDE ** 2:
-        raise OperatorError(f"Gram band {band} too wide for {nk} unfolded columns")
-    ab = np.zeros((band + 1, nk), dtype=v.dtype)
+    m = M.shape[1]
+    if (band + 1) * m > DENSE_SIDE ** 2:
+        raise OperatorError(f"Gram band {band} too wide for {m} unfolded columns")
+    ab = np.zeros((band + 1, m), dtype=v.dtype)
     ab[r - c, c] = v
+    return ab
+
+
+def norm2(A: BandOperator) -> float:
+    """Largest singular value (p = 2 operator norm), exact up to rounding.
+
+    The square root of the top eigenvalue of the Gram matrix G = A*A, read
+    from its band storage (``gram_band``), in real arithmetic when A is real.
+    """
+    if A.nnz == 0:
+        return 0.0
+    ab = gram_band(A.csr().real if A.is_real else A.csr())
+    nk = ab.shape[1]
     top = eigvals_banded(ab, lower=True, select="i", select_range=(nk - 1, nk - 1))
     return float(np.sqrt(max(top[0], 0.0)))
 

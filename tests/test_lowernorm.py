@@ -5,12 +5,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigvals_banded
+from scipy.sparse import issparse
 
 from bandlim import lowernorm
 from bandlim.space import build_space
 from bandlim.operators import (
     OperatorError, from_triplets, identity, multiplier, compose, add, scale,
-    subtract, adjoint, schur_bound, norm2, apply_operator,
+    subtract, adjoint, schur_bound, norm2, apply_operator, gram_band,
 )
 from bandlim.lowernorm import (
     nu, nu_s, nu_brute, localization_check, essential_nu, witness_cascade,
@@ -31,6 +33,16 @@ def three_i_minus_tridiag(space):
     return subtract(scale(identity(space), 3.0), tridiagonal(space))
 
 
+def dense_route():
+    """Send every p = 2 restriction to the dense route."""
+    return mock.patch.object(lowernorm, "_DENSE_MAX", 10 ** 9)
+
+
+def banded_route():
+    """Send every p = 2 restriction to the banded route."""
+    return mock.patch.object(lowernorm, "_DENSE_MAX", 0)
+
+
 class TestNu:
     def test_identity_all_p(self, nat_window):
         I = identity(nat_window)
@@ -39,6 +51,9 @@ class TestNu:
             rep = nu(I, F, p=p)
             assert abs(rep.value - 1.0) < 1e-6
         assert nu(I, F, p=2.0).method == "exact-svd"
+        with banded_route():
+            rep = nu(I, F, p=2.0)
+        assert rep.method == "banded-gram" and abs(rep.value - 1.0) < 1e-6
 
     def test_shift_isometry_on_interior_columns(self, nat_window):
         S = shift_operator(nat_window)
@@ -56,8 +71,11 @@ class TestNu:
         assert abs(rep.value - oracle) < 1e-10
 
     def test_empty_subset_rejected(self, nat_window):
-        with pytest.raises(OperatorError):
-            nu(identity(nat_window), [], p=2.0)
+        I = identity(nat_window)
+        for call in (lambda: nu(I, [], p=2.0), lambda: nu_s(I, [], 1),
+                     lambda: nu_brute(I, [], 2.0, samples=100)):
+            with pytest.raises(OperatorError, match="nonempty column set"):
+                call()
 
     def test_witness_attains_value(self, quad_window):
         rng = np.random.default_rng(61)
@@ -81,8 +99,9 @@ class TestNu:
         dense_val = np.linalg.svd(
             A.to_dense()[:, F], compute_uv=False).min()
         rep = nu(A, F, p=2.0)
-        assert rep.method == "iterative-svd"
+        assert rep.method == "banded-gram"
         assert abs(rep.value - dense_val) < 1e-9
+        assert rep.value - rep.tolerance <= dense_val <= rep.value + 1e-12
 
 
 class TestColumnSet:
@@ -108,6 +127,10 @@ class TestColumnSet:
             nu(A, [3, x])
         with pytest.raises(OperatorError, match=f"point id {x} outside"):
             nu_brute(A, [x], 2.0, samples=100)
+        with pytest.raises(OperatorError, match=f"point id {x} outside"):
+            nu_s(A, [x], 1)
+        with pytest.raises(OperatorError, match=f"point id {x} outside"):
+            nu_s(A, [3, x], 1)
 
     @pytest.mark.parametrize("F", [
         {3, 4}, frozenset({4, 3}), (4, 3), range(3, 5),
@@ -426,13 +449,20 @@ class TestNuSEquivalence:
             body(nu_s_reference(A, range(sp.n), 1, p=3.0))
 
     def test_balls_on_both_sides_of_dense_limit(self):
-        # s = 399 on 402 points: balls of 400, 401 and 402 columns, so the
-        # screen and the iterative nu route meet in one minimum
-        sp = build_space({"kind": "n-window", "upper": 401, "name": "n402"})
-        A = subtract(scale(identity(sp), 3.0), tridiagonal(sp))
-        rep = nu_s(A, range(sp.n), 399, threads=2)
-        assert body(rep) == body(nu_s_reference(A, range(sp.n), 399))
-        assert rep.method == "iterative-svd"
+        # s = 40 on 100 points: balls of 41 to 81 columns with Gram band 2, so
+        # the screen and nu's banded route meet in one minimum
+        sp = build_space({"kind": "n-window", "upper": 99, "name": "n100"})
+        A = three_i_minus_tridiag(sp)
+        B = add(A, random_band(sp, 1, np.random.default_rng(131), density=0.3))
+        for op in (A, B):
+            balls = {tuple(sorted(int(y) for y in sp.ball(x, 40)))
+                     for x in range(sp.n)}
+            routes = {issparse(lowernorm._restricted(op, ball)[2])
+                      for ball in balls}
+            assert routes == {False, True}
+            rep = nu_s(op, range(sp.n), 40, threads=2)
+            assert body(rep) == body(nu_s_reference(op, range(sp.n), 40))
+        assert nu_s(A, range(sp.n), 40).method == "banded-gram"
 
 
 class TestWideRestriction:
@@ -462,18 +492,56 @@ class TestWideRestriction:
 
 
 class TestIterativeFallback:
+    """The banded route's inverse iteration and its shift-doubling fallback."""
+
     def test_singular_gram_named_and_exact(self):
         # column 250 is zero, so the Gram matrix of this tall restriction
-        # (461 rows, 460 columns) has no factor at shift 0
+        # (461 rows, 460 columns) is singular and has no factor at shift 0
         sp = build_space({"kind": "n-window", "upper": 499, "name": "n500"})
         trip = [(x, x, 1.0) for x in range(sp.n) if x != 250]
         trip += [(x + 1, x, 0.5) for x in range(sp.n - 1) if x != 250]
         A = from_triplets(sp, trip)
         F = list(range(460))
         rep = nu(A, F)
-        assert rep.method == "iterative-svd-shifted"
+        assert rep.method == "banded-gram"
         oracle = np.linalg.svd(A.to_dense()[:, F], compute_uv=False).min()
         assert abs(rep.value - oracle) <= rep.tolerance
+        assert rep.value < 1e-30 and rep.tolerance == 1e-10   # 7.3e-41
+
+    @staticmethod
+    def first_factorization_fails(calls):
+        """Patch ``pbtrf`` to report failure on its first call; record the
+        diagonal of every matrix it is given."""
+        real = lowernorm.get_lapack_funcs
+
+        def funcs(names, arrays):
+            pbtrf, pbtrs = real(names, arrays)
+
+            def factor(h, **kwargs):
+                calls.append(h[0].copy())
+                return (h, 1) if len(calls) == 1 else pbtrf(h, **kwargs)
+            return factor, pbtrs
+        return mock.patch.object(lowernorm, "get_lapack_funcs", funcs)
+
+    def test_failed_factorization_doubles_the_shift(self):
+        sp = build_space({"kind": "n-window", "upper": 399, "name": "n400"})
+        A = three_i_minus_tridiag(sp)
+        ab = gram_band(lowernorm._restricted(A, range(sp.n))[2])
+        lam = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))[0]
+        _, mu0, _ = lowernorm._banded_inverse_iteration(ab, lam)
+        calls = []
+        with self.first_factorization_fails(calls):
+            _, mu1, _ = lowernorm._banded_inverse_iteration(ab, lam)
+        assert len(calls) == 2 and np.all(calls[1] > calls[0])
+        assert abs((lam - mu1) - 2 * (lam - mu0)) <= 0.01 * (lam - mu0)
+        calls = []
+        with self.first_factorization_fails(calls):
+            rep = nu(A, range(sp.n))
+        assert len(calls) == 2
+        sigma = 3 - 2 * np.cos(np.pi / 401)
+        assert rep.method == "banded-gram"
+        assert rep.value - rep.tolerance <= sigma <= rep.value + 1e-15
+        assert abs(rep.value - sigma) < 1e-12
 
 
 class TestThreadInvariantBodies:
@@ -539,7 +607,7 @@ class TestRealArithmetic:
         assert abs(na - nb) <= 1e-12 * max(na, nb)
 
     def test_iterative_route_is_real(self):
-        # 460 columns: the CSR restriction and the Gram eigsh route
+        # 460 columns of Gram band 2: the CSR restriction and the banded route
         sp = build_space({"kind": "n-window", "upper": 499, "name": "n500"})
         A = add(three_i_minus_tridiag(sp),
                 random_band(sp, 1, np.random.default_rng(107), density=0.3,
@@ -549,10 +617,11 @@ class TestRealArithmetic:
         assert lowernorm._restricted(A, F)[2].dtype == np.float64
         assert lowernorm._restricted(B, F)[2].dtype == np.complex128
         ra, rb = nu(A, F), nu(B, F)
-        assert ra.method == rb.method == "iterative-svd"
+        assert ra.method == rb.method == "banded-gram"
         assert abs(ra.value - rb.value) <= ra.tolerance + rb.tolerance
         oracle = np.linalg.svd(A.to_dense()[:, F], compute_uv=False).min()
         assert abs(ra.value - oracle) <= ra.tolerance
+        assert ra.value - ra.tolerance <= oracle <= ra.value + 1e-15
         for op, rep in ((A, ra), (B, rb)):
             assert abs(quotient(op, rep) - rep.value) <= rep.tolerance
             assert lead_entry(rep).imag == 0.0 and lead_entry(rep).real > 0
@@ -619,8 +688,9 @@ class TestDenseWitness:
         A = random_band(sp, prop, rng, density=0.6, block_dim=block_dim,
                         real=real)
         F = [x for x in range(sp.n) if rng.random() < keep] or [0]
-        rep = nu(A, F)
-        sub = lowernorm._restricted(A, F)[2]
+        with dense_route():
+            rep = nu(A, F)
+            sub = lowernorm._restricted(A, F)[2]
         if rep.method == "kernel":
             assert rep.value == 0.0
             assert quotient(A, rep) <= rep.tolerance + rounding_slack(rep)
@@ -655,7 +725,8 @@ class TestDenseWitness:
         # 3I - T on 400 points: neighbouring singular values 2e-4 apart
         sp = build_space({"kind": "n-window", "upper": 399, "name": "n400"})
         A = three_i_minus_tridiag(sp)
-        rep = nu(A, range(sp.n))
+        with dense_route():
+            rep = nu(A, range(sp.n))
         assert rep.method == "exact-svd" and rep.tolerance == 1e-10
         assert abs(rep.value - (3 - 2 * np.cos(np.pi / 401))) < 1e-12
         assert abs(quotient(A, rep) - rep.value) < 1e-15
@@ -664,7 +735,8 @@ class TestDenseWitness:
         M = np.eye(300)
         M[0, 1] = M[1, 0] = 1.0
         A = dense_operator(M)
-        rep = nu(A, range(300))
+        with dense_route():
+            rep = nu(A, range(300))
         assert rep.method == "exact-svd" and rep.tolerance == 1e-10
         assert rep.value < 1e-15
         assert abs(quotient(A, rep) - rep.value) < 1e-30
@@ -678,7 +750,8 @@ class TestDenseWitness:
         M = np.diag([float((x > 0) + (x < n - 1)) for x in range(n)])
         M -= np.eye(n, k=1) + np.eye(n, k=-1)
         A = dense_operator(M)
-        rep = nu(A, range(n))
+        with dense_route():
+            rep = nu(A, range(n))
         assert rep.method == "exact-svd" and rep.tolerance == 1e-10
         assert rep.value < 1e-15
         assert abs(quotient(A, rep) - rep.value) < 1e-12
@@ -717,3 +790,140 @@ class TestDenseWitness:
         assert rep.value == 0.0 and rep.method == "exact-svd"
         assert rep.tolerance == 1e-10
         assert rep.witness.flat().tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+def neumann_operator(n):
+    """The path Laplacian: kernel the constants, next Gram eigenvalue about
+    (pi / n)^4."""
+    M = np.diag([float((x > 0) + (x < n - 1)) for x in range(n)])
+    M -= np.eye(n, k=1) + np.eye(n, k=-1)
+    return dense_operator(M)
+
+
+class TestBandedRoute:
+    """Witness quotient for the value, a Cholesky-certified lower bound."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(desc=nu_s_spaces, seed=st.integers(0, 2 ** 32 - 1),
+           block_dim=st.sampled_from([1, 2]), prop=st.integers(0, 2),
+           real=st.booleans(), keep=st.floats(0.3, 1.0))
+    def test_interval_holds_the_dense_value(self, desc, seed, block_dim, prop,
+                                            real, keep):
+        sp = build_space(desc)
+        rng = np.random.default_rng(seed)
+        A = random_band(sp, prop, rng, density=0.6, block_dim=block_dim,
+                        real=real)
+        F = [x for x in range(sp.n) if rng.random() < keep] or [0]
+        with banded_route():
+            rep = nu(A, F)
+            sub = lowernorm._restricted(A, F)[2]
+        assert issparse(sub)
+        if rep.method == "kernel":
+            assert quotient(A, rep) <= rep.tolerance + rounding_slack(rep)
+            return
+        sigma = np.linalg.svd(sub.toarray(), compute_uv=False).min()
+        assert rep.method == "banded-gram" and rep.tolerance >= 1e-10
+        assert rep.value - rep.tolerance <= sigma <= rep.value + rounding_slack(rep)
+        assert abs(quotient(A, rep) - rep.value) <= rounding_slack(rep)
+
+    def test_neumann_kernel_is_certified(self):
+        # 1000 points: Gram gap (pi / 1000)^4 = 1e-10, where the dense
+        # inverse-iteration shift 8 m eps |G|_inf is as large as the gap
+        A = neumann_operator(1000)
+        rep = nu(A, range(1000))
+        assert rep.method == "banded-gram"
+        assert rep.value <= 1e-11 and rep.tolerance == 1e-10    # [0, 1e-10]
+        assert abs(quotient(A, rep) - rep.value) < 1e-12
+        vals = rep.witness.flat()
+        assert np.allclose(vals, vals[0], atol=1e-12)
+
+    def test_neumann_kernel_with_small_gram_gap(self):
+        # the banded factor of the 300-point Gram matrix is not exact, as the
+        # dense LU of the integer matrix is: quotient 2.4e-13, not < 1e-15
+        A = neumann_operator(300)
+        rep = nu(A, range(300))
+        assert rep.method == "banded-gram" and rep.tolerance == 1e-10
+        assert rep.value < 1e-12
+        assert abs(quotient(A, rep) - rep.value) < 1e-12
+
+    def test_clustered_spectrum(self):
+        # 3I - T on 400 points: neighbouring singular values 2e-4 apart
+        sp = build_space({"kind": "n-window", "upper": 399, "name": "n400"})
+        A = three_i_minus_tridiag(sp)
+        rep = nu(A, range(sp.n))
+        sigma = 3 - 2 * np.cos(np.pi / 401)
+        assert rep.method == "banded-gram" and rep.tolerance == 1e-10
+        assert abs(rep.value - sigma) < 1e-12
+        assert rep.value - rep.tolerance <= sigma
+        assert abs(quotient(A, rep) - rep.value) < 1e-15
+
+    def test_two_equal_columns(self):
+        M = np.eye(500)
+        M[0, 1] = M[1, 0] = 1.0
+        A = dense_operator(M)
+        rep = nu(A, range(500))
+        assert rep.method == "banded-gram" and rep.tolerance == 1e-10
+        assert rep.value < 1e-15
+        assert abs(quotient(A, rep) - rep.value) < 1e-15
+        lead = sorted(np.abs(rep.witness.flat()))[-2:]
+        assert abs(lead[0] - lead[1]) < 1e-15     # (e0 - e1) / sqrt 2
+
+    def test_wide_restriction_kernel_from_the_banded_factor(self):
+        # 499 rows, 500 columns and no zero column: the CSR kernel branch
+        sp = build_space({"kind": "n-window", "upper": 499, "name": "n500"})
+        C = from_triplets(sp, [(0, 0, 1.0), (0, 1, 2.0)]
+                          + [(x, x, 1.0) for x in range(2, sp.n)])
+        assert issparse(lowernorm._restricted(C, range(sp.n))[2])
+        rep = nu(C, range(sp.n))
+        assert rep.value == 0.0 and rep.method == "kernel"
+        assert quotient(C, rep) <= rep.tolerance
+        flat = np.abs(rep.witness.flat())
+        assert abs(flat[0] - 2 / np.sqrt(5)) < 1e-12
+        assert abs(flat[1] - 1 / np.sqrt(5)) < 1e-12
+
+    def test_non_finite_entry_raises(self):
+        # no shift factors a Gram matrix holding NaN: the doubling must not
+        # run forever, on the value route or the kernel route
+        sp = build_space({"kind": "n-window", "upper": 499, "name": "n500"})
+        A = from_triplets(sp, [(0, 0, np.nan)]
+                          + [(x, x, 1.0) for x in range(1, sp.n)])
+        with pytest.raises(OperatorError, match="non-finite"):
+            nu(A, range(sp.n))
+        C = from_triplets(sp, [(0, 0, np.nan), (0, 1, 2.0)]
+                          + [(x, x, 1.0) for x in range(2, sp.n)])
+        with pytest.raises(OperatorError, match="non-finite"):
+            nu(C, range(sp.n))
+
+    def test_wide_band_window_goes_banded(self):
+        # a 20 x 20 window under the 5-point stencil: 400 columns whose Gram
+        # matrix has band 40; past _DENSE_MAX columns the band does not
+        # matter, and the dense SVD would cost columns cubed
+        sp = build_space({"kind": "zn-window", "lower": [0, 0],
+                          "upper": [19, 19], "norm": "l1"})
+        A = random_band(sp, 1, np.random.default_rng(151), density=1.0,
+                        real=True)
+        sub = lowernorm._restricted(A, range(sp.n))[2]
+        assert issparse(sub) and gram_band(sub).shape[0] - 1 >= 40
+        rep = nu(A, range(sp.n))
+        sigma = np.linalg.svd(A.to_dense().real, compute_uv=False).min()
+        assert rep.method == "banded-gram" and rep.tolerance >= 1e-10
+        assert rep.value - rep.tolerance <= sigma <= rep.value + rounding_slack(rep)
+        assert abs(quotient(A, rep) - rep.value) <= rounding_slack(rep)
+
+    def test_gram_limit_widens_the_tolerance(self):
+        # sigma_1 = 1e-9 and sigma_2 = 1e-7: their Gram eigenvalues sit below
+        # the rounding of G, so no shift above 0 can be certified and the
+        # interval reaches down to 0; for some rotations the computed least
+        # eigenvalue is 1e-16 or more, so its root would claim too much
+        d = np.ones(10)
+        d[:2] = 1e-9, 1e-7
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            Q = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+            A = dense_operator(Q @ np.diag(d) @ Q.T)
+            with banded_route():
+                rep = nu(A, range(10))
+            assert rep.method == "banded-gram"
+            assert rep.value - rep.tolerance <= 0.0
+            assert 1e-9 <= rep.value + rounding_slack(rep) and rep.value < 1e-6
+            assert abs(quotient(A, rep) - rep.value) <= rounding_slack(rep)
