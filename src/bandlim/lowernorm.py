@@ -12,17 +12,18 @@ entries of a column set from ``BandOperator.entries``.
 
 The p = 2 route is picked by column count: a restriction of at most
 ``_DENSE_MAX`` columns is solved dense, a wider one banded, by one rule that
-``nu`` and the ``nu_s`` screen share.  A dense restriction sub takes its
-value from LAPACK's values-only SVD and its witness from one LU inverse
-iteration on the Gram matrix G = sub* sub, which also finds kernel vectors;
-the tolerance covers the witness's computed quotient.  A banded one holds G
-in LAPACK band storage (``operators.gram_band``, which ``norm2`` also
-reads): the least eigenvalue from ``eigvals_banded`` places the shift of one
-banded Cholesky factorization, whose solves give the witness and whose
-success certifies a lower bound.  The value is the witness quotient, an
-attained upper bound, and the tolerance reaches down to the certified lower
-bound, so the reported number is a checked interval [value - tolerance,
-value].  No p = 2 route asks an SVD for singular vectors.
+``nu`` and the ``nu_s`` screen share.  Every p = 2 witness, kernel vectors
+included, comes from one routine, ``_banded_inverse_iteration``: inverse
+iteration on the Gram matrix G = sub* sub held in LAPACK band storage
+(``operators.gram_band``, which ``norm2`` also reads), with one banded
+Cholesky factor of G shifted just below its least eigenvalue.  A dense
+restriction takes its value from LAPACK's values-only SVD, whose square
+places the shift; the tolerance covers the witness's computed quotient.  A
+banded one takes the least eigenvalue of G from ``eigvals_banded``; the
+value is the witness quotient, an attained upper bound, and the tolerance
+reaches down to the lower bound that the factor's success certifies, so the
+reported number is a checked interval [value - tolerance, value].  No p = 2
+route asks an SVD for singular vectors.
 
 The restriction of a real operator (``BandOperator.is_real``) is real, so
 every p = 2 route runs in real arithmetic: its singular values are those over
@@ -64,6 +65,7 @@ from .space import _grid
 _DENSE_MAX = 72
 _STACK_BYTES = 1 << 22   # largest stack of restrictions in one SVD call
 _EPS = np.finfo(float).eps
+_drawn = np.zeros(0)     # the longest draw of _random_start so far
 
 
 @dataclass
@@ -136,16 +138,17 @@ def _witness_vector(A, F, coeffs, p):
 def _sigma_min(sub):
     """(value, right singular vector, method, tolerance) of sigma_min.
 
-    Dense ``sub``: the least value of LAPACK's values-only SVD, and the
-    vector w of ``_inverse_iteration`` at it, whose quotient |sub w| / |w|
-    is computed; the tolerance is max(1e-10, |quotient - value|).  CSR
-    ``sub``: ``_sigma_min_banded``.  ``sub`` has at least as many rows as
-    columns.
+    Dense ``sub``: the least value sigma of LAPACK's values-only SVD, and
+    the vector w of ``_banded_inverse_iteration`` at sigma^2 on
+    ``gram_band(sub)``, whose quotient |sub w| / |w| is computed; the
+    tolerance is max(1e-10, |quotient - value|).  CSR ``sub``:
+    ``_sigma_min_banded``.  ``sub`` has at least as many rows as columns.
     """
     if issparse(sub):
         return _sigma_min_banded(sub)
+    ab = gram_band(sub)
     sigma = float(np.linalg.svd(sub, compute_uv=False).min())
-    w = _inverse_iteration(sub, sigma)
+    w = _banded_inverse_iteration(ab, sigma * sigma)[0]
     gap = abs(np.linalg.norm(sub @ w) / np.linalg.norm(w) - sigma)
     return sigma, w, "exact-svd", max(1e-10, gap)
 
@@ -155,7 +158,7 @@ def _sigma_min_banded(sub):
     ``banded-gram``.
 
     The least eigenvalue lam of G = sub* sub comes from ``eigvals_banded``
-    on its band storage (``_gram_band``), and ``_banded_inverse_iteration``
+    on its band storage (``gram_band``), and ``_banded_inverse_iteration``
     gives a witness w and a shift mu whose Cholesky factor proves
     lambda_min(G) >= mu - slack.  The value is the computed quotient
     q = |sub w| / |w|, an attained upper bound; the lower bound is
@@ -165,7 +168,7 @@ def _sigma_min_banded(sub):
     The tolerance is max(1e-10, q - lower bound): sigma_min lies in
     [value - tolerance, value].
     """
-    ab = _gram_band(sub)
+    ab = gram_band(sub)
     lam = float(eigvals_banded(ab, lower=True, select="i",
                                select_range=(0, 0))[0])
     w, mu, slack = _banded_inverse_iteration(ab, lam)
@@ -180,15 +183,6 @@ def _sigma_min_banded(sub):
     return q, w, "banded-gram", max(1e-10, q - lower)
 
 
-def _gram_band(sub):
-    """``gram_band`` of a CSR restriction; ``OperatorError`` when G holds a
-    non-finite entry, which no shift would factor."""
-    ab = gram_band(sub)
-    if not np.isfinite(ab).all():
-        raise OperatorError("restriction has a non-finite Gram matrix")
-    return ab
-
-
 def _gamma(n):
     return n * _EPS / (1.0 - n * _EPS)
 
@@ -197,11 +191,16 @@ def _banded_inverse_iteration(ab, lam):
     """(w, mu, slack): a unit vector for the least eigenvalue lam of the
     Gram matrix G in lower band storage ab, and the certified shift.
 
-    One banded Cholesky factorization (``pbtrf``) of H = G - mu I at
-    mu = lam - d, with d = 4 (b + 1) eps |G|_inf for band b; where it fails,
-    d doubles and it runs again.  That loop ends: once mu <= -|G|_inf, H is
-    diagonally dominant.  Then three ``pbtrs`` solves from a fixed-seed
-    random start, as in ``_inverse_iteration``.  A G whose |G|_inf
+    The one inverse iteration behind every p = 2 witness: the dense and
+    banded routes of ``_sigma_min`` and the kernel vectors of
+    ``_kernel_vector``.  One banded Cholesky factorization (``pbtrf``) of
+    H = G - mu I at mu = lam - d, with d = 4 (b + 1) eps |G|_inf for band b;
+    where it fails (lam above the computed spectrum, or a zero pivot), d
+    doubles and it runs again.  That loop ends: once mu <= -|G|_inf, H is
+    diagonally dominant.  Then three ``pbtrs`` solves from
+    ``_random_start``, and every entry of modulus at most eps max |w_i| is
+    set to 0: such dust is rounding, and left in place it would spread the
+    witness's support over the whole restriction.  A G whose |G|_inf
     overflows raises ``OperatorError``, as the loop would not end.  A factor
     R that completes gives R* R = fl(H) + E, so G - mu I >= -E - D with D
     the rounding of the shifted diagonal, |D| <= eps max |h_ii|.  By Higham
@@ -211,10 +210,12 @@ def _banded_inverse_iteration(ab, lam):
     bounds, so lambda_min(G) >= mu - slack.  Real ab gives a real vector.
     """
     b, m = ab.shape[0] - 1, ab.shape[1]
+    # row i of |G|: the sum of column i of |ab|, then |ab[d, i - d]| added
+    # for d = 1 .. b in turn (bincount adds in input order)
     size = np.abs(ab)
-    row_sums = size.sum(axis=0)
-    for d in range(1, b + 1):
-        row_sums[d:] += size[d, :m - d]
+    size[0] = size.sum(axis=0)
+    at = np.arange(b + 1)[:, None] + np.arange(m)
+    row_sums = np.bincount(at.ravel(), size.ravel(), minlength=m + b)[:m]
     dist = 4.0 * (b + 1) * _EPS * float(row_sums.max()) or 1.0   # G = 0
     if not np.isfinite(dist):
         raise OperatorError("restriction has a non-finite Gram norm")
@@ -228,56 +229,43 @@ def _banded_inverse_iteration(ab, lam):
         if info == 0:
             break
         dist *= 2.0
-    w = np.random.default_rng(0).standard_normal(m)
+    w = _random_start(m)
     for _ in range(3):
         w = pbtrs(factor, w, lower=1)[0]
         w /= np.linalg.norm(w)
+    size = np.abs(w)
+    w[size <= _EPS * size.max()] = 0.0
     g = _gamma(b + 4)
     return w, mu, (g / (1.0 - g) * (2 * b + 1) + _EPS) * top
 
 
-def _inverse_iteration(sub, sigma):
-    """Unit right singular vector of dense ``sub`` for its least value sigma.
-
-    Inverse iteration on the Gram matrix G = sub* sub, shifted just below
-    sigma^2 by 8 n eps |G|_inf (n columns): one LU factorization, then three
-    solves from a fixed-seed random start, as LAPACK's own inverse iteration
-    starts.  At n eps |G|_inf some restrictions gave exactly singular
-    factors; a zero pivot that still occurs is replaced by the shift
-    distance, as LAPACK's ``xLAGTS`` does.  Real ``sub`` gives a real vector.
-    """
-    G = sub.conj().T @ sub
-    n = G.shape[0]
-    dist = 8.0 * n * np.finfo(float).eps * float(np.abs(G).sum(axis=1).max())
-    dist = dist or 1.0                 # G = 0: every vector is a witness
-    G.flat[::n + 1] -= sigma * sigma - dist
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (G,))
-    lu, piv, info = getrf(G, overwrite_a=True)
-    if info > 0:
-        zero = np.flatnonzero(lu.diagonal() == 0)
-        lu[zero, zero] = dist
-    w = np.random.default_rng(0).standard_normal(n)
-    for _ in range(3):
-        w = getrs(lu, piv, w)[0]
-        w /= np.linalg.norm(w)
-    return w
+def _random_start(m):
+    """``default_rng(0).standard_normal(m)``, the seeded start of every
+    inverse iteration.  A longer draw begins with every shorter one, so the
+    longest so far is kept (read-only) and sliced, as a draw costs as much as
+    three small solves; a call slices the array it checked, so another
+    thread's draw cannot shorten it."""
+    global _drawn
+    start = _drawn
+    if len(start) < m:
+        start = np.random.default_rng(0).standard_normal(m)
+        start.flags.writeable = False
+        _drawn = start
+    return start[:m]
 
 
 def _kernel_vector(sub):
     """Unit vector in the kernel of a restriction with fewer rows than columns.
 
-    The first zero column if there is one, else inverse iteration at 0:
-    ``_inverse_iteration`` on a dense ``sub``, the banded factor of
-    ``_banded_inverse_iteration`` on a CSR one.
+    The first zero column if there is one, else ``_banded_inverse_iteration``
+    at 0 on ``gram_band(sub)``, for a dense or CSR ``sub`` alike.
     """
     zero = np.flatnonzero(np.asarray(abs(sub).sum(axis=0)).ravel() == 0)
     if len(zero):
         vec = np.zeros(sub.shape[1], dtype=np.complex128)
         vec[zero[0]] = 1.0
         return vec
-    if issparse(sub):
-        return _banded_inverse_iteration(_gram_band(sub), 0.0)[0]
-    return _inverse_iteration(sub, 0.0)
+    return _banded_inverse_iteration(gram_band(sub), 0.0)[0]
 
 
 def _site_norms(flat, k):

@@ -6,14 +6,15 @@ or small square blocks of a fixed dimension.  The module provides the algebra
 operations, vector action in weighted p-norms, certified Schur norm bounds,
 and the exact 2-norm from the top eigenvalue of the banded Gram matrix.
 
-Entries are stored as complex128; ``BandOperator.is_real`` records once
-whether every imaginary part is zero.  ``norm2`` then runs real LAPACK,
-whose eigenvalues are those over the complex numbers.
+Entries are finite (NaN and inf are refused) and stored as complex128;
+``BandOperator.is_real`` records once whether every imaginary part is zero.
+``norm2`` then runs real LAPACK, whose eigenvalues are those over the
+complex numbers.
 """
 
 import numpy as np
 from scipy.linalg import eigvals_banded
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 
 from .space import same_space
 
@@ -76,6 +77,9 @@ class BandOperator:
             i = int(np.argmax(bad))
             raise OperatorError(
                 f"entry index ({rows[i]}, {cols[i]}) outside the space")
+        if not np.isfinite(blocks).all():
+            i = int(np.argmin(np.isfinite(blocks).all(axis=(1, 2))))
+            raise OperatorError(f"non-finite entry at ({rows[i]}, {cols[i]})")
         order = np.lexsort((cols, rows))
         self.rows = rows[order]
         self.cols = cols[order]
@@ -316,22 +320,35 @@ def schur_bound(A: BandOperator, p=2.0) -> float:
 
 
 def gram_band(M):
-    """Gram matrix G = M* M of a sparse matrix in LAPACK lower band storage.
+    """Gram matrix G = M* M of a dense or sparse matrix in LAPACK lower band
+    storage.
 
     Returns ab of shape (band + 1, columns) with ab[d, j] = G[j + d, j]; the
-    band is the widest row - column offset of a nonzero entry of G.  Raises
-    when the storage would exceed DENSE_SIDE**2 entries, the size of the
-    largest dense matrix.
+    band is the widest row - column offset of a nonzero entry of G, so a
+    dense M and its CSR copy give the same band.  Raises ``OperatorError``
+    when G holds a non-finite entry (entries whose products overflow), which
+    no shift would factor, and when the storage would exceed DENSE_SIDE**2
+    entries, the size of the largest dense matrix.
     """
-    G = (M.conj().T @ M).tocoo()
-    low = G.row >= G.col
-    r, c, v = G.row[low], G.col[low], G.data[low]
-    band = int((r - c).max(initial=0))
+    if issparse(M):
+        G = (M.conj().T @ M).tocoo()
+        r, c, v = G.row, G.col, G.data
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = M.conj().T @ M
+        r, c = np.nonzero(G)
+        v = G[r, c]
+    low = r >= c
+    r, c, v = r[low], c[low], v[low]
+    if not np.isfinite(v).all():
+        raise OperatorError("non-finite Gram matrix")
+    off = r - c
+    band = int(off.max(initial=0))
     m = M.shape[1]
     if (band + 1) * m > DENSE_SIDE ** 2:
         raise OperatorError(f"Gram band {band} too wide for {m} unfolded columns")
     ab = np.zeros((band + 1, m), dtype=v.dtype)
-    ab[r - c, c] = v
+    ab[off, c] = v
     return ab
 
 

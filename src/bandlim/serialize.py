@@ -2,8 +2,8 @@
 
 Report numbers are rounded to 15 significant digits so that repeated runs
 (and runs with different thread counts) produce byte-identical files.  They
-are rounded only where they are written, by ``report_dumps`` and
-``write_csv``; the ``to_json`` methods return the values their results hold.
+are rounded only where they are written, by ``report_dumps``; the
+``to_json`` methods return the values their results hold.
 Operator files are the exception: their CSV bodies use shortest round-trip
 ``repr`` because they must reload bit-exactly.
 
@@ -133,16 +133,3 @@ def report_dumps(obj) -> str:
     finally:
         _float_text.cache_clear()
 
-
-def write_csv(path, header, rows):
-    """Write a small CSV series; floats are written as in report bodies."""
-    lines = [",".join(header)]
-    try:
-        for row in rows:
-            lines.append(",".join(
-                _float_text(v) if isinstance(v, (float, np.floating)) else str(v)
-                for v in row))
-    finally:
-        _float_text.cache_clear()
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -506,7 +506,25 @@ class TestIterativeFallback:
         assert rep.method == "banded-gram"
         oracle = np.linalg.svd(A.to_dense()[:, F], compute_uv=False).min()
         assert abs(rep.value - oracle) <= rep.tolerance
-        assert rep.value < 1e-30 and rep.tolerance == 1e-10   # 7.3e-41
+        assert rep.value < 1e-30 and rep.tolerance == 1e-10
+        assert list(rep.witness.support()) == [250]
+        assert rep.support_diameter == 0.0
+
+    def test_witness_dust_is_zeroed(self):
+        # column 40 is zero, so e_40 is the witness; entries of rounding
+        # size left on other columns would make its support the whole of F
+        sp = build_space({"kind": "n-window", "upper": 79, "name": "n80"})
+        trip = [(x, x, 1.0) for x in range(sp.n) if x != 40]
+        trip += [(x + 1, x, 0.5) for x in range(sp.n - 1) if x != 40]
+        A = from_triplets(sp, trip)
+        for route, method in ((dense_route, "exact-svd"),
+                              (banded_route, "banded-gram")):
+            for F in (range(60), range(75)):
+                with route():
+                    rep = nu(A, F)
+                assert rep.method == method and rep.value == 0.0
+                assert list(rep.witness.support()) == [40]
+                assert rep.support_diameter == 0.0
 
     @staticmethod
     def first_factorization_fails(calls):
@@ -675,7 +693,8 @@ def rounding_slack(rep):
 
 
 class TestDenseWitness:
-    """Values-only SVD for the value, LU inverse iteration for the witness."""
+    """Values-only SVD for the value, banded inverse iteration on the Gram
+    matrix for the witness."""
 
     @settings(max_examples=60, deadline=None)
     @given(desc=nu_s_spaces, seed=st.integers(0, 2 ** 32 - 1),
@@ -774,11 +793,14 @@ class TestDenseWitness:
         assert rep.tolerance < 1e-6
 
     def test_zero_pivot_is_perturbed(self):
-        # sigma^2 - 8 n eps |G|_inf is exactly 1, an eigenvalue of G = diag(1, 4)
+        # lam - 4 (b + 1) eps |G|_inf is exactly 1, an eigenvalue of
+        # G = diag(1, 4): the first factor meets a zero pivot
         eps = np.finfo(float).eps
-        sigma = np.sqrt(1.0 + 64 * eps)
-        assert sigma * sigma - 64 * eps == 1.0
-        w = lowernorm._inverse_iteration(np.diag([1.0, 2.0]), sigma)
+        lam = 1.0 + 16 * eps
+        assert lam - 16 * eps == 1.0
+        w, mu, _ = lowernorm._banded_inverse_iteration(np.array([[1.0, 4.0]]),
+                                                       lam)
+        assert mu == 1.0 - 16 * eps     # the doubled distance
         assert np.all(np.isfinite(w))
         assert abs(abs(w[0]) - 1.0) < 1e-12 and abs(w[1]) < 1e-12
 
@@ -882,17 +904,23 @@ class TestBandedRoute:
         assert abs(flat[1] - 1 / np.sqrt(5)) < 1e-12
 
     def test_non_finite_entry_raises(self):
-        # no shift factors a Gram matrix holding NaN: the doubling must not
-        # run forever, on the value route or the kernel route
+        # no shift factors a Gram matrix holding inf: the doubling must not
+        # run forever, on the value route or the kernel route.  A NaN entry
+        # is refused where the operator is built; 1e200 is finite, but its
+        # square overflows in G
         sp = build_space({"kind": "n-window", "upper": 499, "name": "n500"})
-        A = from_triplets(sp, [(0, 0, np.nan)]
+        with pytest.raises(OperatorError, match="non-finite"):
+            from_triplets(sp, [(0, 0, np.nan)]
                           + [(x, x, 1.0) for x in range(1, sp.n)])
-        with pytest.raises(OperatorError, match="non-finite"):
-            nu(A, range(sp.n))
-        C = from_triplets(sp, [(0, 0, np.nan), (0, 1, 2.0)]
+        A = from_triplets(sp, [(0, 0, 1e200)]
+                          + [(x, x, 1.0) for x in range(1, sp.n)])
+        C = from_triplets(sp, [(0, 0, 1e200), (0, 1, 2.0)]
                           + [(x, x, 1.0) for x in range(2, sp.n)])
-        with pytest.raises(OperatorError, match="non-finite"):
-            nu(C, range(sp.n))
+        for route in (dense_route, banded_route):
+            for op in (A, C):      # the value route, the kernel route
+                with route(), pytest.raises(OperatorError,
+                                            match="non-finite Gram matrix"):
+                    nu(op, range(sp.n))
 
     def test_wide_band_window_goes_banded(self):
         # a 20 x 20 window under the 5-point stencil: 400 columns whose Gram

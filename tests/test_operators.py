@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 from bandlim.space import build_space, same_space
 from bandlim.operators import (
     BandOperator, OperatorError, Vector, from_triplets, identity, multiplier,
     compose, add, scale, subtract, adjoint, apply_operator, schur_bound, norm2,
-    save_operator, load_operator, _from_csr, DENSE_SIDE,
+    gram_band, save_operator, load_operator, _from_csr, DENSE_SIDE,
 )
 
 from conftest import random_band, shift_operator, torus_graph, tridiagonal
@@ -43,6 +44,14 @@ class TestConstruction:
         n = nat_window.n
         with pytest.raises(OperatorError, match=rf"\(0, {n}\) outside"):
             BandOperator(nat_window, [0, 1], [n, 0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf),
+                                     np.array([[1.0, 0.0], [np.nan, 1.0]])])
+    def test_non_finite_entry_rejected(self, nat_window, bad):
+        k = np.shape(bad)[0] if np.ndim(bad) else 1
+        trip = [(0, 0, np.eye(k) if k > 1 else 1.0), (3, 2, bad)]
+        with pytest.raises(OperatorError, match=r"non-finite entry at \(3, 2\)"):
+            from_triplets(nat_window, trip, block_dim=k)
 
     def test_misaligned_arrays_rejected(self, nat_window):
         with pytest.raises(OperatorError, match="differ in length"):
@@ -240,6 +249,12 @@ class TestNorms:
         assert norm2(from_triplets(sp, [(0, 0, 1.0), (n - 1, 0, 1.0)])) \
             == pytest.approx(math.sqrt(2), rel=1e-15)
 
+    def test_norm2_gram_overflow_rejected(self, nat_window):
+        # finite entries whose squares overflow: no top eigenvalue to read
+        A = from_triplets(nat_window, [(x, x, 1e200) for x in range(5)])
+        with pytest.raises(OperatorError, match="non-finite Gram matrix"):
+            norm2(A)
+
     def test_norm2_below_schur_random(self, quad_window):
         rng = np.random.default_rng(43)
         for _ in range(10):
@@ -324,6 +339,21 @@ class TestBandProperties:
         expected = BandOperator(sp, A.rows[live], A.cols[live], blocks[live],
                                 block_dim=k, p=A.p)
         assert _from_csr(sp, A.csr(), k, A.p) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_operators(), st.data())
+    def test_gram_band_dense_is_gram_band_sparse(self, A, data):
+        # the two inputs sum G in different orders: the same band, entries
+        # equal up to rounding; rounded to integers, entries cancel exactly
+        # in both
+        M = A.to_dense().real if A.is_real else A.to_dense()
+        if data.draw(st.booleans()):
+            M = np.round(2 * M)
+        cols = data.draw(st.sets(st.integers(0, M.shape[1] - 1), min_size=1))
+        M = M[:, sorted(cols)]
+        dense, sparse = gram_band(M), gram_band(csr_matrix(M))
+        assert dense.shape == sparse.shape and dense.dtype == sparse.dtype
+        assert np.abs(dense - sparse).max() <= 1e-14 * np.abs(sparse).max()
 
     @settings(max_examples=60, deadline=None)
     @given(band_operators())

@@ -168,12 +168,3 @@ def test_workload_report_bodies_match_reference(name):
             assert report_dumps(x.to_json()) == reference_dumps(ref), q.name
     assert seen == WORKLOAD_RESULTS[name]
 
-
-def test_write_csv_floats_are_report_floats(tmp_path):
-    floats = [0.1 + 0.2, np.float32(0.1), -0.0, 1e-300, math.nan, -math.inf]
-    path = tmp_path / "series.csv"
-    serialize.write_csv(path, ["r", "a", "b", "c", "d", "e", "f", "g"],
-                        [[3] + floats + ["x"]])
-    assert serialize._float_text.cache_info().currsize == 0
-    cells = path.read_text().splitlines()[1].split(",")
-    assert cells == ["3"] + [report_dumps(v).strip() for v in floats] + ["x"]
