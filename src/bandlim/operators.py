@@ -266,9 +266,13 @@ def add(A, B):
 
 
 def scale(A, alpha):
-    if A.nnz == 0:
-        return A
-    return BandOperator(A.space, A.rows, A.cols, A.blocks * complex(alpha),
+    alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise OperatorError(f"non-finite scale factor {alpha}")
+    # an overflowing product is refused as a non-finite entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = A.blocks * alpha
+    return BandOperator(A.space, A.rows, A.cols, blocks,
                         block_dim=A.block_dim, p=A.p)
 
 

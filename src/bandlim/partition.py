@@ -2,16 +2,16 @@
 
 ``sparsify`` captures a prescribed fraction of any finite measure inside a
 union of uniformly bounded, well separated parts: an offset-shifted block
-pattern on lattice windows, greedy mass-ordered ball packing elsewhere.
-``make_partition`` builds p-partitions of unity from piecewise-linear bumps on
-an L-net and stores them once, as the sparse bump matrix Phi (points by
-centers).  Their variation is measured exactly from row differences of Phi
-over all point pairs within the radius; the measured table replaces analytic
-variation bounds everywhere downstream.  ``average`` and ``weighted_sum``
-read Phi to assemble the operator combinations these partitions support, with
-certified norm bounds attached.
+pattern on lattice windows, greedy mass-ordered ball packing (one mat-vec per
+step) elsewhere.  ``make_partition`` builds p-partitions of unity from
+piecewise-linear bumps on an L-net and stores them once, as the sparse bump
+matrix Phi (points by centers).  Their variation is measured exactly from row
+differences of Phi over all point pairs within the radius; the measured table
+replaces analytic variation bounds everywhere downstream.  ``average`` and
+``weighted_sum`` (one sparse product X Y over (center, point) pairs,
+center-major) read Phi to assemble the operator combinations these
+partitions support, with certified norm bounds attached.
 """
-
 from dataclasses import dataclass, field
 import math
 
@@ -59,7 +59,8 @@ class BlockSparsifierModel:
 
     Keeping blocks of length L out of every L + m positions captures at least
     L / (L + m) of any measure at separation m; with the default L = 3m the
-    captured fraction is 3/4 and the part diameter is bounded by f(m) = 3m.
+    captured fraction is 3/4 and the part diameter is bounded by
+    block_length(m) = 3m.
     """
 
     def block_length(self, m, c=None):
@@ -68,9 +69,6 @@ class BlockSparsifierModel:
         if not 0 < c < 1:
             raise OperatorError("capture fraction must sit in (0, 1)")
         return int(math.ceil(c * m / (1.0 - c) - 1e-9))
-
-    def f(self, m):
-        return 3 * int(m)
 
     def diameter_for(self, m, c_prime):
         """Part-diameter bound needed to capture fraction c_prime at separation m."""
@@ -86,8 +84,8 @@ def _as_measure(space, measure):
         mu = np.asarray(measure, dtype=np.float64)
     if mu.shape != (space.n,):
         raise OperatorError("measure must assign one value per point")
-    if np.any(mu < 0):
-        raise OperatorError("measure must be nonnegative")
+    if not np.all(np.isfinite(mu) & (mu >= 0)):
+        raise OperatorError("measure must be finite and nonnegative")
     if mu.sum() == 0:
         raise OperatorError("measure must not vanish identically")
     return mu
@@ -124,32 +122,33 @@ def _sparsify_blocks(space, mu, m, L):
 
 
 def _sparsify_greedy(space, mu, m, diameter_bound):
-    """Greedy mass-ordered ball packing; parts keep positive-mass points only."""
+    """Greedy mass-ordered ball packing; parts keep positive-mass points only.
+
+    Each step takes every ball's available mass as one mat-vec of the CSR
+    ball indicator ``near`` and places a part about the first maximum.  The
+    mat-vec adds left to right, numpy's ``sum`` pairwise from 8 points on, so
+    float masses equal to within rounding may tie-break otherwise than ``sum``
+    would; integer-valued measures sum exactly.
+    """
     rho = diameter_bound // 2
-    available = np.ones(space.n, dtype=bool)
-    total = mu.sum()
     balls = [space.ball(x, rho) for x in range(space.n)]
+    ptr = np.cumsum([0] + [len(ball) for ball in balls])
+    near = csr_matrix((np.ones(ptr[-1]), np.concatenate(balls), ptr),
+                      shape=(space.n, space.n))
+    live = mu > 0                   # available points of positive mass
     parts = []
     while True:
-        best_mass, best_x = 0.0, None
-        for x in range(space.n):
-            if not available[x] or mu[x] == 0:
-                continue
-            ball = balls[x]
-            mass = float(mu[ball[available[ball]]].sum())
-            if mass > best_mass:
-                best_mass, best_x = mass, x
-        if best_x is None or best_mass == 0.0:
+        mass = np.where(live, near @ np.where(live, mu, 0.0), 0.0)
+        best = int(np.argmax(mass))
+        if mass[best] == 0.0:
             break
-        part = [int(y) for y in balls[best_x] if available[y] and mu[y] > 0]
-        parts.append(sorted(part))
-        ids = np.asarray(part, dtype=np.int64)
-        dists = space.pairwise(np.arange(space.n), ids).min(axis=1)
-        available &= dists > m - 1
+        part = balls[best][live[balls[best]]]
+        parts.append(part.tolist())
+        live &= space.pairwise(np.arange(space.n), part).min(axis=1) > m - 1
     captured = sum(float(mu[np.asarray(p, dtype=np.int64)].sum()) for p in parts)
     diam = max((space.diameter(part) for part in parts), default=0)
     return Sparsification(parts=parts, separation=m, diameter_bound=diam,
-                          mass_fraction=captured / total, measure=mu,
+                          mass_fraction=captured / mu.sum(), measure=mu,
                           method="greedy")
 
 
@@ -165,12 +164,14 @@ def sparsify(space, measure, m, target_c, block_length=None):
     if m < 1:
         raise OperatorError("separation must be at least 1")
     mu = _as_measure(space, measure)
-    model = BlockSparsifierModel()
-    L = model.block_length(m) if block_length is None else int(block_length)
+    default = BlockSparsifierModel().block_length(m)
+    L = default if block_length is None else int(block_length)
+    if L < 1:
+        raise OperatorError("block length must be at least 1")
     if space.kind in LATTICE_KINDS:
         result = _sparsify_blocks(space, mu, m, L)
     else:
-        result = _sparsify_greedy(space, mu, m, model.f(m))
+        result = _sparsify_greedy(space, mu, m, default)
     _validate_sparsification(space, result)
     if result.mass_fraction + 1e-12 < target_c:
         raise SparsifyShortfall(
@@ -209,7 +210,7 @@ class PPartition:
     ``len(centers)``, Phi[x, i] = phi_i(x)); the p-th powers of each row sum
     to one.  It is the only stored form of the bumps: ``point_funcs[x]`` is
     row x read as a dict from center index to value, in ascending center
-    order, and ``support(i)`` is column i.  ``variation_table[r]`` is the
+    order, and column i holds supp phi_i.  ``variation_table[r]`` is the
     measured worst-pair variation at distance r; it extends lazily for larger
     r via ``variation``.
     """
@@ -229,12 +230,6 @@ class PPartition:
         idx, val = self.bumps.indices.tolist(), self.bumps.data.tolist()
         ptr = self.bumps.indptr.tolist()
         return [dict(zip(idx[a:b], val[a:b])) for a, b in zip(ptr, ptr[1:])]
-
-    def phi(self, i, x):
-        return float(self.bumps[x, i])
-
-    def support(self, i):
-        return self.bumps[:, [i]].nonzero()[0].tolist()
 
     def variation(self, r):
         """Measured epsilon(r): worst pair sum of |phi_i(x) - phi_i(y)|^p."""
@@ -364,36 +359,24 @@ def average(A: BandOperator, part: PPartition) -> BandOperator:
                         block_dim=A.block_dim, p=A.p)
 
 
-def _local_ops(locals_, count):
-    if callable(locals_):
-        return [locals_(i) for i in range(count)]
-    if isinstance(locals_, dict):
-        return [locals_[i] for i in range(count)]
-    return list(locals_)
-
-
-def _scaled(A, keep, factor):
-    """Unfolded CSR of the entries of A selected by keep, scaled by factor."""
-    nk = A.space.n * A.block_dim
-    r, c, v = _unfold(A.rows[keep], A.cols[keep],
-                      A.blocks[keep] * factor[keep][:, None, None])
-    return csr_matrix((v, (r, c)), shape=(nk, nk))
-
-
 def weighted_sum(part: PPartition, locals_, mode="plain", A=None, M=None,
                  norm_a=None):
     """Assemble sum_i phi_i^(p/q) B_i phi_i or sum_i phi_i^(p/q) B_i [phi_i, A].
 
-    ``locals_`` provides one bounded operator per partition center (callable,
-    dict, or list); M is the caller's uniform bound on their norms.  Returns
-    (operator, certified_bound): M in plain mode, eps * N * |A| * M in
-    commutator mode with eps the measured variation at prop(A) and N the ball
-    bound growth(prop(A)).
+    ``locals_`` provides one band operator per partition center (callable on
+    the center index, or a sequence); M is the caller's uniform bound on their
+    norms.  Returns (operator, certified_bound): M in plain mode, eps * N *
+    |A| * M in commutator mode with eps the measured variation at prop(A) and
+    N the ball bound growth(prop(A)).
 
-    Each B_i is cut to rows in supp phi_i and scaled there by phi_i^(p-1);
-    in plain mode it is also cut to columns in supp phi_i and scaled by
-    phi_i, in commutator mode it multiplies [phi_i, A], whose entry (x, y) is
-    (phi_i(x) - phi_i(y)) A(x, y), so a diagonal A gives exactly zero.
+    Both modes are one sparse product X Y, differing only in the right factor
+    Y: the diag(phi_i), or the [phi_i, A] with entries (phi_i(y) - phi_i(z))
+    A(y, z) (empty for a diagonal A), stacked.  The inner index holds only the
+    pairs (center i, point y) at which Y has a row, center-major, then by
+    point (then block component), so memory grows with the entries.  Column
+    (i, y) of X is column y of B_i cut to the rows in supp phi_i and scaled
+    there by phi_i^(p-1).  scipy adds each entry's terms in inner order from
+    0, so the centers add in center order.
     """
     if M is None:
         raise OperatorError("weighted_sum needs a uniform bound M on the locals")
@@ -401,43 +384,53 @@ def weighted_sum(part: PPartition, locals_, mode="plain", A=None, M=None,
         raise OperatorError(f"unknown weighted_sum mode {mode!r}")
     if mode == "commutator" and A is None:
         raise OperatorError("commutator mode needs the operator A")
-    ops = _local_ops(locals_, len(part.centers))
-    if len(ops) != len(part.centers):
-        raise OperatorError("one local operator per partition center required")
+    count = len(part.centers)
+    ops = [locals_(i) for i in range(count)] if callable(locals_) else list(locals_)
+    if len(ops) != count or not all(isinstance(B, BandOperator) for B in ops):
+        raise OperatorError("one local band operator per partition center required")
     space = part.space
     if not ops:
         return from_triplets(space, []), 0.0
-    k = ops[0].block_dim
+    n, k = space.n, ops[0].block_dim
     for B in ops + ([A] if mode == "commutator" else []):
         _check_space(space, B)
         if B.block_dim != k:
             raise OperatorError("block dimension mismatch")
 
-    columns = part.bumps.tocsc()
+    # the right factor as block entries (center, y, z, block), center-major
+    phi = part.bumps.tocsc()
+    if mode == "plain":
+        center = np.repeat(np.arange(count), np.diff(phi.indptr))
+        y = z = phi.indices
+        right = phi.data[:, None, None] * np.eye(k)
+    else:
+        jump = (part.bumps[A.rows] - part.bumps[A.cols]).tocsc()
+        center = np.repeat(np.arange(count), np.diff(jump.indptr))
+        y, z = A.rows[jump.indices], A.cols[jump.indices]
+        right = A.blocks[jump.indices] * jump.data[:, None, None]
+    new = np.diff(center * n + y, prepend=-1) != 0
+    inner, points = np.cumsum(new) - 1, y[new]
+    ptr = np.searchsorted(center[new], np.arange(count + 1))
+
+    where, lead = np.full(n, -1), np.zeros(n)   # inner index of (i, y); phi_i^(p-1)
     terms = []
     for i, B in enumerate(ops):
-        sup = columns.indices[columns.indptr[i]:columns.indptr[i + 1]]
-        vals = columns.data[columns.indptr[i]:columns.indptr[i + 1]]
-        phi, lead = np.zeros(space.n), np.zeros(space.n)
-        phi[sup] = vals
-        lead[sup] = vals ** (part.p - 1.0)
-        if mode == "plain":
-            keep = (phi[B.rows] != 0) & (phi[B.cols] != 0)
-            rows, cols = B.rows[keep], B.cols[keep]
-            terms.append(_unfold(rows, cols, B.blocks[keep]
-                                 * lead[rows][:, None, None]
-                                 * phi[cols][:, None, None]))
-        else:
-            jump = phi[A.rows] - phi[A.cols]
-            prod = (_scaled(B, phi[B.rows] != 0, lead[B.rows])
-                    @ _scaled(A, jump != 0, jump)).tocoo()
-            terms.append((prod.row, prod.col, prod.data))
-    r, c, v = (np.concatenate(t) for t in zip(*terms))
-    # stably sorted input: csr_matrix adds duplicates in center order
-    order = np.lexsort((c, r))
-    nk = space.n * k
-    total = csr_matrix((v[order], (r[order], c[order])), shape=(nk, nk))
-    op = _from_csr(space, total, k, ops[0].p)
+        sup = phi.indices[phi.indptr[i]:phi.indptr[i + 1]]
+        own = points[ptr[i]:ptr[i + 1]]
+        lead[sup] = phi.data[phi.indptr[i]:phi.indptr[i + 1]] ** (part.p - 1.0)
+        where[own] = np.arange(ptr[i], ptr[i + 1])
+        keep = (lead[B.rows] != 0) & (where[B.cols] >= 0)
+        rows = B.rows[keep]
+        terms.append((rows, where[B.cols[keep]],
+                      B.blocks[keep] * lead[rows][:, None, None]))
+        lead[sup], where[own] = 0.0, -1
+    nk, jk = n * k, len(points) * k
+    # csr_matrix sorts each row of X by inner index
+    r, c, v = _unfold(*(np.concatenate(t) for t in zip(*terms)))
+    X = csr_matrix((v, (r, c)), shape=(nk, jk))
+    r, c, v = _unfold(inner, z, right)
+    Y = csr_matrix((v, (r, c)), shape=(jk, nk))
+    op = _from_csr(space, X @ Y, k, ops[0].p)
     if mode == "plain":
         bound = float(M)
     else:

@@ -115,6 +115,18 @@ class TestAlgebra:
         assert np.allclose(scale(A, 2j).to_dense(), 2j * A.to_dense())
         assert subtract(A, A).nnz == 0
 
+    @pytest.mark.parametrize("alpha", [np.inf, complex(1, np.inf), np.nan])
+    def test_non_finite_scale_rejected(self, nat_window, alpha):
+        with pytest.raises(OperatorError, match="non-finite scale factor"):
+            scale(identity(build_space({"kind": "n-window", "upper": 4})), alpha)
+        with pytest.raises(OperatorError, match="non-finite scale factor"):
+            scale(from_triplets(nat_window, []), alpha)
+
+    def test_overflowing_scale_rejected(self, nat_window):
+        A = from_triplets(nat_window, [(0, 0, 1e300), (3, 2, 1e200)])
+        with pytest.raises(OperatorError, match=r"non-finite entry at \(0, 0\)"):
+            scale(A, 1e10)
+
 
 class TestApply:
     def test_identity_action(self, nat_window):

@@ -9,7 +9,7 @@ from bandlim import partition
 from bandlim.space import LATTICE_KINDS, build_space
 from bandlim.operators import (
     OperatorError, identity, multiplier, subtract, scale, norm2, schur_bound,
-    apply_operator, Vector,
+    apply_operator, Vector, _from_csr, _unfold,
 )
 from bandlim.partition import (
     SparsifyShortfall, BlockSparsifierModel, sparsify, make_partition,
@@ -109,10 +109,24 @@ class TestSparsify:
         partition._validate_sparsification(torus, res)
         assert len(calls) == len(res.parts) - 1
 
+    @pytest.mark.parametrize("length", [-2, 0])
+    def test_block_length_below_one_rejected(self, length):
+        sp = build_space({"kind": "n-window", "upper": 20})
+        with pytest.raises(OperatorError, match="block length must be at least 1"):
+            sparsify(sp, None, 2, 0.1, block_length=length)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_measure_rejected(self, bad):
+        torus = torus_graph(4)
+        mu = np.ones(torus.n)
+        mu[5] = bad
+        with pytest.raises(OperatorError, match="measure must be finite and nonnegative"):
+            sparsify(torus, mu, 1, 0.1)
+
     def test_model_constants(self):
         model = BlockSparsifierModel()
         assert model.block_length(3) == 9
-        assert model.f(4) == 12
+        assert model.block_length(4) == 12
         assert model.diameter_for(3, 0.75) == 9
         assert model.diameter_for(3, 0.9) == 27
 
@@ -136,7 +150,7 @@ class TestMakePartition:
         sp = interval(8, "n8")
         part = make_partition(sp, 10)
         assert len(part.centers) == 1
-        assert all(abs(part.phi(0, x) - 1.0) < 1e-15 for x in range(sp.n))
+        assert np.all(np.abs(part.bumps.toarray()[:, 0] - 1.0) < 1e-15)
         assert part.variation(3) == 0.0
 
     def test_multiplicity_bounded(self):
@@ -254,6 +268,16 @@ class TestWeightedSum:
                            + 1j * rng.standard_normal(sp.n), p=p)
                 assert apply_operator(op, v).norm() <= bound * v.norm() + 1e-9
 
+    def test_locals_must_be_band_operators(self):
+        sp = interval(20, "n20")
+        part = make_partition(sp, 4)
+        count = len(part.centers)
+        I = identity(sp)
+        for bad in ({i: I for i in range(count)}, [I] * (count - 1) + [1.0],
+                    lambda i: I.to_dense()):
+            with pytest.raises(OperatorError, match="one local band operator"):
+                weighted_sum(part, bad, mode="plain", M=1.0)
+
     def test_missing_bound_rejected(self):
         sp = interval(20, "n20")
         part = make_partition(sp, 4)
@@ -281,7 +305,7 @@ class TestGreedyBalls:
         mu = np.random.default_rng(3).random(torus.n)
         mu[::5] = 0.0
         for m in (1, 2):
-            rho = BlockSparsifierModel().f(m) // 2
+            rho = BlockSparsifierModel().block_length(m) // 2
             available = np.ones(torus.n, dtype=bool)
             parts = []
             while True:
@@ -408,9 +432,11 @@ class TestVariationProperty:
         assert abs(lazy - reference(r_lazy)) <= 1e-12
 
         diam = 0
+        columns = part.bumps.tocsc()
         for i in range(len(part.centers)):
             sup = np.nonzero(phi[:, i])[0]
-            assert part.support(i) == sup.tolist()
+            got_sup = columns.indices[columns.indptr[i]:columns.indptr[i + 1]]
+            assert got_sup.tolist() == sup.tolist()
             diam = max(diam, int(dist[np.ix_(sup, sup)].max()))
         assert part.support_diameter == diam
 
@@ -504,3 +530,169 @@ class TestRowSums:
     def test_matvec_with_ones_is_the_row_loop(self, mat):
         got = mat @ np.ones(mat.shape[1])
         assert got.tobytes() == reference_row_sums(mat).tobytes()
+
+
+def reference_weighted_sum(part, locals_, mode, A=None):
+    """The per-center loop weighted_sum once ran, kept as an oracle.
+
+    Plain mode scales each center's masked entries of B_i in place;
+    commutator mode multiplies one CSR pair per center.  The terms of all
+    centers are then stably sorted by (row, col), so that csr_matrix adds
+    duplicates in center order.
+    """
+    space, k = part.space, locals_[0].block_dim
+    nk = space.n * k
+
+    def scaled(B, keep, factor):
+        r, c, v = _unfold(B.rows[keep], B.cols[keep],
+                          B.blocks[keep] * factor[keep][:, None, None])
+        return csr_matrix((v, (r, c)), shape=(nk, nk))
+
+    columns = part.bumps.tocsc()
+    terms = []
+    for i, B in enumerate(locals_):
+        sup = columns.indices[columns.indptr[i]:columns.indptr[i + 1]]
+        vals = columns.data[columns.indptr[i]:columns.indptr[i + 1]]
+        phi, lead = np.zeros(space.n), np.zeros(space.n)
+        phi[sup] = vals
+        lead[sup] = vals ** (part.p - 1.0)
+        if mode == "plain":
+            keep = (phi[B.rows] != 0) & (phi[B.cols] != 0)
+            rows, cols = B.rows[keep], B.cols[keep]
+            terms.append(_unfold(rows, cols, B.blocks[keep]
+                                 * lead[rows][:, None, None]
+                                 * phi[cols][:, None, None]))
+        else:
+            jump = phi[A.rows] - phi[A.cols]
+            prod = (scaled(B, phi[B.rows] != 0, lead[B.rows])
+                    @ scaled(A, jump != 0, jump)).tocoo()
+            terms.append((prod.row, prod.col, prod.data))
+    r, c, v = (np.concatenate(t) for t in zip(*terms))
+    order = np.lexsort((c, r))
+    total = csr_matrix((v[order], (r[order], c[order])), shape=(nk, nk))
+    return _from_csr(space, total, k, locals_[0].p)
+
+
+def line_metric(gaps):
+    """Explicit space of points on a line with the given positive gaps."""
+    pos = np.concatenate(([0], np.cumsum(gaps)))
+    return {"kind": "explicit",
+            "matrix": np.abs(pos[:, None] - pos[None, :]).tolist()}
+
+
+# every space kind, at most about 50 points
+tiny_spaces = st.one_of(
+    st.builds(lambda u: {"kind": "n-window", "upper": u}, st.integers(0, 16)),
+    st.builds(lambda lo, hi, norm: {"kind": "zn-window", "lower": lo,
+                                    "upper": hi, "norm": norm},
+              st.lists(st.integers(-3, 0), min_size=2, max_size=2),
+              st.lists(st.integers(0, 3), min_size=2, max_size=2),
+              st.sampled_from(["linf", "l1", "l2"])),
+    st.builds(lambda hi, norm: {"kind": "quadrant", "upper": hi, "norm": norm},
+              st.lists(st.integers(0, 5), min_size=2, max_size=2),
+              st.sampled_from(["linf", "l1", "l2"])),
+    st.builds(graph_descriptor, st.integers(2, 16),
+              st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                       max_size=6)),
+    st.builds(lambda mods, cross: {"kind": "box-cycles", "moduli": mods,
+                                   "cross_distance": cross},
+              st.lists(st.integers(3, 7), min_size=1, max_size=2),
+              st.integers(3, 8)),
+    st.builds(line_metric, st.lists(st.integers(1, 3), min_size=0, max_size=12)),
+)
+
+
+def same_entries(op, ref):
+    return (op.rows.tobytes() == ref.rows.tobytes()
+            and op.cols.tobytes() == ref.cols.tobytes()
+            and op.blocks.tobytes() == ref.blocks.tobytes())
+
+
+class TestOneProduct:
+    @settings(max_examples=40, deadline=None)
+    @given(desc=tiny_spaces, L=st.integers(1, 3),
+           p=st.sampled_from([1.5, 2.0, 3.0]), k=st.integers(1, 2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_per_center_loop(self, desc, L, p, k, seed):
+        space = build_space(desc)
+        rng = np.random.default_rng(seed)
+        part = make_partition(space, L, p=p)
+        # distinct locals whose supports overlap from center to center
+        locals_ = [random_band(space, 2, rng, block_dim=k) for _ in part.centers]
+        A = random_band(space, 1, rng, density=0.7, block_dim=k)
+        ident = identity(space, block_dim=k)
+        plain, comm = dense_weighted_sums(part, locals_, A, k)
+
+        op, _ = weighted_sum(part, locals_, mode="plain", M=1.0)
+        assert same_entries(op, reference_weighted_sum(part, locals_, "plain"))
+        assert np.max(np.abs(op.to_dense() - plain), initial=0.0) <= 1e-13
+
+        idents = [ident] * len(part.centers)
+        op, _ = weighted_sum(part, idents, mode="commutator", A=A, M=1.0)
+        ref = reference_weighted_sum(part, idents, "commutator", A)
+        assert same_entries(op, ref)
+
+        op, _ = weighted_sum(part, locals_, mode="commutator", A=A, M=1.0)
+        assert np.max(np.abs(op.to_dense() - comm), initial=0.0) <= 1e-13
+
+        diag = multiplier(space, lambda x: (1.0 + x % 3) * np.eye(k),
+                          block_dim=k)
+        op, _ = weighted_sum(part, locals_, mode="commutator", A=diag, M=1.0)
+        assert op.nnz == 0
+
+
+def reference_sparsify_greedy(space, mu, m, diameter_bound):
+    """The per-point greedy scan sparsify once ran, kept as an oracle.
+
+    Each step sums the available mass of every candidate's ball with numpy
+    and takes the first strict maximum.
+    """
+    rho = diameter_bound // 2
+    available = np.ones(space.n, dtype=bool)
+    balls = [space.ball(x, rho) for x in range(space.n)]
+    parts = []
+    while True:
+        best_mass, best_x = 0.0, None
+        for x in range(space.n):
+            if not available[x] or mu[x] == 0:
+                continue
+            ball = balls[x]
+            mass = float(mu[ball[available[ball]]].sum())
+            if mass > best_mass:
+                best_mass, best_x = mass, x
+        if best_x is None or best_mass == 0.0:
+            break
+        part = [int(y) for y in balls[best_x] if available[y] and mu[y] > 0]
+        parts.append(sorted(part))
+        ids = np.asarray(part, dtype=np.int64)
+        dists = space.pairwise(np.arange(space.n), ids).min(axis=1)
+        available &= dists > m - 1
+    return parts
+
+
+class TestGreedyMatVec:
+    @settings(max_examples=60, deadline=None)
+    @given(desc=small_spaces, m=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_integer_measures_give_the_reference_parts(self, desc, m, seed):
+        space = build_space(desc)
+        rng = np.random.default_rng(seed)
+        mu = rng.integers(0, 4, space.n).astype(np.float64)
+        mu[rng.integers(space.n)] += 1.0
+        diameter = BlockSparsifierModel().block_length(m)
+        res = partition._sparsify_greedy(space, mu, m, diameter)
+        assert res.parts == reference_sparsify_greedy(space, mu, m, diameter)
+        partition._validate_sparsification(space, res)
+
+    @settings(max_examples=60, deadline=None)
+    @given(desc=small_spaces, m=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_float_measures_give_valid_parts(self, desc, m, seed):
+        space = build_space(desc)
+        rng = np.random.default_rng(seed)
+        mu = rng.random(space.n) * (rng.random(space.n) > 0.2)
+        mu[rng.integers(space.n)] += 0.5
+        diameter = BlockSparsifierModel().block_length(m)
+        res = partition._sparsify_greedy(space, mu, m, diameter)
+        partition._validate_sparsification(space, res)
+        assert res.diameter_bound <= 2 * (diameter // 2)
