@@ -7,8 +7,9 @@ smallest singular value of the restricted matrix; for other exponents a
 deterministic multi-start descent is used and tagged as such, with a brute
 force grid oracle available in small dimension.  A restriction with fewer
 nonzero rows than columns has a kernel, and its lower norm is 0 exactly.
-Every routine extracts restrictions through ``_restricted``, which takes the
-entries of a column set from ``BandOperator.entries``.
+Every restriction comes from ``_gather``: one ``BandOperator.entries`` call
+for any number of column sets, with each set's zero rows trimmed.
+``_restricted`` is its one-set case.
 
 The p = 2 route is picked by column count: a restriction of at most
 ``_DENSE_MAX`` columns is solved dense, a wider one banded, by one rule that
@@ -33,12 +34,14 @@ infimum over real vectors need not be the one over complex vectors.  ``nu``
 scales every witness so that its first entry of largest modulus is real and
 positive, whichever route found it.
 
-``nu_s`` restricts witnesses to ball neighborhoods inside F.  The balls that
-``nu`` would solve by dense SVD get their values from one values-only SVD per
-stack of equal-shape restrictions, the same LAPACK call ``nu`` makes, so they
-are ``nu``'s values bitwise.  The witness and report are built once, by
-``nu`` on the winning ball.  ``threads`` sizes the pool that runs the SVD
-stacks and the balls that go through ``nu`` one by one.
+``nu_s`` restricts witnesses to ball neighborhoods inside F.  Its screen
+builds every distinct ball restriction from one ``_gather`` call.  Kernel
+balls get 0 without an SVD.  The balls that ``nu`` would solve by dense SVD
+land in one zeroed stack per shape, bitwise the matrices ``_restricted``
+builds, and take values-only SVDs of slices of it, the LAPACK call ``nu``
+makes, so they get ``nu``'s values bitwise.  The rest go through ``nu``,
+which builds the witness and report of the winning ball too.  ``threads``
+sizes the pool that runs the SVD slices and the ``nu`` calls.
 
 ``localization_check`` computes the support bound under which the localized
 value provably sits within delta of the global one, given the sparsifier
@@ -102,31 +105,79 @@ def _column_set(F):
     return F
 
 
+def _gather(A, sets):
+    """The unfolded restrictions of A to many column sets, from one gather.
+
+    ``sets`` holds sorted id arrays without repeats.  One ``A.entries`` call
+    takes the entries of all sets; one ``np.unique`` of the keys
+    set * n + row, searched, ranks each row within its set, trimming the
+    zero rows.
+    Returns (row_ids, rows, cols, entries): the nonzero rows' point ids, set
+    after set; each restriction's unfolded shape; and the arrays
+    (owner, r, c, v), the unfolded triplets within the restriction of set
+    ``owner``, float64 when A is real, complex128 otherwise.
+    """
+    k, n = A.block_dim, A.space.n
+    lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    pos, rows, j = A.entries(np.concatenate(sets))
+    owner = np.repeat(np.arange(len(sets)), lens)[j]
+    keys = owner * n + rows
+    row_ids = np.unique(keys)
+    counts = np.bincount(row_ids // n, minlength=len(sets))
+    blocks = A.blocks[pos].real if A.is_real else A.blocks[pos]
+    r, c, v = _unfold(np.searchsorted(row_ids, keys)
+                      - (np.cumsum(counts) - counts)[owner],
+                      j - (np.cumsum(lens) - lens)[owner], blocks)
+    return (row_ids % n, counts * k, lens * k,
+            (np.repeat(owner, k * k), r, c, v))
+
+
+def _dense_stacks(rows, cols, jobs, entries):
+    """The dense restrictions of ``jobs`` from ``_gather``'s output, one
+    zeroed (jobs, rows, cols) stack per shape: a list of (job ids, stack).
+
+    Every entry must belong to a listed job.  The stacks are views of one
+    buffer, and every entry is scattered straight into its slot; within a
+    stack the jobs keep their order in ``jobs``.
+    """
+    if len(jobs) == 0:
+        return []
+    owner, r, c, v = entries
+    jobs = jobs[np.lexsort((cols[jobs], rows[jobs]))]
+    R, C = rows[jobs], cols[jobs]
+    sizes = R * C
+    offset = np.cumsum(sizes) - sizes
+    at = np.empty(len(rows), dtype=np.int64)
+    at[jobs] = offset
+    buf = np.zeros(offset[-1] + sizes[-1], dtype=v.dtype)
+    buf[at[owner] + r * cols[owner] + c] = v
+    cuts = (np.flatnonzero((R[1:] != R[:-1]) | (C[1:] != C[:-1])) + 1).tolist()
+    bounds = [0, *cuts, len(jobs)]
+    return [(jobs[lo:hi], buf[offset[lo]:offset[lo] + (hi - lo) * sizes[lo]]
+             .reshape(hi - lo, R[lo], C[lo]))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _restricted(A, F):
     """Column restriction of A to the set F with zero rows trimmed.
 
-    Returns (F, row_ids, sub): F sorted without repeats, row_ids the points
-    whose row holds an entry in a column of F, and the unfolded restricted
-    matrix.  The entries come from ``A.entries(F)``, which raises
+    The one-set case of ``_gather``.  Returns (F, row_ids, sub): F sorted
+    without repeats, row_ids the points whose row holds an entry in a column
+    of F, and the unfolded restricted matrix.  ``A.entries`` raises
     ``OperatorError`` for an id outside the space, as ``_column_set`` does
-    for an empty F.  ``sub`` is dense when it has at most ``_DENSE_MAX``
-    (unfolded) columns, CSR otherwise; that rule picks the p = 2 route
-    (``_sigma_min``) for ``nu`` and the ``nu_s`` screen alike.  Dropping
-    all-zero rows leaves the singular values unchanged.  The matrix is
-    float64 when A is real, complex128 otherwise.
+    for an empty F.  ``sub`` is dense (``_dense_stacks``) when it has at most
+    ``_DENSE_MAX`` (unfolded) columns, CSR otherwise; that rule picks the
+    p = 2 route (``_sigma_min``) for ``nu`` and the ``nu_s`` screen alike.
+    Dropping all-zero rows leaves the singular values unchanged.  The matrix
+    is float64 when A is real, complex128 otherwise.
     """
     F = _column_set(F)
-    k = A.block_dim
-    pos, rows, cols = A.entries(F)
-    row_ids = np.unique(rows)
-    blocks = A.blocks[pos].real if A.is_real else A.blocks[pos]
-    r, c, v = _unfold(np.searchsorted(row_ids, rows), cols, blocks)
-    shape = (len(row_ids) * k, len(F) * k)
-    if shape[1] > _DENSE_MAX:
-        return F, row_ids, csr_matrix((v, (r, c)), shape=shape)
-    sub = np.zeros(shape, dtype=v.dtype)
-    sub[r, c] = v
-    return F, row_ids, sub
+    row_ids, rows, cols, entries = _gather(A, [F])
+    if cols[0] > _DENSE_MAX:
+        _, r, c, v = entries
+        return F, row_ids, csr_matrix((v, (r, c)), shape=(rows[0], cols[0]))
+    [(_, stack)] = _dense_stacks(rows, cols, np.arange(1), entries)
+    return F, row_ids, stack[0]
 
 
 def _witness_vector(A, F, coeffs, p):
@@ -359,6 +410,11 @@ def _nu_descent(A, F, sub, p, restarts=16, max_iter=80):
     return float(best_val), best_v
 
 
+def _check_exponent(p):
+    if not 1.0 <= p < np.inf:
+        raise OperatorError(f"exponent p must lie in [1, inf), got {p}")
+
+
 def nu(A, F, p=2.0):
     """Lower norm of the column restriction A|_F.
 
@@ -380,8 +436,9 @@ def nu(A, F, p=2.0):
     is scaled so that its first entry of largest modulus is real and
     positive.
     F is read as a set; ``OperatorError`` if it is empty or holds an id
-    outside the space.
+    outside the space, or if p lies outside [1, inf).
     """
+    _check_exponent(p)
     Fs, row_ids, sub = _restricted(A, F)
     k = A.block_dim
     if sub.shape[0] < sub.shape[1]:
@@ -411,8 +468,10 @@ def nu_brute(A, F, p, samples=10 ** 6):
 
     Scans a uniform cube grid (about ``samples`` points) of real coefficient
     vectors on F; returns the smallest quotient found.  An upper bound on the
-    true lower norm by construction.
+    true lower norm by construction.  ``OperatorError`` if p lies outside
+    [1, inf).
     """
+    _check_exponent(p)
     Fs, row_ids, sub = _restricted(A, F)
     k = A.block_dim
     m = sub.shape[1]
@@ -442,20 +501,21 @@ def nu_brute(A, F, p, samples=10 ** 6):
 def nu_s(A, F, s, p=2.0, threads=1):
     """Localized lower norm: min of nu over restrictions F & B(x; s), x in F.
 
-    Identical restriction sets are computed once.  A restriction with fewer
-    rows than columns has value 0 without an SVD.  Restrictions that ``nu``
-    solves by ``exact-svd`` (p = 2, dense under ``_restricted``'s column
-    rule) take their values from values-only SVDs, one stacked call per
-    chunk of equal shapes: the LAPACK call ``nu`` makes, so the values are
+    Identical restriction sets are computed once, and ``_screen`` builds
+    them all from one gather.  A restriction with fewer rows than columns
+    has value 0 without an SVD.  Restrictions that ``nu`` solves by
+    ``exact-svd`` (p = 2, dense under ``_restricted``'s column rule) take
+    their values from values-only SVDs, one call per chunk of a same-shape
+    stack: the matrices and the LAPACK call are ``nu``'s, so the values are
     bitwise those of ``nu``.  Every other restriction goes through ``nu``.
     The first strict minimum in ascending center order wins, and its report
     comes from one ``nu`` call on the winning ball (or the call already
-    made).
+    made).  An infinite scale makes every ball F itself.
     ``threads`` sizes the pool that runs the SVD chunks and the ``nu`` calls;
     the result is independent of it.
     """
-    if s < 0:
-        raise OperatorError("support scale must be nonnegative")
+    if not s >= 0:
+        raise OperatorError(f"support scale must be nonnegative, got {s}")
     F = A._ids(_column_set(F))
     in_F = np.zeros(A.space.n, dtype=bool)
     in_F[F] = True
@@ -470,17 +530,7 @@ def nu_s(A, F, s, p=2.0, threads=1):
         seen.add(key)
         jobs.append((x, ball))
 
-    value = np.full(len(jobs), np.inf)    # nu's value of each job
-    screened = {}                          # shape -> [(job, restriction)]
-    direct = []
-    for j, (_, ball) in enumerate(jobs):
-        sub = _restricted(A, ball)[2]
-        if sub.shape[0] < sub.shape[1]:
-            value[j] = 0.0
-        elif p == 2.0 and not issparse(sub):
-            screened.setdefault(sub.shape, []).append((j, sub))
-        else:
-            direct.append(j)
+    value, stacks, direct = _screen(A, [ball for _, ball in jobs], p)
 
     def screen(chunk):
         idx, stack = chunk
@@ -491,7 +541,7 @@ def nu_s(A, F, s, p=2.0, threads=1):
         reports = dict(zip(direct, run(lambda j: nu(A, jobs[j][1], p=p), direct)))
         for j, rep in reports.items():
             value[j] = rep.value
-        for idx, sv in run(screen, _stacks(screened, threads)):
+        for idx, sv in run(screen, _stacks(stacks, threads)):
             value[idx] = sv
 
     j = int(np.argmin(value))
@@ -500,21 +550,34 @@ def nu_s(A, F, s, p=2.0, threads=1):
     return rep
 
 
-def _stacks(groups, threads):
-    """(job indices, stacked matrices) per chunk of each same-shape group.
+def _screen(A, balls, p):
+    """(value, stacks, direct) of the balls, from one ``_gather``: value 0
+    for a kernel ball (fewer rows than columns), inf otherwise; the
+    ``_dense_stacks`` of the balls that ``nu`` solves by ``exact-svd``; and
+    the rest, which go through ``nu``."""
+    _, rows, cols, entries = _gather(A, balls)
+    kernel = rows < cols
+    stacked = ~kernel & (cols <= _DENSE_MAX) & (p == 2.0)
+    keep = stacked[entries[0]]
+    return (np.where(kernel, 0.0, np.inf),
+            _dense_stacks(rows, cols, np.flatnonzero(stacked),
+                          tuple(a[keep] for a in entries)),
+            np.flatnonzero(~kernel & ~stacked).tolist())
 
-    A chunk holds at most ``_STACK_BYTES`` of matrices, and each group is
+
+def _stacks(stacks, threads):
+    """(job ids, matrices) per chunk of each (job ids, stack) pair: slices,
+    not copies.
+
+    A chunk holds at most ``_STACK_BYTES`` of matrices, and each stack is
     split into at least ``threads`` chunks where it has that many members.
     """
-    for group in groups.values():
-        if not group:
-            continue
-        size = min(_STACK_BYTES // group[0][1].nbytes,
-                   -(-len(group) // max(1, threads)))
+    for idx, stack in stacks:
+        size = min(_STACK_BYTES // stack[0].nbytes,
+                   -(-len(idx) // max(1, threads)))
         size = max(1, size)
-        for lo in range(0, len(group), size):
-            part = group[lo:lo + size]
-            yield [j for j, _ in part], np.stack([sub for _, sub in part])
+        for lo in range(0, len(idx), size):
+            yield idx[lo:lo + size], stack[lo:lo + size]
 
 
 @dataclass
@@ -536,9 +599,11 @@ def localization_check(A, delta, sparsifier, family, p=2.0, norm_bound=None):
     error M (c'^(-1/p) - 1) drops below delta, and s is the part diameter the
     sparsifier needs at separation 2 prop(A) + 1 for that fraction.  The
     verification sweep checks nu_s <= nu + delta on every F in the family.
+    ``OperatorError`` unless delta > 0 and p lies in [1, inf).
     """
-    if delta <= 0:
+    if not delta > 0:
         raise OperatorError("delta must be positive")
+    _check_exponent(p)
     M = schur_bound(A, p) if norm_bound is None else float(norm_bound)
     r = A.propagation
     m = 2 * r + 1
@@ -602,6 +667,8 @@ def witness_cascade(A, delta_schedule, s_schedule, p=2.0, F=None):
     Scales must be strictly increasing with s[k+1] > 2 s[k]; stages run from
     the largest scale down, each restricting to the ball found by the
     previous one.  Returns (center, radius, value) triples in stage order.
+    ``delta_schedule`` is only checked for its length (None gives 2^-k);
+    it does not steer the stages.
     """
     s_schedule = [int(s) for s in s_schedule]
     if any(b <= a for a, b in zip(s_schedule, s_schedule[1:])):

@@ -191,12 +191,14 @@ class Space:
 
         Lattice ids combine the clipped per-axis ranges row-major, so they
         come out ascending; a linf ball, and any ball in one dimension, is
-        its whole clipped box.
+        its whole clipped box.  An infinite radius gives every id.
         """
         if x < 0 or x >= self.n:
             raise SpaceError(f"unknown point id {x}")
-        if r < 0:
-            raise SpaceError("radius must be nonnegative")
+        if not r >= 0:
+            raise SpaceError(f"radius must be nonnegative, got {r}")
+        if r == math.inf:
+            return np.arange(self.n)
         r = math.floor(r)
         if self.coords is None:
             return np.nonzero(self.row(x) <= r)[0]

@@ -465,6 +465,111 @@ class TestNuSEquivalence:
         assert nu_s(A, range(sp.n), 40).method == "banded-gram"
 
 
+def distinct_balls(A, F, s):
+    """The distinct restriction sets F & B(x; s), in ascending center order."""
+    Fset = set(int(x) for x in F)
+    balls = []
+    for x in sorted(Fset):
+        ball = [int(y) for y in A.space.ball(x, s) if int(y) in Fset]
+        if ball not in balls:
+            balls.append(ball)
+    return [np.array(ball, dtype=np.int64) for ball in balls]
+
+
+class TestBatchedScreen:
+    """The screen's one-gather stacks against ``_restricted`` set by set."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(desc=nu_s_spaces, seed=st.integers(0, 2 ** 32 - 1),
+           block_dim=st.sampled_from([1, 2]), real=st.booleans(),
+           s=st.integers(0, 4), prop=st.integers(0, 2),
+           keep=st.floats(0.1, 1.0), density=st.sampled_from([0.15, 0.6]),
+           p=st.sampled_from([2.0, 3.0]))
+    def test_stacks_are_the_restrictions(self, desc, seed, block_dim, real, s,
+                                         prop, keep, density, p):
+        sp = build_space(desc)
+        rng = np.random.default_rng(seed)
+        A = random_band(sp, prop, rng, density=density, block_dim=block_dim,
+                        real=real)
+        F = [x for x in range(sp.n) if rng.random() < keep] or [0]
+        balls = distinct_balls(A, F, s)
+        value, stacks, direct = lowernorm._screen(A, balls, p)
+        subs = [lowernorm._restricted(A, ball)[2] for ball in balls]
+        stacked = []
+        for idx, stack in stacks:
+            for j, mat in zip(idx.tolist(), stack):
+                sub = subs[j]
+                assert not issparse(sub)
+                assert mat.shape == sub.shape and mat.dtype == sub.dtype
+                assert mat.tobytes() == sub.tobytes()
+                stacked.append(j)
+        kernel = np.flatnonzero(value == 0).tolist()
+        assert kernel == [j for j, sub in enumerate(subs)
+                          if sub.shape[0] < sub.shape[1]]
+        assert np.all(np.isinf(np.delete(value, kernel)))
+        assert direct == [j for j, sub in enumerate(subs) if j not in kernel
+                          and (p != 2.0 or issparse(sub))]
+        assert sorted(stacked + kernel + direct) == list(range(len(balls)))
+
+    def test_kernel_and_both_routes_in_one_screen(self):
+        # zero columns make kernel balls; s = 40 on 100 points gives balls on
+        # both sides of the dense limit
+        sp = build_space({"kind": "n-window", "upper": 99, "name": "n100"})
+        A = from_triplets(sp, [(x, x, 3.0) for x in range(sp.n) if x % 10]
+                          + [(x, x + 1, -1.0) for x in range(sp.n - 1)])
+        balls = distinct_balls(A, range(sp.n), 40) + [np.array([0])]
+        value, stacks, direct = lowernorm._screen(A, balls, 2.0)
+        assert value[-1] == 0.0 and len(stacks) > 1 and direct
+        for idx, stack in stacks:
+            for j, mat in zip(idx.tolist(), stack):
+                assert mat.tobytes() == \
+                    lowernorm._restricted(A, balls[j])[2].tobytes()
+
+
+class TestOutOfRangeArguments:
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, np.inf, np.nan])
+    def test_exponent_outside_one_to_inf_rejected(self, nat_window, p):
+        A = three_i_minus_tridiag(nat_window)
+        calls = [
+            lambda: nu(A, range(5), p=p),
+            lambda: nu_brute(A, range(3), p, samples=100),
+            lambda: nu_s(A, range(20), 2, p=p),
+            lambda: essential_nu(A, [2, 5], p=p),
+            lambda: localization_check(A, 0.5, BlockSparsifierModel(),
+                                       [range(5)], p=p, norm_bound=8.0),
+            lambda: witness_cascade(A, None, [2, 5], p=p),
+        ]
+        for call in calls:
+            with pytest.raises(OperatorError, match="exponent"):
+                call()
+
+    def test_exponent_one_accepted(self, nat_window):
+        rep = nu(identity(nat_window), range(5), p=1.0)
+        assert abs(rep.value - 1.0) < 1e-6
+
+    def test_nan_delta_rejected(self, nat_window):
+        with pytest.raises(OperatorError, match="delta must be positive"):
+            localization_check(tridiagonal(nat_window), float("nan"),
+                               BlockSparsifierModel(), [range(5)])
+
+    @pytest.mark.parametrize("desc", [
+        {"kind": "zn-window", "lower": [-3, -2], "upper": [3, 2], "norm": "l1"},
+        path_graph(12, [(0, 7), (3, 9)]),
+    ])
+    def test_infinite_scale_is_nu_on_f(self, desc):
+        sp = build_space(desc)
+        A = random_band(sp, 1, np.random.default_rng(137), density=0.7)
+        F = [9, 2, 5, 11, 6]
+        rep = nu_s(A, F, np.inf)
+        whole = nu(A, F)
+        whole.ball_center = 2
+        assert body(rep) == body(whole)
+        with pytest.raises(OperatorError, match="support scale"):
+            nu_s(A, F, float("nan"))
+        with pytest.raises(OperatorError, match="support scale"):
+            nu_s(A, F, -np.inf)
+
+
 class TestWideRestriction:
     """Fewer nonzero rows than columns: a kernel, so the lower norm is 0."""
 
@@ -662,13 +767,13 @@ class TestRealArithmetic:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_stacks_bounded_by_own_itemsize(self, dtype):
-        sub = np.zeros((30, 20), dtype=dtype)
-        chunks = list(lowernorm._stacks({sub.shape: [(j, sub) for j in range(2000)]},
-                                        threads=1))
+        stack = np.zeros((2000, 30, 20), dtype=dtype)
+        chunks = list(lowernorm._stacks([(np.arange(2000), stack)], threads=1))
         assert max(len(idx) for idx, _ in chunks) == \
-            lowernorm._STACK_BYTES // sub.nbytes
-        assert all(stack.nbytes <= lowernorm._STACK_BYTES for _, stack in chunks)
+            lowernorm._STACK_BYTES // stack[0].nbytes
+        assert all(part.nbytes <= lowernorm._STACK_BYTES for _, part in chunks)
         assert [j for idx, _ in chunks for j in idx] == list(range(2000))
+        assert all(np.shares_memory(part, stack) for _, part in chunks)
 
     def test_chunking_keeps_values(self, monkeypatch):
         # one matrix per stacked SVD call gives the same report

@@ -152,6 +152,20 @@ class TestBalls:
         with pytest.raises(SpaceError):
             nat_window.ball(999, 1)
 
+    @pytest.mark.parametrize("desc", [
+        {"kind": "zn-window", "lower": [-3, -2], "upper": [3, 2], "norm": "l2"},
+        {"kind": "graph", "n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4],
+                                            [4, 5], [1, 4]]},
+    ])
+    def test_infinite_and_nan_radius(self, desc):
+        sp = build_space(desc)
+        for x in (0, sp.n - 1):
+            assert sp.ball(x, math.inf).tolist() == list(range(sp.n))
+            with pytest.raises(SpaceError, match="nan"):
+                sp.ball(x, math.nan)
+            with pytest.raises(SpaceError, match="nonnegative"):
+                sp.ball(x, -math.inf)
+
     def test_ball_matches_row_scan(self, quad_window):
         for x in (0, 13, 60):
             for r in (0, 2, 4):
