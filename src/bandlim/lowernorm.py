@@ -57,7 +57,10 @@ import numpy as np
 from scipy.linalg import eigvals_banded, get_lapack_funcs
 from scipy.sparse import csr_matrix, issparse
 
-from .operators import OperatorError, Vector, _unfold, gram_band, schur_bound
+from .operators import (
+    OperatorError, Vector, _check_exponent, _unfold, gram_band, schur_bound,
+)
+from .serialize import KeyedRows
 from .space import _grid
 
 # nu's p = 2 route is dense iff the restriction has at most _DENSE_MAX
@@ -85,13 +88,19 @@ class NuReport:
     ball_center: int = None
 
     def to_json(self):
+        """Report structure for ``report_dumps``.
+
+        The witness is a ``KeyedRows`` block: the witness's support points
+        as keys and its complex block values there as rows, written as the
+        dict {point: [[re, im], ...]}.
+        """
         sup = self.witness.support()
         return {
             "value": self.value,
             "method": self.method,
             "tolerance": self.tolerance,
             "support_diameter": self.support_diameter,
-            "witness": dict(zip(sup.tolist(), self.witness.values[sup])),
+            "witness": KeyedRows(sup, self.witness.values[sup]),
             "subset_size": len(self.subset),
             "ball_center": self.ball_center,
         }
@@ -410,11 +419,6 @@ def _nu_descent(A, F, sub, p, restarts=16, max_iter=80):
     return float(best_val), best_v
 
 
-def _check_exponent(p):
-    if not 1.0 <= p < np.inf:
-        raise OperatorError(f"exponent p must lie in [1, inf), got {p}")
-
-
 def nu(A, F, p=2.0):
     """Lower norm of the column restriction A|_F.
 
@@ -668,8 +672,10 @@ def witness_cascade(A, delta_schedule, s_schedule, p=2.0, F=None):
     the largest scale down, each restricting to the ball found by the
     previous one.  Returns (center, radius, value) triples in stage order.
     ``delta_schedule`` is only checked for its length (None gives 2^-k);
-    it does not steer the stages.
+    it does not steer the stages.  ``OperatorError`` for a non-finite scale.
     """
+    if not np.isfinite(s_schedule).all():
+        raise OperatorError("support scales must be finite")
     s_schedule = [int(s) for s in s_schedule]
     if any(b <= a for a, b in zip(s_schedule, s_schedule[1:])):
         raise OperatorError("support schedule must be strictly increasing")

@@ -27,6 +27,11 @@ class OperatorError(ValueError):
     """Raised on malformed operator input (bad ids, duplicates, mismatch)."""
 
 
+def _check_exponent(p):
+    if not 1.0 <= p < np.inf:
+        raise OperatorError(f"exponent p must lie in [1, inf), got {p}")
+
+
 def _block_norms(blocks):
     """Spectral norm of each k-by-k block (absolute value when k = 1)."""
     if blocks.shape[1] == 1:
@@ -305,8 +310,11 @@ def schur_bound(A: BandOperator, p=2.0) -> float:
     """Certified upper bound for the p-operator norm.
 
     The smaller of the ball-count bound entry_sup * growth(prop) and the
-    interpolation bound (max column l1)^(1/p) (max row l1)^(1/q).
+    interpolation bound (max column l1)^(1/p) (max row l1)^(1/q), which
+    at p = 1 (q = inf) is the max column l1.  ``OperatorError`` unless p
+    lies in [1, inf).
     """
+    _check_exponent(p)
     if A.nnz == 0:
         return 0.0
     norms = _block_norms(A.blocks)
@@ -314,7 +322,7 @@ def schur_bound(A: BandOperator, p=2.0) -> float:
     col_sums = np.zeros(A.space.n)
     np.add.at(row_sums, A.rows, norms)
     np.add.at(col_sums, A.cols, norms)
-    q = p / (p - 1.0)
+    q = p / (p - 1.0) if p > 1.0 else np.inf
     if p == 2.0:
         interp = float(np.sqrt(col_sums.max() * row_sums.max()))
     else:

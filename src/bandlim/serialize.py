@@ -22,14 +22,18 @@ newline, applied to the report with every number rounded:
   (``json.encoder.encode_basestring_ascii``);
 * lists and tuples are arrays; each item of a non-empty container sits on
   its own line, indented two spaces per level; empty ones are ``[]`` and
-  ``{}``.
+  ``{}``;
+* a ``KeyedRows(keys, values)`` block is written as the dict
+  ``{int(keys[i]): values[i]}``, each row a 1-d ndarray.
 
 Each float's text is kept for the length of one ``report_dumps`` call, so
 ``round15`` runs once per distinct value of a body: report floats repeat,
 and in the benchmark bodies at seed 7 the distinct values of a body are
 19 % of its floats for ``spectrum``, 50 % for ``localize`` and 9 % for
 ``partition``.  Lists of plain numbers and 1-d
-numeric arrays are written with one join, without a walk per item.
+numeric arrays are written with one join, without a walk per item, and a
+``KeyedRows`` block with one sort of its key texts and one ``tolist`` of its
+values, without a view per row.
 """
 
 from functools import lru_cache
@@ -39,6 +43,31 @@ import math
 import numpy as np
 
 _INF = float("inf")
+
+
+class KeyedRows:
+    """Rows of a 2-d numeric array under distinct int keys, for a report body.
+
+    Its JSON form is the dict ``{str(keys[i]): values[i]}``: keys sorted as
+    strings, each row written as a 1-d ndarray is.  Raises ``ValueError``
+    unless keys are distinct ints, one per row of an (n, k) array of ints,
+    floats or complex numbers.
+    """
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys, values):
+        keys = np.asarray(keys)
+        values = np.asarray(values)
+        if keys.ndim != 1 or (len(keys) and keys.dtype.kind not in "iu"):
+            raise ValueError("keys must be a 1-d array of ints")
+        if values.ndim != 2 or len(values) != len(keys) \
+                or values.dtype.kind not in "iufc":
+            raise ValueError("values must be a numeric array with one row per key")
+        if len(np.unique(keys)) != len(keys):
+            raise ValueError("keys must be distinct")
+        self.keys = keys
+        self.values = values
 
 
 def round15(x):
@@ -95,6 +124,32 @@ def _ndarray_texts(arr, inner):
             + _float_text(z.imag) + inner + "]" for z in arr.tolist()]
 
 
+def _keyed_rows(block, nl):
+    """JSON text of a KeyedRows block: one format string for every row."""
+    if not len(block.keys):
+        return "{}"
+    inner = nl + "  "
+    row = inner + "  "
+    keys = block.keys.astype(str)
+    order = np.argsort(keys, kind="stable")   # code-point order, as sorted()
+    values = block.values[order]              # a C-contiguous copy
+    kind = values.dtype.kind
+    item = "%s"
+    if kind == "c":
+        deeper = row + "  "
+        item = "[" + deeper + "%s," + deeper + "%s" + row + "]"
+        values = values.view(values.real.dtype)   # each entry as re, im
+    texts = list(map(_float_text if kind in "fc" else int.__repr__,
+                     values.ravel().tolist()))
+    k = block.values.shape[1]
+    line = '"%s": ' + ("[" + row + ("," + row).join([item] * k) + inner + "]"
+                       if k else "[]")
+    width = values.shape[1]
+    lines = map(line.__mod__, zip(keys[order].tolist(),
+                                  *(texts[j::width] for j in range(width))))
+    return "{" + inner + ("," + inner).join(lines) + nl + "}"
+
+
 def _dump(obj, nl):
     """JSON text of obj, whose first line is already indented after ``nl``."""
     if isinstance(obj, (float, np.floating)):
@@ -109,6 +164,8 @@ def _dump(obj, nl):
         return "{" + inner + ("," + inner).join(
             _string(k) + ": " + _dump(items[k], inner)
             for k in sorted(items)) + nl + "}"
+    if isinstance(obj, KeyedRows):
+        return _keyed_rows(obj, nl)
     if isinstance(obj, str):
         return _string(obj)
     if isinstance(obj, (bool, np.bool_)):

@@ -225,7 +225,15 @@ class Space:
     # -- derived geometry ---------------------------------------------------
 
     def growth(self, r):
-        """Max ball size N(r) over all centers (bounded geometry constant)."""
+        """Max ball size N(r) over all centers (bounded geometry constant).
+
+        An infinite radius gives n, as ``ball`` gives every id; a NaN radius
+        raises ``SpaceError``.
+        """
+        if r != r:
+            raise SpaceError(f"radius must be a number, got {r}")
+        if r == math.inf:
+            return self.n
         r = math.floor(max(r, 0))
         if r in self._growth_cache:
             return self._growth_cache[r]

@@ -8,7 +8,7 @@ from bandlim.operators import BandOperator, from_triplets
 from bandlim.limits import LimitWindow
 from bandlim.lowernorm import NuReport
 from bandlim.partition import PPartition, Sparsification
-from bandlim.serialize import round15
+from bandlim.serialize import KeyedRows, round15
 
 
 @pytest.fixture
@@ -111,6 +111,8 @@ def reference_isometries(t1, t2, cap=256):
 
 def reference_clean(obj):
     """The report structure with every number rounded, as plain JSON types."""
+    if isinstance(obj, KeyedRows):
+        obj = dict(zip(obj.keys.tolist(), obj.values))
     if isinstance(obj, dict):
         return {str(k): reference_clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

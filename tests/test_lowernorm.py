@@ -547,6 +547,15 @@ class TestOutOfRangeArguments:
         rep = nu(identity(nat_window), range(5), p=1.0)
         assert abs(rep.value - 1.0) < 1e-6
 
+    def test_exponent_one_without_norm_bound(self, nat_window):
+        A = three_i_minus_tridiag(nat_window)
+        rep = localization_check(A, 0.5, BlockSparsifierModel(), [range(5)],
+                                 p=1.0)
+        ref = localization_check(A, 0.5, BlockSparsifierModel(), [range(5)],
+                                 p=1.0, norm_bound=schur_bound(A, 1.0))
+        assert schur_bound(A, 1.0) == 5.0
+        assert rep == ref and rep.family_size == 1
+
     def test_nan_delta_rejected(self, nat_window):
         with pytest.raises(OperatorError, match="delta must be positive"):
             localization_check(tridiagonal(nat_window), float("nan"),
@@ -568,6 +577,9 @@ class TestOutOfRangeArguments:
             nu_s(A, F, float("nan"))
         with pytest.raises(OperatorError, match="support scale"):
             nu_s(A, F, -np.inf)
+        for scales in ([2, np.inf], [np.nan, 5], [-np.inf, 2]):
+            with pytest.raises(OperatorError, match="support scales"):
+                witness_cascade(A, None, scales)
 
 
 class TestWideRestriction:

@@ -225,6 +225,16 @@ class TestNorms:
     def test_schur_shift(self, nat_window):
         assert schur_bound(shift_operator(nat_window)) == 1.0
 
+    def test_schur_at_one_is_max_column_sum(self, nat_window):
+        T = from_triplets(nat_window, [(0, 0, 3.0), (1, 0, -4.0), (1, 1, 2.0)])
+        assert schur_bound(T, 1.0) == 7.0
+        assert schur_bound(identity(nat_window), 1.0) == 1.0
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.inf, math.nan])
+    def test_schur_exponent_outside_one_to_inf_rejected(self, nat_window, p):
+        with pytest.raises(OperatorError, match="exponent"):
+            schur_bound(identity(nat_window), p)
+
     def test_norm2_identity(self, nat_window):
         assert abs(norm2(identity(nat_window)) - 1.0) < 1e-12
 
@@ -318,13 +328,13 @@ BAND_SPACES = [
 
 
 @st.composite
-def band_operators(draw):
+def band_operators(draw, block_dims=st.integers(1, 2)):
     """Random band operators: space kind, propagation, density, blocks, field."""
     sp = build_space(draw(st.sampled_from(BAND_SPACES)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return random_band(sp, draw(st.integers(0, 3)), rng,
                        density=draw(st.sampled_from([0.1, 0.5, 1.0])),
-                       block_dim=draw(st.integers(1, 2)), real=draw(st.booleans()))
+                       block_dim=draw(block_dims), real=draw(st.booleans()))
 
 
 class TestBandProperties:
@@ -333,6 +343,12 @@ class TestBandProperties:
     def test_schur_bound_dominates_the_dense_norm(self, A):
         # the bound is exact arithmetic; allow only the rounding of the SVD
         assert schur_bound(A, 2) >= np.linalg.norm(A.to_dense(), 2) * (1 - 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_operators(block_dims=st.just(1)))
+    def test_schur_bound_at_one_dominates_the_dense_one_norm(self, A):
+        # at p = 1 the norm of a scalar operator is its max column l1 sum
+        assert schur_bound(A, 1.0) >= np.linalg.norm(A.to_dense(), 1) * (1 - 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

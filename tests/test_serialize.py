@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bandlim import limits, lowernorm, operators, partition, serialize, space
-from bandlim.serialize import report_dumps
+from bandlim.serialize import KeyedRows, report_dumps
 
 from conftest import REFERENCE_JSON, reference_dumps
 
@@ -102,6 +102,55 @@ class TestReportDumps:
                 reference_dumps(obj)
             with pytest.raises(TypeError):
                 report_dumps(obj)
+
+
+# keys of one to three digits and negative ones, so that string order is not
+# numeric order: "10" < "100" < "9"
+row_keys = st.lists(st.one_of(st.integers(0, 9), st.integers(10, 99),
+                              st.integers(100, 999), st.integers(-99, -1)),
+                    unique=True, max_size=12)
+row_floats = st.one_of(floats, st.floats(1e15, 1e16, exclude_max=True),
+                       st.floats(-1e-308, 1e-308))
+row_dtypes = {
+    np.float64: row_floats,
+    np.complex128: st.builds(complex, row_floats, row_floats),
+    np.int64: st.integers(-2 ** 63, 2 ** 63 - 1),
+}
+
+
+class TestKeyedRows:
+    """A KeyedRows block against its dict form {int(key): row}."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_dict_form(self, data):
+        keys = data.draw(row_keys)
+        dtype = data.draw(st.sampled_from(list(row_dtypes)))
+        shape = (len(keys), data.draw(st.integers(1, 3)))
+        values = data.draw(hnp.arrays(dtype, shape, elements=row_dtypes[dtype]))
+        block = {"w": KeyedRows(np.array(keys, dtype=np.int64), values)}
+        as_dict = {"w": {int(k): values[i] for i, k in enumerate(keys)}}
+        text = report_dumps(block)
+        assert text == report_dumps(as_dict)
+        assert text == reference_dumps(as_dict) == reference_dumps(block)
+
+    def test_empty_and_zero_width_rows(self):
+        assert report_dumps(KeyedRows([], np.zeros((0, 2)))) == "{}\n"
+        assert report_dumps({"w": KeyedRows([], np.zeros((0, 1), complex))}) \
+            == '{\n  "w": {}\n}\n'
+        block = KeyedRows([10, 9], np.zeros((2, 0)))
+        assert report_dumps(block) == report_dumps({10: np.zeros(0), 9: np.zeros(0)})
+
+    @pytest.mark.parametrize("keys, values", [
+        ([3, 1, 3], np.zeros((3, 1))),       # duplicate keys
+        ([1.0, 2.0], np.zeros((2, 1))),      # keys that are not ints
+        ([1, 2], np.zeros(2)),               # rows that are not an array's
+        ([1, 2], np.zeros((3, 1))),          # more rows than keys
+        ([1, 2], np.array([["a"], ["b"]])),  # rows that are not numbers
+    ])
+    def test_malformed_blocks_raise(self, keys, values):
+        with pytest.raises(ValueError):
+            KeyedRows(keys, values)
 
 
 class TestFloatTexts:

@@ -62,6 +62,19 @@ class TestBuildSpace:
         assert vals == sorted(vals)
         assert vals[0] == 1
 
+    @pytest.mark.parametrize("desc", [
+        {"kind": "zn-window", "lower": [-3, -2], "upper": [3, 2], "norm": "l1"},
+        {"kind": "box-cycles", "moduli": [8, 16], "cross_distance": 100},
+        {"kind": "graph", "n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4],
+                                            [4, 5], [1, 4]]},
+    ])
+    def test_infinite_and_nan_growth(self, desc):
+        sp = build_space(desc)
+        assert sp.growth(math.inf) == sp.n == len(sp.ball(0, math.inf))
+        assert sp.growth(-math.inf) == 1
+        with pytest.raises(SpaceError, match="nan"):
+            sp.growth(math.nan)
+
     def test_small_spaces_satisfy_axioms(self):
         for desc in (
             {"kind": "quadrant", "upper": 5, "norm": "l2"},
