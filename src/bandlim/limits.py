@@ -3,20 +3,21 @@
 A Direction is an explicit basepoint sequence walking out of the window, the
 computable stand-in for a boundary point at infinity.  ``limit_space`` checks
 that the pointed balls around the tail basepoints stabilize to one isometry
-class and returns the common template.  Each basepoint's ball is matched once:
-a ball whose canonical template matrix equals the stabilized one keeps its
-``ball_template`` id list, which is the least pointed isometry, and only a
-ball with another matrix is searched by ``match_ball_exact``.  The walk back
-and the divergence classes compare templates through ``pointed_isometric``,
-which answers equal matrices without a search.
+class and returns the common template.  All basepoint balls are labeled in
+one ``ball_templates`` pass: a ball whose canonical template matrix equals
+the stabilized one keeps its id list, which is the least pointed isometry,
+and only a ball with another matrix is searched by ``match_ball_exact``.  The
+walk back and the divergence classes compare templates through
+``pointed_isometric``, which answers equal matrices without a search.
 
 ``limit_operator`` pulls the operator entries back through the matched
-windows, certifies that they form a Cauchy family within the requested
-tolerance, and averages the stabilized tail into a LimitWindow.
-``shift_limit`` is the group-structured shortcut that translates windows to
-the origin instead of matching them, and must agree with the matching route.
-``sample_spectrum`` and ``ghost_profile`` provide the sampled
-operator-spectrum summary and the vanishing-entry diagnostic.
+windows, all of them in one ``A.entries`` gather, certifies that they form a
+Cauchy family within the requested tolerance, and averages the stabilized
+tail into a LimitWindow.  ``shift_limit`` is the group-structured shortcut
+that translates windows to the origin instead of matching them, and must
+agree with the matching route.  ``sample_spectrum`` and ``ghost_profile``
+provide the sampled operator-spectrum summary and the vanishing-entry
+diagnostic.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ import itertools
 import numpy as np
 
 from .space import (
-    Space, SpaceError, Template, build_space, ball_template, match_ball_exact,
+    Space, SpaceError, Template, build_space, ball_templates, match_ball_exact,
     pointed_isometric, _isometries,
 )
 from .operators import (
@@ -181,10 +182,8 @@ def limit_space(space, direction, R, tol_count=5):
             f"margin violation: basepoints {bad[:5]} sit within {R} of the "
             f"window boundary")
 
-    templates = []
-    for b in usable:
-        t, ids = ball_template(space, b, R)
-        templates.append((b, t, ids))
+    templates = [(b, t, ids) for b, (t, ids)
+                 in zip(usable, ball_templates(space, usable, R))]
 
     # walk back from the end while consecutive balls stay pointed isometric
     i0 = len(usable) - 1
@@ -295,7 +294,7 @@ def _certify_windows(windows, tol, tail):
     """
     count = len(windows)
     need = min(tail, count)
-    stack = np.stack(windows)
+    stack = np.asarray(windows)
     pair = np.zeros((count, count))
     for i in range(count - 1):
         pair[i, i + 1:] = np.abs(stack[i + 1:] - stack[i]).max(
@@ -317,13 +316,28 @@ def _certify_windows(windows, tol, tail):
     return s, avg, dev, profile
 
 
-def _window_matrix(A, ids):
-    """Unfolded matrix of A on the listed points, in order, from ``A.entries``."""
-    k, m = A.block_dim, len(ids)
-    pos, i, j = A.entries(ids, ids)
-    out = np.zeros((m, k, m, k), dtype=np.complex128)
-    out[i, :, j, :] = A.blocks[pos]
-    return out.reshape(m * k, m * k)
+def _window_stack(A, ids):
+    """Unfolded matrices of A on the rows of ``ids``, a (count, mk, mk) stack.
+
+    One ``A.entries`` gather reads the columns of every window.  Each entry's
+    row is ranked within its window by one ``searchsorted`` over the keys
+    window * n + id, and entries whose row lies outside the window are
+    dropped.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    count, m = ids.shape
+    k, n = A.block_dim, A.space.n
+    pos, i, j = A.entries(ids.reshape(-1))
+    win, col = np.divmod(j, m)
+    keys = (np.arange(count)[:, None] * n + ids).reshape(-1)
+    order = np.argsort(keys)
+    want = win * n + i
+    at = order[np.minimum(np.searchsorted(keys, want, sorter=order),
+                          len(keys) - 1)]
+    hit = keys[at] == want
+    out = np.zeros((count, m, k, m, k), dtype=np.complex128)
+    out[win[hit], at[hit] % m, :, col[hit], :] = A.blocks[pos[hit]]
+    return out.reshape(count, m * k, m * k)
 
 
 def _limit_window(A, template, R, tol, tail, label, basepoints, ids, offset):
@@ -333,8 +347,7 @@ def _limit_window(A, template, R, tol, tail, label, basepoints, ids, offset):
     label order; ``offset`` is the index of ``basepoints[0]`` in the usable
     basepoint list, so ``stabilized_from`` counts from there.
     """
-    windows = [_window_matrix(A, pts) for pts in ids]
-    s, avg, dev, profile = _certify_windows(windows, tol, tail)
+    s, avg, dev, profile = _certify_windows(_window_stack(A, ids), tol, tail)
     wnorm = float(np.linalg.norm(avg, 2)) if avg.size else 0.0
     return LimitWindow(
         template=template, matrix=avg, radius=int(R), cauchy_tail=float(dev),
@@ -372,13 +385,11 @@ def limit_operator(A, direction, R=None, tol=1e-9, tail=5):
             f"radius {R_metric}: {ls.summary()['class_sizes']} classes seen")
 
     # restrict the stabilized template to radius R around the basepoint
-    keep = [i for i in range(ls.template.size)
-            if ls.template.dist[ls.template.base, i] <= R]
-    sub_dist = ls.template.dist[np.ix_(keep, keep)]
-    template = Template(sub_dist, base=0)
+    keep = np.nonzero(ls.template.dist[ls.template.base] <= R)[0]
+    template = Template(ls.template.dist[np.ix_(keep, keep)], base=0)
 
     used = ls.basepoints[ls.stabilized_from:]
-    ids = [[ls.matchings[b][i] for i in keep] for b in used]
+    ids = np.array([ls.matchings[b] for b in used], dtype=np.int64)[:, keep]
     return _limit_window(A, template, R, tol, tail, direction.label, used, ids,
                          ls.stabilized_from)
 
@@ -412,11 +423,11 @@ def shift_limit(A, direction, R=None, tol=1e-9, tail=5):
         raise ExtractError(
             f"no basepoint of {direction.label!r} has margin {R}")
     offsets = space.group_offsets(R)
-    ids = []
-    for b in usable:
-        ids.append([space.offset_point(b, off) for off in offsets])
-        if None in ids[-1]:
-            raise ExtractError(f"basepoint {b} cannot host radius {R} offsets")
+    ids = space.offset_points(np.asarray(usable)[:, None], offsets)
+    outside = np.nonzero((ids < 0).any(axis=1))[0]
+    if len(outside):
+        raise ExtractError(
+            f"basepoint {usable[outside[0]]} cannot host radius {R} offsets")
     labels = [str(o[0]) if isinstance(o, tuple) and len(o) == 1 else str(o)
               for o in offsets]
     template = Template(space.pairwise(ids[0], ids[0]), base=0, labels=labels)

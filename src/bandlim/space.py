@@ -18,18 +18,21 @@ arrays; ``pairwise``, ``row`` and ``dist`` are views of it, and so is
 ``diameter`` except on linf and l1 lattice windows, where it has a closed form.
 ``Space.ball`` is the one ball routine: lattice windows of every dimension
 and norm cut the ball from its clipped bounding box in row-major order, the
-other kinds scan a row of ``pair_dist``.
+other kinds scan a row of ``pair_dist``.  Group offsets have one formula
+per kind, ``Space.offset_points``.
 
-Besides ball queries the module provides group offsets (for
-group-structured windows), pointed isometry matching between a finite template
-and balls of the space, and an interior-margin notion used to discard
-truncation artifacts near the window boundary.
+Besides ball queries the module provides pointed isometry matching between a
+finite template and balls of the space, and an interior-margin notion used to
+discard truncation artifacts near the window boundary.
 
 Every isometry search runs through one backtracker, ``_isometries``, which
 yields the pointed isometries in lexicographic order; ``match_ball_exact``
 and ``pointed_isometric`` take its first one.  Equal canonical
-``ball_template`` matrices need no search at all: the balls are pointed
-isometric and the template's id list is the least isometry.
+``ball_templates`` matrices need no search at all: the balls are pointed
+isometric and the template's id list is the least isometry.  On a lattice
+window distances depend only on coordinate differences and row-major ids are
+linear in the coordinates, so ``ball_templates`` labels one center per extent
+pattern of the clipped ball box and translates its ids to the others.
 """
 
 from dataclasses import dataclass
@@ -289,14 +292,28 @@ class Space:
 
     def offset_point(self, x, offset):
         """Point at a group offset from x, or None if it leaves the window."""
+        if not self.group_structured:
+            return None
+        y = int(self.offset_points(x, offset))
+        return None if y < 0 else y
+
+    def offset_points(self, xs, offsets):
+        """Points at group offsets from xs, broadcast together; -1 outside.
+
+        A ``zn-window`` offset is a vector along the last axis of ``offsets``;
+        a ``box-cycles`` offset is an integer added to the residue.
+        """
         if self.kind == "zn-window":
-            return self.lattice_id(self.coords[x] + np.asarray(offset, dtype=np.int64))
+            pts = self.coords[xs] + offsets
+            inside = np.all((pts >= self.lower) & (pts <= self.upper), axis=-1)
+            rel = tuple(np.moveaxis(pts - self.lower, -1, 0))
+            ids = np.ravel_multi_index(rel, tuple(self.upper - self.lower + 1),
+                                       mode="clip")
+            return np.where(inside, ids, -1)
         if self.kind == "box-cycles":
             ci, res, mod = self.components
-            k = int(mod[x])
-            target = (int(res[x]) + int(offset)) % k
-            return int(x - int(res[x]) + target)
-        return None
+            return xs - res[xs] + (res[xs] + offsets) % mod[xs]
+        raise SpaceError("space has no group structure")
 
     def group_offsets(self, r):
         """Canonical list of group offsets with model distance at most r.
@@ -332,12 +349,17 @@ def _check_metric_matrix(mat):
     if np.any(mat != mat.T):
         i, j = np.argwhere(mat != mat.T)[0]
         raise SpaceError(f"non-symmetric matrix at pair ({i}, {j})")
-    for k in range(n):
-        slack = mat[:, k][:, None] + mat[k, :][None, :] - mat
-        if np.any(slack < 0):
-            i, j = np.argwhere(slack < 0)[0]
+    # the triangle inequality holds iff the min-plus square of mat is >= mat;
+    # rows are taken in chunks of at most about 2^20 sums
+    step = max(1, 2 ** 20 // (n * n))
+    for lo in range(0, n, step):
+        sums = mat[lo:lo + step, :, None] + mat[None]
+        bad = sums.min(axis=1) < mat[lo:lo + step]
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            k = int(sums[i, :, j].argmin())
             raise SpaceError(
-                f"triangle inequality violated on triple ({i}, {k}, {j})")
+                f"triangle inequality violated on triple ({lo + i}, {k}, {j})")
 
 
 def _lattice_space(name, kind, params):
@@ -537,23 +559,62 @@ def _isometries(tdist, base, bdist, center_pos):
         k += 1
 
 
-def ball_template(space, center, radius):
-    """Canonical pointed template of a ball, with the matched id list.
+def ball_templates(space, centers, radius):
+    """Canonical pointed templates of the balls about ``centers``, with ids.
 
-    Points are labeled deterministically: ascending distance from the center,
-    then by sorted distance profile within the ball, then by id.  Label 0 is
-    the center.  The first two key parts are invariant under pointed
-    isometries, so when two balls give equal template matrices they are
-    pointed isometric and the second id list is the lexicographically least
-    pointed isometry onto it, the one ``match_ball_exact`` returns.
+    Returns one (Template, id list) pair per center.  Points are labeled
+    deterministically: ascending distance from the center, then by sorted
+    distance profile within the ball, then by id.  Label 0 is the center.
+    The first two key parts are invariant under pointed isometries, so when
+    two balls give equal template matrices they are pointed isometric and the
+    second id list is the lexicographically least pointed isometry onto it,
+    the one ``match_ball_exact`` returns.  Balls of equal size share one
+    ``pair_dist`` call and one ``np.lexsort``.
     """
-    ball = space.ball(center, radius)
-    bdist = space.pairwise(ball, ball)
-    center_pos = int(np.searchsorted(ball, center))
-    # np.lexsort reads its keys last to first: center distance, then the
-    # sorted rows compared entry by entry, then the id
-    order = np.lexsort((ball, *np.sort(bdist, axis=1).T[::-1], bdist[center_pos]))
-    return Template(bdist[np.ix_(order, order)], base=0), ball[order].tolist()
+    centers = np.asarray(centers, dtype=np.int64).reshape(-1)
+    bad = (centers < 0) | (centers >= space.n)
+    if bad.any():
+        raise SpaceError(f"unknown point id {centers[bad][0]}")
+    reps, rep_of = centers, np.arange(len(centers))
+    if space.coords is not None and radius < math.inf:
+        # one center per extent pattern of the clipped ball box, written as
+        # one mixed-radix integer; an extent is at most min(r, upper - lower)
+        r = np.clip(min(math.floor(radius), space.n), 0,
+                    space.upper - space.lower)
+        c = space.coords[centers]
+        extent = np.hstack([np.minimum(c - space.lower, r),
+                            np.minimum(space.upper - c, r)])
+        key = np.ravel_multi_index(tuple(extent.T), tuple(np.tile(r + 1, 2)))
+        _, first, rep_of = np.unique(key, return_index=True,
+                                     return_inverse=True)
+        reps = centers[first]
+    balls = [space.ball(int(x), radius) for x in reps]
+    sizes = np.array([len(b) for b in balls], dtype=np.int64)
+    out = [None] * len(centers)
+    for m in np.unique(sizes).tolist():
+        group = np.nonzero(sizes == m)[0]
+        ball = np.stack([balls[g] for g in group])
+        dist = space.pair_dist(ball[:, :, None], ball[:, None, :])
+        rows = np.arange(len(group))[:, None]
+        # np.lexsort reads its keys last to first: center distance, then the
+        # sorted rows compared entry by entry, then the id
+        order = np.lexsort(np.concatenate([
+            ball[None], np.sort(dist, axis=2).transpose(2, 0, 1)[::-1],
+            space.pair_dist(ball, reps[group, None])[None]]), axis=-1)
+        templates = [Template(d, base=0) for d in
+                     dist[rows[:, :, None], order[:, :, None], order[:, None]]]
+        members = np.nonzero(sizes[rep_of] == m)[0]
+        own = np.searchsorted(group, rep_of[members])
+        # a translated ball's ids are its representative's plus the shift
+        ids = ball[rows, order][own] + (centers - reps[rep_of])[members, None]
+        for x, t, lst in zip(members.tolist(), own.tolist(), ids.tolist()):
+            out[x] = (templates[t], lst)
+    return out
+
+
+def ball_template(space, center, radius):
+    """``ball_templates`` of one center."""
+    return ball_templates(space, [center], radius)[0]
 
 
 def match_ball_exact(space, template, center, radius):

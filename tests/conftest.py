@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bandlim.space import build_space
+from bandlim.space import SpaceError, build_space
 from bandlim.operators import BandOperator, from_triplets
 from bandlim.limits import LimitWindow
 from bandlim.lowernorm import NuReport
@@ -70,6 +70,36 @@ def tridiagonal(space, diag=0.0, off=1.0):
 
 def dense(A: BandOperator):
     return A.to_dense()
+
+
+def reference_check_metric_matrix(mat):
+    """The metric-axiom check with one pass over k per triangle inequality."""
+    n = mat.shape[0]
+    if np.any(np.diag(mat) != 0):
+        i = int(np.nonzero(np.diag(mat))[0][0])
+        raise SpaceError(f"nonzero self-distance at point {i}")
+    off = mat + np.eye(n, dtype=np.int64) * (mat.max() + 1)
+    if np.any(off <= 0):
+        i, j = np.argwhere(off <= 0)[0]
+        raise SpaceError(f"nonpositive distance between distinct points ({i}, {j})")
+    if np.any(mat != mat.T):
+        i, j = np.argwhere(mat != mat.T)[0]
+        raise SpaceError(f"non-symmetric matrix at pair ({i}, {j})")
+    for k in range(n):
+        slack = mat[:, k][:, None] + mat[k, :][None, :] - mat
+        if np.any(slack < 0):
+            i, j = np.argwhere(slack < 0)[0]
+            raise SpaceError(
+                f"triangle inequality violated on triple ({i}, {k}, {j})")
+
+
+def reference_window_matrix(A, ids):
+    """Unfolded matrix of A on the listed points, in order, one window alone."""
+    k, m = A.block_dim, len(ids)
+    pos, i, j = A.entries(ids, ids)
+    out = np.zeros((m, k, m, k), dtype=np.complex128)
+    out[i, :, j, :] = A.blocks[pos]
+    return out.reshape(m * k, m * k)
 
 
 def reference_isometries(t1, t2, cap=256):

@@ -17,14 +17,14 @@ from bandlim.operators import (
 from bandlim.limits import (
     CauchyFailure, Direction, ExtractError, LimitWindow, interior_nu,
     limit_operator, limit_space, sample_spectrum, shift_limit, ghost_profile,
-    window_deviation, _certify_windows, _window_matrix,
+    window_deviation, _certify_windows, _window_stack,
 )
 from bandlim.partition import sparsify
 from bandlim.serialize import report_dumps
 
 from conftest import (
     random_band, reference_dumps, reference_isometries, reference_window_json,
-    shift_operator, tridiagonal,
+    reference_window_matrix, shift_operator, tridiagonal,
 )
 
 
@@ -329,6 +329,17 @@ class TestShiftLimit:
         assert window_deviation(win, limit_operator(A, d, R=2, tol=tol)) \
             <= 2 * tol
 
+    def test_offsets_past_the_window_name_the_first_basepoint(self,
+                                                             monkeypatch):
+        # a usable basepoint always hosts its offsets, so let every one through
+        monkeypatch.setattr(Direction, "usable",
+                            lambda self, space, margin: self.basepoints)
+        sp = z_line(10, "zedge")
+        d = Direction.arithmetic(sp, 0, 1)
+        with pytest.raises(ExtractError,
+                           match=r"^basepoint 19 cannot host radius 2 offsets$"):
+            shift_limit(identity(sp), d, R=2)
+
     def test_non_group_space_rejected(self):
         sp = big_nat(100)
         with pytest.raises(ExtractError, match="group"):
@@ -560,13 +571,34 @@ class TestWindowMatrix:
         unfolded = np.array([x * k + a for x in ids for a in range(k)],
                             dtype=np.int64)
         expected = A.to_dense()[np.ix_(unfolded, unfolded)]
-        got = _window_matrix(A, ids)
+        got = _window_stack(A, [ids])[0]
         assert got.dtype == np.complex128
         assert np.array_equal(got, expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(desc=window_spaces, block_dim=st.sampled_from([1, 2]),
+           prop=st.integers(0, 2), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_stack_is_the_per_window_gather(self, desc, block_dim, prop, seed,
+                                            data):
+        sp = build_space(desc)
+        A = random_band(sp, prop, np.random.default_rng(seed),
+                        block_dim=block_dim)
+        count = data.draw(st.integers(1, 4))
+        # windows smaller than the space hold entries whose rows fall outside
+        m = data.draw(st.integers(0, sp.n))
+        ids = [data.draw(st.permutations(range(sp.n)))[:m]
+               for _ in range(count)]
+        got = _window_stack(A, ids)
+        k = block_dim
+        assert got.shape == (count, m * k, m * k)
+        assert got.dtype == np.complex128
+        for window, pts in zip(got, ids):
+            assert np.array_equal(window, reference_window_matrix(A, pts))
+
     def test_empty_ids(self):
         sp = big_nat(10, "nempty")
-        got = _window_matrix(tridiagonal(sp), [])
+        got = _window_stack(tridiagonal(sp), [[]])[0]
         assert got.shape == (0, 0)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from bandlim.space import (
-    SpaceError, Template, build_space, ball_template,
+    SpaceError, Template, build_space, ball_template, ball_templates,
     match_ball_exact, pointed_isometric, save_space, load_space,
     _check_metric_matrix, _isometries, same_space, space_to_json,
 )
 
-from conftest import reference_isometries, torus_graph
+from conftest import (
+    reference_check_metric_matrix, reference_isometries, torus_graph,
+)
 
 
 def brute_growth(space, r):
@@ -361,6 +364,53 @@ class TestMetricAxioms:
         assert np.issubdtype(d.dtype, np.integer)
         _check_metric_matrix(d)
 
+    @staticmethod
+    def outcome(check, mat):
+        try:
+            check(mat)
+        except SpaceError as exc:
+            return str(exc)
+        return None
+
+    def check_against_the_loop(self, mat):
+        got = self.outcome(_check_metric_matrix, mat)
+        want = self.outcome(reference_check_metric_matrix, mat)
+        assert (got is None) == (want is None)
+        if got is None or "triangle" not in got:
+            assert got == want
+            return
+        assert "triangle" in want
+        i, k, j = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", got).groups())
+        sums = mat[:, :, None] + mat[None]
+        bad = np.argwhere(sums.min(axis=1) < mat)
+        # (i, j) is the first violating pair and k its least minimizer
+        assert (i, j) == tuple(bad[0])
+        assert mat[i, k] + mat[k, j] < mat[i, j]
+        assert k == int(np.argmin(mat[i] + mat[:, j]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_min_plus_check_is_the_loop(self, data):
+        n = data.draw(st.integers(1, 9))
+        mat = np.zeros((n, n), dtype=np.int64)
+        mat[np.triu_indices(n, 1)] = data.draw(st.lists(
+            st.integers(1, 6), min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2))
+        mat = mat + mat.T
+        for _ in range(data.draw(st.integers(0, 2))):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            mat[i, j] = data.draw(st.integers(-1, 6))
+        self.check_against_the_loop(mat)
+
+    def test_violation_in_a_late_row_chunk(self):
+        n = 150                     # 46 rows per chunk of 2^20 sums
+        mat = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        self.check_against_the_loop(mat)
+        mat[140, 149] = mat[149, 140] = 10
+        with pytest.raises(SpaceError, match=re.escape("(140, 141, 149)")):
+            _check_metric_matrix(mat)
+        self.check_against_the_loop(mat)
+
 
 class TestOneSearch:
     @settings(max_examples=200, deadline=None)
@@ -456,7 +506,57 @@ radii = st.one_of(st.just(0), st.integers(0, 6),
                   st.floats(0, 6, allow_nan=False).filter(lambda r: r != int(r)))
 
 
+@st.composite
+def window_descriptors(draw):
+    """A zn-window or quadrant in 1 to 3 dims under linf, l1 or l2."""
+    dims = draw(st.integers(1, 3))
+    upper = [draw(st.integers(0, 4)) for _ in range(dims)]
+    if draw(st.booleans()):
+        return {"kind": "quadrant", "upper": upper, "norm": draw(norms)}
+    lower = [draw(st.integers(-4, 0)) for _ in range(dims)]
+    return {"kind": "zn-window", "lower": lower, "upper": upper,
+            "norm": draw(norms)}
+
+
 class TestOneBallRoutine:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_stacked_templates_are_the_one_center_ones(self, data):
+        sp = build_space(data.draw(st.one_of(space_descriptors(explicit=True),
+                                             window_descriptors())))
+        r = data.draw(st.one_of(radii, st.sampled_from([math.inf, 1e30])))
+        # few points and up to 12 centers: repeats and clipped balls are common
+        centers = data.draw(st.lists(st.integers(0, sp.n - 1), min_size=1,
+                                     max_size=12))
+        got = ball_templates(sp, centers, r)
+        assert len(got) == len(centers)
+        for c, (template, ids) in zip(centers, got):
+            want, want_ids = ball_template(sp, c, r)
+            assert ids == want_ids
+            assert template.base == want.base == 0
+            assert np.array_equal(template.dist, want.dist)
+
+    def test_translated_balls_share_a_template(self):
+        sp = build_space({"kind": "zn-window", "lower": [-6, -6],
+                          "upper": [6, 6], "norm": "l2"})
+        centers = [sp.lattice_id(c) for c in ([0, 0], [1, -2], [6, 0], [5, 3])]
+        got = ball_templates(sp, centers, 2)
+        assert got[0][0] is got[1][0]
+        assert np.array_equal(got[1][1], np.array(got[0][1]) + centers[1]
+                              - centers[0])
+        assert got[2][0].size < got[0][0].size
+        assert got[3][0] is not got[0][0]
+
+    def test_unknown_center_or_bad_radius_rejected(self, quad_window):
+        with pytest.raises(SpaceError, match="unknown point id 121"):
+            ball_templates(quad_window, [3, 121], 2)
+        with pytest.raises(SpaceError, match="unknown point id -1"):
+            ball_templates(quad_window, [-1], 2)
+        for r in (-1, math.nan):
+            with pytest.raises(SpaceError, match="radius"):
+                ball_templates(quad_window, [3, 5], r)
+        assert ball_templates(quad_window, [], 2) == []
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_ball_row_pairwise_and_diameter_agree(self, data):
@@ -518,6 +618,50 @@ class TestOneBallRoutine:
         line = build_space({"kind": "n-window", "upper": 9})
         with pytest.raises(SpaceError, match="dimension 1"):
             line.lattice_id([1, 1])
+
+
+@st.composite
+def group_descriptors(draw):
+    if draw(st.booleans()):
+        mods = draw(st.lists(st.integers(3, 10), min_size=1, max_size=3))
+        return {"kind": "box-cycles", "moduli": mods, "cross_distance": 10}
+    dims = draw(st.integers(1, 3))
+    return {"kind": "zn-window",
+            "lower": [draw(st.integers(-4, 0)) for _ in range(dims)],
+            "upper": [draw(st.integers(0, 4)) for _ in range(dims)],
+            "norm": draw(norms)}
+
+
+def reference_offset_point(sp, x, offset):
+    if sp.kind == "zn-window":
+        return sp.lattice_id(sp.coords[x] + np.asarray(offset))
+    ci, res, mod = (int(a[x]) for a in sp.components)
+    return x - res + (res + offset) % mod
+
+
+class TestGroupOffsets:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_batched_offsets_are_the_single_ones(self, data):
+        sp = build_space(data.draw(group_descriptors()))
+        xs = data.draw(st.lists(st.integers(0, sp.n - 1), min_size=1,
+                                max_size=6))
+        offsets = sp.group_offsets(data.draw(st.integers(0, 3)))
+        got = sp.offset_points(np.array(xs)[:, None], offsets)
+        assert got.shape == (len(xs), len(offsets))
+        for x, row in zip(xs, got.tolist()):
+            for off, y in zip(offsets, row):
+                want = reference_offset_point(sp, x, off)
+                assert sp.offset_point(x, off) == want
+                assert y == (-1 if want is None else want)
+
+    def test_scalar_offsets_and_other_kinds(self, quad_window):
+        line = build_space({"kind": "zn-window", "lower": [-3], "upper": [3]})
+        assert line.offset_point(5, 1) == 6
+        assert line.offset_point(6, 1) is None
+        assert quad_window.offset_point(0, (1, 0)) is None
+        with pytest.raises(SpaceError, match="no group structure"):
+            quad_window.offset_points([0], [(1, 0)])
 
 
 class TestCenters:
