@@ -423,11 +423,8 @@ def shift_limit(A, direction, R=None, tol=1e-9, tail=5):
         raise ExtractError(
             f"no basepoint of {direction.label!r} has margin {R}")
     offsets = space.group_offsets(R)
+    # a usable basepoint has margin R, so every offset lands in the window
     ids = space.offset_points(np.asarray(usable)[:, None], offsets)
-    outside = np.nonzero((ids < 0).any(axis=1))[0]
-    if len(outside):
-        raise ExtractError(
-            f"basepoint {usable[outside[0]]} cannot host radius {R} offsets")
     labels = [str(o[0]) if isinstance(o, tuple) and len(o) == 1 else str(o)
               for o in offsets]
     template = Template(space.pairwise(ids[0], ids[0]), base=0, labels=labels)

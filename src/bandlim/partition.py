@@ -2,12 +2,15 @@
 
 ``sparsify`` captures a prescribed fraction of any finite measure inside a
 union of uniformly bounded, well separated parts: an offset-shifted block
-pattern on lattice windows, greedy mass-ordered ball packing (one mat-vec per
-step) elsewhere.  ``make_partition`` builds p-partitions of unity from
+pattern on lattice windows, whose every offset's mass comes from one
+``bincount`` over residues, and greedy mass-ordered ball packing (one mat-vec
+per step) elsewhere.  ``make_partition`` builds p-partitions of unity from
 piecewise-linear bumps on an L-net and stores them once, as the sparse bump
 matrix Phi (points by centers).  Their variation is measured exactly from row
 differences of Phi over all point pairs within the radius; the measured table
-replaces analytic variation bounds everywhere downstream.  ``average`` and
+replaces analytic variation bounds everywhere downstream.  One neighbour-pair
+sweep, ``Space.pairs_within``, feeds the variation, the greedy ball indicator
+and the separation check of every sparsification.  ``average`` and
 ``weighted_sum`` (one sparse product X Y over (center, point) pairs,
 center-major) read Phi to assemble the operator combinations these
 partitions support, with certified norm bounds attached.
@@ -92,20 +95,28 @@ def _as_measure(space, measure):
 
 
 def _sparsify_blocks(space, mu, m, L):
-    """Best offset of the keep-L drop-m pattern, applied per axis."""
-    lower = space.lower
+    """Best offset of the keep-L drop-m pattern, applied per axis.
+
+    A ``bincount`` over residues and cyclic window sums give every offset's
+    mass in another summation order, so they only shortlist the offsets
+    within 1e-9 of the total of the best, which ``mu[keep].sum()`` ranks.
+    """
     period = L + m
     dims = space.coords.shape[1]
-    rel = space.coords - lower[None, :]
-    total = mu.sum()
-
+    rel = space.coords - space.lower[None, :]
     if period ** dims > 200000:
         raise OperatorError("offset search too large for this block length")
+    shape = (period,) * dims
+    mass = np.bincount(np.ravel_multi_index(tuple((rel % period).T), shape),
+                       weights=mu, minlength=period ** dims).reshape(shape)
+    for axis in range(dims):
+        mass = sum(np.roll(mass, -j, axis=axis) for j in range(L))
+    total = mu.sum()
     best = None
-    for off in _grid([np.arange(period)] * dims):
+    for off in _grid([np.arange(period)] * dims)[
+            mass.ravel() >= mass.max() - 1e-9 * total]:
         keep = np.all((rel - off[None, :]) % period < L, axis=1)
-        mass = float(mu[keep].sum())
-        key = (-mass, tuple(int(v) for v in off))
+        key = (-float(mu[keep].sum()), tuple(int(v) for v in off))
         if best is None or key < best[0]:
             best = (key, off, keep)
     _, off, keep = best
@@ -121,20 +132,30 @@ def _sparsify_blocks(space, mu, m, L):
                           mass_fraction=frac, measure=mu, method="blocks")
 
 
+def _indicator(n, xs, ys):
+    """CSR 0/1 matrix of the pairs both ways and the diagonal, rows sorted."""
+    key = np.sort(np.concatenate([xs * n + ys, ys * n + xs,
+                                  np.arange(n) * (n + 1)]))
+    ptr = np.searchsorted(key, np.arange(n + 1) * n)
+    return csr_matrix((np.ones(len(key)), key % n, ptr), shape=(n, n))
+
+
 def _sparsify_greedy(space, mu, m, diameter_bound):
     """Greedy mass-ordered ball packing; parts keep positive-mass points only.
 
-    Each step takes every ball's available mass as one mat-vec of the CSR
-    ball indicator ``near`` and places a part about the first maximum.  The
-    mat-vec adds left to right, numpy's ``sum`` pairwise from 8 points on, so
-    float masses equal to within rounding may tie-break otherwise than ``sum``
-    would; integer-valued measures sum exactly.
+    One ``pairs_within`` sweep gives the CSR ball indicator ``near`` and the
+    within-(m - 1) indicator ``close``.  Each step takes every ball's
+    available mass as one mat-vec of ``near`` and places a part about the
+    first maximum; one mat-vec of ``close`` marks the points it blocks.
+    The mat-vec adds left to right, numpy's ``sum`` pairwise from 8 points
+    on, so float masses equal to within rounding may tie-break otherwise than
+    ``sum`` would; integer-valued measures sum exactly.
     """
-    rho = diameter_bound // 2
-    balls = [space.ball(x, rho) for x in range(space.n)]
-    ptr = np.cumsum([0] + [len(ball) for ball in balls])
-    near = csr_matrix((np.ones(ptr[-1]), np.concatenate(balls), ptr),
-                      shape=(space.n, space.n))
+    chunks = list(space.pairs_within(diameter_bound // 2))
+    xs, ys, d = (np.concatenate([c[k] for c in chunks]
+                                + [np.zeros(0, dtype=np.int64)]) for k in range(3))
+    near = _indicator(space.n, xs, ys)
+    close = _indicator(space.n, xs[d <= m - 1], ys[d <= m - 1])
     live = mu > 0                   # available points of positive mass
     parts = []
     while True:
@@ -142,9 +163,12 @@ def _sparsify_greedy(space, mu, m, diameter_bound):
         best = int(np.argmax(mass))
         if mass[best] == 0.0:
             break
-        part = balls[best][live[balls[best]]]
+        ball = near.indices[near.indptr[best]:near.indptr[best + 1]]
+        part = ball[live[ball]]
         parts.append(part.tolist())
-        live &= space.pairwise(np.arange(space.n), part).min(axis=1) > m - 1
+        hit = np.zeros(space.n)
+        hit[part] = 1.0
+        live &= close @ hit == 0
     captured = sum(float(mu[np.asarray(p, dtype=np.int64)].sum()) for p in parts)
     diam = max((space.diameter(part) for part in parts), default=0)
     return Sparsification(parts=parts, separation=m, diameter_bound=diam,
@@ -182,24 +206,18 @@ def sparsify(space, measure, m, target_c, block_length=None):
 
 
 def _validate_sparsification(space, sp):
-    seen = set()
-    for part in sp.parts:
-        for x in part:
-            if x in seen:
-                raise OperatorError("sparsification parts overlap")
-            seen.add(x)
-    # each part against all later parts at once: |parts| - 1 pairwise calls
-    for i in range(len(sp.parts) - 1):
-        a = np.asarray(sp.parts[i], dtype=np.int64)
-        b = np.concatenate([np.asarray(q, dtype=np.int64)
-                            for q in sp.parts[i + 1:]])
-        if space.pairwise(a, b).min() < sp.separation:
+    """Disjoint parts, and no pair closer than the separation across parts."""
+    ids = np.concatenate([np.asarray(p, dtype=np.int64) for p in sp.parts]
+                         + [np.zeros(0, dtype=np.int64)])
+    if len(np.unique(ids)) < len(ids):
+        raise OperatorError("sparsification parts overlap")
+    label = np.full(space.n, -1)
+    label[ids] = np.repeat(np.arange(len(sp.parts)),
+                           [len(p) for p in sp.parts])
+    for xs, ys, _ in space.pairs_within(sp.separation - 1):
+        a, b = label[xs], label[ys]
+        if np.any((a >= 0) & (b >= 0) & (a != b)):
             raise OperatorError("sparsification parts too close")
-
-
-# Points per block of the variation sweep: a block holds the pairs of this
-# many points with their ball, so memory grows with the ball size, not with n.
-_SWEEP_POINTS = 32
 
 
 @dataclass
@@ -211,8 +229,9 @@ class PPartition:
     to one.  It is the only stored form of the bumps: ``point_funcs[x]`` is
     row x read as a dict from center index to value, in ascending center
     order, and column i holds supp phi_i.  ``variation_table[r]`` is the
-    measured worst-pair variation at distance r; it extends lazily for larger
-    r via ``variation``.
+    measured worst-pair variation at distance r, from one pair sweep that adds
+    each pair's terms one at a time in ascending center order; it extends
+    lazily for larger r via ``variation``.
     """
 
     space: object
@@ -232,34 +251,34 @@ class PPartition:
         return [dict(zip(idx[a:b], val[a:b])) for a, b in zip(ptr, ptr[1:])]
 
     def variation(self, r):
-        """Measured epsilon(r): worst pair sum of |phi_i(x) - phi_i(y)|^p."""
-        r = int(r)
-        if r <= 0:
+        """Measured epsilon(r): worst pair sum of |phi_i(x) - phi_i(y)|^p.
+
+        Past the largest pair distance (inf too) it is epsilon there.
+        """
+        if r != r:
+            raise OperatorError(f"variation radius must be a number, got {r}")
+        if r > len(self.variation_table):       # the table holds 1..len
+            r = min(r, self.space._largest_distance())
+        r = math.floor(max(r, 0))
+        if r == 0:
             return 0.0
         if r not in self.variation_table:
             self._measure_variation(r)
         return self.variation_table[r]
 
     def _measure_variation(self, r_max):
-        """Fill the table up to r_max from every pair x < y with d(x, y) <= r_max."""
-        space, phi = self.space, self.bumps
+        """Fill the table up to r_max from one ``pairs_within(r_max)`` sweep.
+
+        Each chunk's gaps are CSR row differences of Phi: the mat-vec adds a
+        pair's terms one at a time in ascending center order, from 0.
+        """
+        phi, ones = self.bumps, np.ones(self.bumps.shape[1])
         worst = np.zeros(r_max + 1)
-        for start in range(0, space.n, _SWEEP_POINTS):
-            xs, ys = [], []
-            for x in range(start, min(start + _SWEEP_POINTS, space.n)):
-                ball = space.ball(x, r_max)
-                ball = ball[np.searchsorted(ball, x, side="right"):]
-                xs.append(np.full(len(ball), x, dtype=np.int64))
-                ys.append(ball)
-            xs, ys = np.concatenate(xs), np.concatenate(ys)
-            if not len(xs):
-                continue
-            # CSR mat-vec adds each row's stored values one by one from 0
-            gaps = abs(phi[ys] - phi[xs]).power(self.p) @ np.ones(phi.shape[1])
-            np.maximum.at(worst, space.pair_dist(xs, ys), gaps)
+        for xs, ys, d in self.space.pairs_within(r_max):
+            gaps = abs(phi[ys] - phi[xs]).power(self.p) @ ones
+            np.maximum.at(worst, d, gaps)
         eps = np.maximum.accumulate(worst[1:]) ** (1.0 / self.p)
-        for r in range(1, r_max + 1):
-            self.variation_table[r] = float(eps[r - 1])
+        self.variation_table.update(zip(range(1, r_max + 1), eps.tolist()))
 
     def to_json(self):
         return {

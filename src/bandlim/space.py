@@ -18,8 +18,10 @@ arrays; ``pairwise``, ``row`` and ``dist`` are views of it, and so is
 ``diameter`` except on linf and l1 lattice windows, where it has a closed form.
 ``Space.ball`` is the one ball routine: lattice windows of every dimension
 and norm cut the ball from its clipped bounding box in row-major order, the
-other kinds scan a row of ``pair_dist``.  Group offsets have one formula
-per kind, ``Space.offset_points``.
+other kinds scan a row of ``pair_dist``.  ``Space.pairs_within`` is the one
+neighbour-pair sweep: every pair x < y within a radius, with its distance, in
+bounded chunks, per lattice offset or per row block of the distance matrix.
+Group offsets have one formula per kind, ``Space.offset_points``.
 
 Besides ball queries the module provides pointed isometry matching between a
 finite template and balls of the space, and an interior-margin notion used to
@@ -55,6 +57,10 @@ LATTICE_KINDS = ("zn-window", "n-window", "quadrant")
 GROUP_KINDS = ("zn-window", "box-cycles")
 DENSE_CAP = 1500
 LATTICE_CAP = 500000
+# Elements per ``pairs_within`` chunk.  The variation sweep gathers two sparse
+# rows of Phi per pair, so a larger chunk raises its peak memory by more than
+# it saves in time.
+_PAIR_CHUNK = 2 ** 12
 
 
 @dataclass
@@ -213,6 +219,65 @@ class Space:
         if self.norm != "linf" and self._dims > 1:
             ids = ids[_lattice_dist(self.coords[ids] - self.coords[x], self.norm) <= r]
         return ids
+
+    def pairs_within(self, r):
+        """Every pair x < y with d(x, y) <= r, as chunks (xs, ys, d) of arrays.
+
+        A lattice window takes its offsets v of positive row-major step
+        ``_PAIR_CHUNK // n`` at a time: x and x + v pair up where x + v stays
+        inside along every axis, at distance |v|.  The matrix kinds scan the
+        upper triangle of ``pair_dist <= r`` in row blocks of about
+        ``_PAIR_CHUNK`` distances; ``box-cycles`` does so per component, with
+        the later components' columns only once r reaches the cross
+        distance.  A chunk holds at most max(_PAIR_CHUNK, n) pairs.
+        """
+        if not r >= 0:
+            raise SpaceError(f"radius must be nonnegative, got {r}")
+        if self.coords is not None:
+            size = (self.upper - self.lower + 1).tolist()
+            offs = _grid([np.arange(-int(min(r, s - 1)), int(min(r, s - 1)) + 1)
+                          for s in size])
+            step = offs @ np.cumprod([1] + size[:0:-1])[::-1]
+            dist = _lattice_dist(offs, self.norm)
+            keep = (step > 0) & (dist <= r)
+            offs, step, dist = offs[keep], step[keep], dist[keep]
+            group = max(1, _PAIR_CHUNK // self.n)
+            for lo in range(0, len(offs), group):
+                # x + v stays inside along every axis: the row-major outer
+                # product of the per-axis masks
+                block = offs[lo:lo + group]
+                inside = np.ones((len(block), 1), dtype=bool)
+                for s, v in zip(size, block.T[:, :, None]):
+                    ok = (np.arange(s) >= -v) & (np.arange(s) < s - v)
+                    inside = (inside[:, :, None] & ok[:, None]).reshape(len(v), -1)
+                g, xs = np.divmod(np.flatnonzero(inside), self.n)
+                yield xs, xs + step[lo + g], dist[lo + g]
+            return
+        spans = [(0, self.n, self.n)]       # rows [s, e) by columns [s, end)
+        if self.components is not None:
+            starts = np.flatnonzero(self.components[1] == 0).tolist()
+            far = r >= self.cross_distance
+            spans = [(s, e, self.n if far else e)
+                     for s, e in zip(starts, starts[1:] + [self.n])]
+        for s, e, end in spans:
+            cols = np.arange(s, end)
+            rows = max(1, _PAIR_CHUNK // len(cols))
+            for lo in range(s, e, rows):
+                xs = np.arange(lo, min(lo + rows, e))
+                d = (self.pair_dist(xs[:, None], cols) if self._matrix is None
+                     else self._matrix[lo:lo + len(xs), s:end]).ravel()
+                k = np.flatnonzero((d <= r) & (cols > xs[:, None]).ravel())
+                if len(k):
+                    yield xs[k // len(cols)], cols[k % len(cols)], d[k]
+
+    def _largest_distance(self):
+        """Largest distance between two points, 0 on one point."""
+        if self.coords is not None:
+            return int(_lattice_dist(self.upper - self.lower, self.norm))
+        if self._matrix is not None:
+            return int(self._matrix.max())
+        ci, res, mod = self.components
+        return max(self.cross_distance if ci[-1] else 0, int(mod.max()) // 2)
 
     def lattice_id(self, coord):
         """Id of a single lattice coordinate, or None if outside the window."""

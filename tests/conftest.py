@@ -102,6 +102,30 @@ def reference_window_matrix(A, ids):
     return out.reshape(m * k, m * k)
 
 
+def reference_variation_table(part, r_max, block=32):
+    """The per-ball variation sweep, blocks of ``block`` points, as a table.
+
+    Each point's ball is cut to the ids above it; the gaps are CSR row
+    differences of Phi, each row added by the mat-vec one value at a time.
+    """
+    space, phi = part.space, part.bumps
+    worst = np.zeros(r_max + 1)
+    for start in range(0, space.n, block):
+        xs, ys = [], []
+        for x in range(start, min(start + block, space.n)):
+            ball = space.ball(x, r_max)
+            ball = ball[np.searchsorted(ball, x, side="right"):]
+            xs.append(np.full(len(ball), x, dtype=np.int64))
+            ys.append(ball)
+        xs, ys = np.concatenate(xs), np.concatenate(ys)
+        if not len(xs):
+            continue
+        gaps = abs(phi[ys] - phi[xs]).power(part.p) @ np.ones(phi.shape[1])
+        np.maximum.at(worst, space.pair_dist(xs, ys), gaps)
+    eps = np.maximum.accumulate(worst[1:]) ** (1.0 / part.p)
+    return {r: float(eps[r - 1]) for r in range(1, r_max + 1)}
+
+
 def reference_isometries(t1, t2, cap=256):
     """All pointed isometries t1 -> t2 as label maps (bounded enumeration).
 

@@ -329,16 +329,26 @@ class TestShiftLimit:
         assert window_deviation(win, limit_operator(A, d, R=2, tol=tol)) \
             <= 2 * tol
 
-    def test_offsets_past_the_window_name_the_first_basepoint(self,
-                                                             monkeypatch):
-        # a usable basepoint always hosts its offsets, so let every one through
-        monkeypatch.setattr(Direction, "usable",
-                            lambda self, space, margin: self.basepoints)
-        sp = z_line(10, "zedge")
-        d = Direction.arithmetic(sp, 0, 1)
-        with pytest.raises(ExtractError,
-                           match=r"^basepoint 19 cannot host radius 2 offsets$"):
-            shift_limit(identity(sp), d, R=2)
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_offset_of_a_usable_basepoint_is_inside(self, data):
+        if data.draw(st.booleans()):
+            mods = data.draw(st.lists(st.integers(3, 12), min_size=1,
+                                      max_size=3))
+            desc = {"kind": "box-cycles", "moduli": mods, "cross_distance": 10}
+        else:
+            dims = data.draw(st.integers(1, 3))
+            desc = {"kind": "zn-window",
+                    "lower": [data.draw(st.integers(-5, 0)) for _ in range(dims)],
+                    "upper": [data.draw(st.integers(0, 5)) for _ in range(dims)],
+                    "norm": data.draw(st.sampled_from(["linf", "l1", "l2"]))}
+        sp = build_space(desc)
+        R = data.draw(st.integers(0, 4))
+        # every basepoint Direction.usable can return has margin at least R
+        usable = sp.interior(R)
+        ids = sp.offset_points(usable[:, None], sp.group_offsets(R))
+        assert ids.shape == (len(usable), len(sp.group_offsets(R)))
+        assert (ids >= 0).all()
 
     def test_non_group_space_rejected(self):
         sp = big_nat(100)

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
-from bandlim import partition
+from bandlim import partition, space as space_module
 from bandlim.space import LATTICE_KINDS, build_space
 from bandlim.operators import (
     OperatorError, identity, multiplier, subtract, scale, norm2, schur_bound,
@@ -16,11 +18,29 @@ from bandlim.partition import (
     average, weighted_sum,
 )
 
-from conftest import random_band, torus_graph, tridiagonal
+from conftest import (
+    random_band, reference_variation_table, torus_graph, tridiagonal,
+)
 
 
 def interval(n, name):
     return build_space({"kind": "n-window", "upper": n - 1, "name": name})
+
+
+def count_calls(monkeypatch, cls, names):
+    """Record (name, radius or first argument size) of each call to the methods."""
+    calls = []
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            arg = args[-1] if name != "pairwise" else len(args[0])
+            calls.append((name, arg))
+            return method(self, *args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    return calls
 
 
 def check_sparsification(space, sp):
@@ -85,6 +105,8 @@ class TestSparsify:
         ([[0, 1], [5, 6], [1, 9]], "overlap"),
         # only the first and the last part are closer than 3
         ([[0, 1], [6, 7], [3, 11]], "too close"),
+        # the higher id of the close pair lies in the first part
+        ([[5, 6], [0, 3]], "too close"),
     ])
     def test_validation_rejects(self, parts, message):
         sp = interval(12, "n12")
@@ -94,20 +116,14 @@ class TestSparsify:
         with pytest.raises(OperatorError, match=message):
             partition._validate_sparsification(sp, bad)
 
-    def test_validation_one_pairwise_per_part(self, monkeypatch):
+    def test_validation_is_one_pair_sweep(self, monkeypatch):
         torus = torus_graph(12)
-        res = sparsify(torus, None, m=1, target_c=0.1)
+        res = sparsify(torus, None, m=2, target_c=0.1)
         check_sparsification(torus, res)
-        calls = []
-        pairwise = type(torus).pairwise
-
-        def counted(self, a, b):
-            calls.append(len(a))
-            return pairwise(self, a, b)
-
-        monkeypatch.setattr(type(torus), "pairwise", counted)
+        calls = count_calls(monkeypatch, type(torus),
+                            ("pairwise", "ball", "pairs_within"))
         partition._validate_sparsification(torus, res)
-        assert len(calls) == len(res.parts) - 1
+        assert calls == [("pairs_within", res.separation - 1)]
 
     @pytest.mark.parametrize("length", [-2, 0])
     def test_block_length_below_one_rejected(self, length):
@@ -286,19 +302,18 @@ class TestWeightedSum:
 
 
 class TestGreedyBalls:
-    def test_each_ball_is_taken_once(self, monkeypatch):
+    def test_ball_indicator_is_one_pair_sweep(self, monkeypatch):
         torus = torus_graph(12)
-        calls = []
-        ball = type(torus).ball
-
-        def counted(self, x, r):
-            calls.append((x, r))
-            return ball(self, x, r)
-
-        monkeypatch.setattr(type(torus), "ball", counted)
-        res = sparsify(torus, None, m=1, target_c=0.1)
+        calls = count_calls(monkeypatch, type(torus),
+                            ("pairwise", "ball", "pairs_within"))
+        diameter = BlockSparsifierModel().block_length(2)
+        res = partition._sparsify_greedy(torus, np.ones(torus.n), 2, diameter)
+        # no ball, and no n-point pairwise: only the parts' own diameters
+        assert [c for c in calls if c[0] != "pairwise"] \
+            == [("pairs_within", diameter // 2)]
+        assert all(size < torus.n for name, size in calls if name == "pairwise")
+        assert len(res.parts) > 1
         check_sparsification(torus, res)
-        assert 0 < len(calls) <= torus.n
 
     def test_parts_match_the_per_step_greedy(self):
         torus = torus_graph(8)
@@ -403,11 +418,14 @@ class TestVariationProperty:
                                                         extra, block):
         space = build_space(desc)
         r_lazy = 3 * L + extra
-        # any sweep block size gives the same table
-        with mock.patch.object(partition, "_SWEEP_POINTS", block):
+        # any chunk size gives the same table, bit for bit the per-ball one
+        with mock.patch.object(space_module, "_PAIR_CHUNK", block):
             part = make_partition(space, L, p=p)
             table = dict(part.variation_table)
             lazy = part.variation(r_lazy)
+        assert table == reference_variation_table(part, 3 * L)
+        top = max(part.variation_table)
+        assert part.variation_table == reference_variation_table(part, top)
         if space.kind not in LATTICE_KINDS:
             assert part.centers == greedy_net(space, L)
         phi = dense_bumps(space, part.centers, L, p)
@@ -439,6 +457,44 @@ class TestVariationProperty:
             assert got_sup.tolist() == sup.tolist()
             diam = max(diam, int(dist[np.ix_(sup, sup)].max()))
         assert part.support_diameter == diam
+
+
+class TestVariationRadii:
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_radii_past_the_largest_distance(self, L):
+        quad = build_space({"kind": "quadrant", "upper": 7, "name": "q8"})
+        part = make_partition(quad, L)
+        top = 7                           # the linf distance of the corners
+        eps = part.variation(top)
+        keys = list(range(1, max(3 * L, top) + 1))
+        assert sorted(part.variation_table) == keys
+        for r in (top + 0.5, 200000, 1e300, math.inf):
+            assert part.variation(r) == eps
+        assert sorted(part.variation_table) == keys
+        assert eps == reference_variation_table(part, top)[top]
+        assert part.variation(-math.inf) == part.variation(0.5) == 0.0
+
+    def test_nan_radius_rejected(self):
+        part = make_partition(interval(10, "n10"), 2)
+        with pytest.raises(OperatorError, match="variation radius must be a number"):
+            part.variation(math.nan)
+
+
+class TestSweepMemory:
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_peak_stays_far_below_a_dense_distance_matrix(self, L):
+        # about 0.4 M pairs within 9; one n by n int64 matrix is 42 MB, and
+        # at scale 1 every point is a center
+        quad = build_space({"kind": "quadrant", "upper": 47, "name": "q48"})
+        tracemalloc.start()
+        try:
+            part = make_partition(quad, L)
+            part.variation(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(part.variation_table) == list(range(1, 11))
+        assert peak < quad.n ** 2 * 8 / 4
 
 
 def dense_phi(part):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from bandlim import space as space_module
 from bandlim.space import (
     SpaceError, Template, build_space, ball_template, ball_templates,
     match_ball_exact, pointed_isometric, save_space, load_space,
@@ -618,6 +620,34 @@ class TestOneBallRoutine:
         line = build_space({"kind": "n-window", "upper": 9})
         with pytest.raises(SpaceError, match="dimension 1"):
             line.lattice_id([1, 1])
+
+
+class TestPairsWithin:
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_pairs_are_the_dense_upper_triangle(self, data):
+        sp = build_space(data.draw(st.one_of(space_descriptors(explicit=True),
+                                             window_descriptors())))
+        ids = np.arange(sp.n)
+        dist = sp.pairwise(ids, ids)
+        diam = int(dist.max())
+        assert sp._largest_distance() == diam
+        r = data.draw(st.one_of(radii, st.sampled_from(
+            [diam, diam + 1, 1e30, math.inf])))
+        chunk = data.draw(st.sampled_from([1, 3, 16, space_module._PAIR_CHUNK]))
+        with mock.patch.object(space_module, "_PAIR_CHUNK", chunk):
+            chunks = list(sp.pairs_within(r))
+        assert all(0 < len(xs) <= max(chunk, sp.n) for xs, _, _ in chunks)
+        got = sorted(zip(*(np.concatenate([c[k] for c in chunks]
+                                          + [[]]).astype(np.int64).tolist()
+                           for k in range(3))))
+        i, j = np.nonzero(np.triu(dist <= r, 1))
+        assert got == list(zip(i.tolist(), j.tolist(), dist[i, j].tolist()))
+
+    def test_negative_or_nan_radius_rejected(self, quad_window):
+        for r in (-1, math.nan):
+            with pytest.raises(SpaceError, match="radius"):
+                list(quad_window.pairs_within(r))
 
 
 @st.composite
