@@ -4,9 +4,9 @@ The lower norm of a column restriction ``A|_F`` is the infimum of
 ``|A v|_p / |v|_p`` over nonzero vectors supported in F (the restriction acts
 from functions on F to functions on the whole space).  For p = 2 this is the
 smallest singular value of the restricted matrix; for other exponents a
-deterministic multi-start descent is used and tagged as such, with a brute
-force grid oracle available in small dimension.  A restriction with fewer
-nonzero rows than columns has a kernel, and its lower norm is 0 exactly.
+deterministic multi-start descent is used and tagged as such.  A restriction
+with fewer nonzero rows than columns has a kernel, and its lower norm is 0
+exactly.
 Every restriction comes from ``_gather``: one ``BandOperator.entries`` call
 for any number of column sets, with each set's zero rows trimmed.
 ``_restricted`` is its one-set case.
@@ -61,7 +61,6 @@ from .operators import (
     OperatorError, Vector, _check_exponent, _unfold, gram_band, schur_bound,
 )
 from .serialize import KeyedRows
-from .space import _grid
 
 # nu's p = 2 route is dense iff the restriction has at most _DENSE_MAX
 # columns: on a 2-core Xeon, BLAS on one thread, a whole nu call took less
@@ -467,41 +466,6 @@ def nu(A, F, p=2.0):
                     method=method, tolerance=tol, subset=tuple(Fs.tolist()))
 
 
-def nu_brute(A, F, p, samples=10 ** 6):
-    """Grid oracle for the p lower norm, real coefficients, dimension <= 5.
-
-    Scans a uniform cube grid (about ``samples`` points) of real coefficient
-    vectors on F; returns the smallest quotient found.  An upper bound on the
-    true lower norm by construction.  ``OperatorError`` if p lies outside
-    [1, inf).
-    """
-    _check_exponent(p)
-    Fs, row_ids, sub = _restricted(A, F)
-    k = A.block_dim
-    m = sub.shape[1]
-    if m > 5:
-        raise OperatorError("brute-force oracle limited to dimension 5")
-    per_axis = max(3, int(round(samples ** (1.0 / m))))
-    axis = np.linspace(-1.0, 1.0, per_axis)
-    V = _grid([axis] * m)
-    V = V[np.any(V != 0, axis=1)]
-    best = np.inf
-    best_v = None
-    for lo in range(0, len(V), 100000):
-        chunk = V[lo:lo + 100000]
-        W = chunk @ sub.T
-        sw = np.sqrt((np.abs(W.reshape(len(chunk), -1, k)) ** 2).sum(axis=2))
-        sv = np.sqrt((np.abs(chunk.reshape(len(chunk), -1, k)) ** 2).sum(axis=2))
-        num = (sw ** p).sum(axis=1) ** (1.0 / p)
-        den = (sv ** p).sum(axis=1) ** (1.0 / p)
-        q = num / den
-        i = int(np.argmin(q))
-        if q[i] < best:
-            best = float(q[i])
-            best_v = chunk[i]
-    return best, _witness_vector(A, Fs, best_v.astype(np.complex128), p)
-
-
 def nu_s(A, F, s, p=2.0, threads=1):
     """Localized lower norm: min of nu over restrictions F & B(x; s), x in F.
 
@@ -647,7 +611,9 @@ def essential_nu(A, exclusion_radii, p=2.0, threads=1):
 
     Columns are restricted to interior-margin points outside each exclusion
     ball; rows are never restricted.  A profile tending to zero flags
-    essential spectrum at zero, a flat positive one is Fredholm-like.
+    essential spectrum at zero.  A flat positive one bounds A from below
+    only: the profile reads A alone, and Fredholmness also needs A* bounded
+    below.
     """
     space = A.space
     inter = space.interior(A.propagation)

@@ -7,8 +7,10 @@ pattern on lattice windows, whose every offset's mass comes from one
 per step) elsewhere.  ``make_partition`` builds p-partitions of unity from
 piecewise-linear bumps on an L-net and stores them once, as the sparse bump
 matrix Phi (points by centers).  Their variation is measured exactly from row
-differences of Phi over all point pairs within the radius; the measured table
-replaces analytic variation bounds everywhere downstream.  One neighbour-pair
+differences of Phi over all point pairs within the radius, each pair once:
+the table keeps each distance's raw worst pair sum, so a lazy extension
+sweeps only the pairs of the new distance shell.  The measured table replaces
+analytic variation bounds everywhere downstream.  One neighbour-pair
 sweep, ``Space.pairs_within``, feeds the variation, the greedy ball indicator
 and the separation check of every sparsification.  ``average`` and
 ``weighted_sum`` (one sparse product X Y over (center, point) pairs,
@@ -231,7 +233,9 @@ class PPartition:
     order, and column i holds supp phi_i.  ``variation_table[r]`` is the
     measured worst-pair variation at distance r, from one pair sweep that adds
     each pair's terms one at a time in ascending center order; it extends
-    lazily for larger r via ``variation``.
+    lazily for larger r via ``variation``, which sweeps only the pairs
+    farther than the table reaches.  ``_worst[d]`` keeps the worst pair sum
+    at distance exactly d that the table is built from.
     """
 
     space: object
@@ -242,6 +246,7 @@ class PPartition:
     multiplicity: int
     support_diameter: int
     variation_table: dict = field(default_factory=dict)
+    _worst: np.ndarray = field(default_factory=lambda: np.zeros(1), repr=False)
 
     @property
     def point_funcs(self):
@@ -267,16 +272,23 @@ class PPartition:
         return self.variation_table[r]
 
     def _measure_variation(self, r_max):
-        """Fill the table up to r_max from one ``pairs_within(r_max)`` sweep.
+        """Extend the table from its length to r_max by one shell sweep.
 
-        Each chunk's gaps are CSR row differences of Phi: the mat-vec adds a
-        pair's terms one at a time in ascending center order, from 0.
+        Only the pairs at distance in (len, r_max] are swept, by
+        ``pairs_within(r_max, above=len)``; the table's own pairs are never
+        gathered again.  Each chunk's gaps are CSR row differences of Phi:
+        the mat-vec adds a pair's terms one at a time in ascending center
+        order, from 0.  Maxima do not depend on the order the pairs come in,
+        so the table, rebuilt from the whole raw array, equals that of one
+        sweep of every pair within r_max.
         """
+        done = len(self._worst) - 1             # == len(variation_table)
         phi, ones = self.bumps, np.ones(self.bumps.shape[1])
-        worst = np.zeros(r_max + 1)
-        for xs, ys, d in self.space.pairs_within(r_max):
+        worst = np.concatenate([self._worst, np.zeros(r_max - done)])
+        for xs, ys, d in self.space.pairs_within(r_max, above=done):
             gaps = abs(phi[ys] - phi[xs]).power(self.p) @ ones
             np.maximum.at(worst, d, gaps)
+        self._worst = worst
         eps = np.maximum.accumulate(worst[1:]) ** (1.0 / self.p)
         self.variation_table.update(zip(range(1, r_max + 1), eps.tolist()))
 

@@ -19,8 +19,9 @@ arrays; ``pairwise``, ``row`` and ``dist`` are views of it, and so is
 ``Space.ball`` is the one ball routine: lattice windows of every dimension
 and norm cut the ball from its clipped bounding box in row-major order, the
 other kinds scan a row of ``pair_dist``.  ``Space.pairs_within`` is the one
-neighbour-pair sweep: every pair x < y within a radius, with its distance, in
-bounded chunks, per lattice offset or per row block of the distance matrix.
+neighbour-pair sweep: every pair x < y within a radius, or only those past a
+lower radius, with its distance, in bounded chunks joined from blocks per
+lattice offset group or per row block of the distance matrix.
 Group offsets have one formula per kind, ``Space.offset_points``.
 
 Besides ball queries the module provides pointed isometry matching between a
@@ -220,26 +221,48 @@ class Space:
             ids = ids[_lattice_dist(self.coords[ids] - self.coords[x], self.norm) <= r]
         return ids
 
-    def pairs_within(self, r):
-        """Every pair x < y with d(x, y) <= r, as chunks (xs, ys, d) of arrays.
+    def pairs_within(self, r, above=0):
+        """Every pair x < y with above < d(x, y) <= r, as chunks (xs, ys, d).
 
-        A lattice window takes its offsets v of positive row-major step
-        ``_PAIR_CHUNK // n`` at a time: x and x + v pair up where x + v stays
-        inside along every axis, at distance |v|.  The matrix kinds scan the
-        upper triangle of ``pair_dist <= r`` in row blocks of about
-        ``_PAIR_CHUNK`` distances; ``box-cycles`` does so per component, with
-        the later components' columns only once r reaches the cross
-        distance.  A chunk holds at most max(_PAIR_CHUNK, n) pairs.
+        ``above`` cuts the sweep to a shell: a caller that already holds the
+        pairs within ``above`` gets only the farther ones.  The default 0
+        keeps every pair, since distinct points lie at distance 1 or more.
+
+        ``_pair_blocks`` finds the pairs block by block, and consecutive
+        blocks are joined into chunks of at most ``_PAIR_CHUNK`` pairs, so a
+        thin shell comes in a few full chunks rather than many sparse ones.
+        A block, and so a chunk, holds at most max(_PAIR_CHUNK, n) pairs.
         """
         if not r >= 0:
             raise SpaceError(f"radius must be nonnegative, got {r}")
+        joined, count = [], 0
+        for block in self._pair_blocks(r, above):
+            if joined and count + len(block[0]) > _PAIR_CHUNK:
+                yield tuple(np.concatenate(a) for a in zip(*joined))
+                joined, count = [], 0
+            joined.append(block)
+            count += len(block[0])
+        if joined:
+            yield tuple(np.concatenate(a) for a in zip(*joined))
+
+    def _pair_blocks(self, r, above):
+        """The blocks of ``pairs_within``: per offset group or row block.
+
+        A lattice window keeps its offsets v of positive row-major step and
+        above < |v| <= r, ``_PAIR_CHUNK // n`` at a time: x and x + v pair up
+        where x + v stays inside along every axis, at distance |v|.  The
+        matrix kinds scan the upper triangle of above < ``pair_dist`` <= r in
+        row blocks of about ``_PAIR_CHUNK`` distances; ``box-cycles`` does so
+        per component, with the later components' columns only once r reaches
+        the cross distance.
+        """
         if self.coords is not None:
             size = (self.upper - self.lower + 1).tolist()
             offs = _grid([np.arange(-int(min(r, s - 1)), int(min(r, s - 1)) + 1)
                           for s in size])
             step = offs @ np.cumprod([1] + size[:0:-1])[::-1]
             dist = _lattice_dist(offs, self.norm)
-            keep = (step > 0) & (dist <= r)
+            keep = (step > 0) & (dist > above) & (dist <= r)
             offs, step, dist = offs[keep], step[keep], dist[keep]
             group = max(1, _PAIR_CHUNK // self.n)
             for lo in range(0, len(offs), group):
@@ -266,7 +289,8 @@ class Space:
                 xs = np.arange(lo, min(lo + rows, e))
                 d = (self.pair_dist(xs[:, None], cols) if self._matrix is None
                      else self._matrix[lo:lo + len(xs), s:end]).ravel()
-                k = np.flatnonzero((d <= r) & (cols > xs[:, None]).ravel())
+                k = np.flatnonzero((d > above) & (d <= r)
+                                   & (cols > xs[:, None]).ravel())
                 if len(k):
                     yield xs[k // len(cols)], cols[k % len(cols)], d[k]
 

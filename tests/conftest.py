@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from bandlim.space import SpaceError, build_space
-from bandlim.operators import BandOperator, from_triplets
+from bandlim.space import SpaceError, build_space, _grid
+from bandlim.operators import (
+    BandOperator, OperatorError, _check_exponent, from_triplets,
+)
 from bandlim.limits import LimitWindow
-from bandlim.lowernorm import NuReport
+from bandlim.lowernorm import NuReport, _restricted, _witness_vector
 from bandlim.partition import PPartition, Sparsification
 from bandlim.serialize import KeyedRows, round15
 
@@ -124,6 +126,41 @@ def reference_variation_table(part, r_max, block=32):
         np.maximum.at(worst, space.pair_dist(xs, ys), gaps)
     eps = np.maximum.accumulate(worst[1:]) ** (1.0 / part.p)
     return {r: float(eps[r - 1]) for r in range(1, r_max + 1)}
+
+
+def nu_brute(A, F, p, samples=10 ** 6):
+    """Grid oracle for the p lower norm, real coefficients, dimension <= 5.
+
+    Scans a uniform cube grid (about ``samples`` points) of real coefficient
+    vectors on F; returns the smallest quotient found.  An upper bound on the
+    true lower norm by construction.  ``OperatorError`` if p lies outside
+    [1, inf).
+    """
+    _check_exponent(p)
+    Fs, _, sub = _restricted(A, F)
+    k = A.block_dim
+    m = sub.shape[1]
+    if m > 5:
+        raise OperatorError("brute-force oracle limited to dimension 5")
+    per_axis = max(3, int(round(samples ** (1.0 / m))))
+    axis = np.linspace(-1.0, 1.0, per_axis)
+    V = _grid([axis] * m)
+    V = V[np.any(V != 0, axis=1)]
+    best = np.inf
+    best_v = None
+    for lo in range(0, len(V), 100000):
+        chunk = V[lo:lo + 100000]
+        W = chunk @ sub.T
+        sw = np.sqrt((np.abs(W.reshape(len(chunk), -1, k)) ** 2).sum(axis=2))
+        sv = np.sqrt((np.abs(chunk.reshape(len(chunk), -1, k)) ** 2).sum(axis=2))
+        num = (sw ** p).sum(axis=1) ** (1.0 / p)
+        den = (sv ** p).sum(axis=1) ** (1.0 / p)
+        q = num / den
+        i = int(np.argmin(q))
+        if q[i] < best:
+            best = float(q[i])
+            best_v = chunk[i]
+    return best, _witness_vector(A, Fs, best_v.astype(np.complex128), p)
 
 
 def reference_isometries(t1, t2, cap=256):

@@ -15,12 +15,12 @@ from bandlim.operators import (
     subtract, adjoint, schur_bound, norm2, apply_operator, gram_band,
 )
 from bandlim.lowernorm import (
-    nu, nu_s, nu_brute, localization_check, essential_nu, witness_cascade,
+    nu, nu_s, localization_check, essential_nu, witness_cascade,
 )
 from bandlim.partition import BlockSparsifierModel
 from bandlim.serialize import report_dumps
 
-from conftest import random_band, shift_operator, tridiagonal
+from conftest import nu_brute, random_band, shift_operator, tridiagonal
 
 
 def window(n, name):

@@ -28,14 +28,17 @@ def interval(n, name):
 
 
 def count_calls(monkeypatch, cls, names):
-    """Record (name, radius or first argument size) of each call to the methods."""
+    """Record (name, radius or first argument size) of each call to the methods.
+
+    Keyword arguments follow as (name, value) pairs.
+    """
     calls = []
 
     def counted(name, method):
-        def wrapper(self, *args):
+        def wrapper(self, *args, **kwargs):
             arg = args[-1] if name != "pairwise" else len(args[0])
-            calls.append((name, arg))
-            return method(self, *args)
+            calls.append((name, arg, *kwargs.items()))
+            return method(self, *args, **kwargs)
         return wrapper
 
     for name in names:
@@ -457,6 +460,60 @@ class TestVariationProperty:
             assert got_sup.tolist() == sup.tolist()
             diam = max(diam, int(dist[np.ix_(sup, sup)].max()))
         assert part.support_diameter == diam
+
+    @settings(max_examples=40, deadline=None)
+    @given(desc=small_spaces, L=st.integers(1, 3),
+           p=st.sampled_from([1.5, 2.0, 3.0]), block=st.integers(1, 80))
+    def test_chained_extensions_equal_one_sweep(self, desc, L, p, block):
+        space = build_space(desc)
+        top = space._largest_distance()
+        with mock.patch.object(space_module, "_PAIR_CHUNK", block):
+            part = make_partition(space, L, p=p)
+            for r in (3 * L + 1, 3 * L + 4, math.inf):
+                eps = part.variation(r)
+                reach = max(part.variation_table)
+                assert sorted(part.variation_table) == list(range(1, reach + 1))
+                ref = reference_variation_table(part, reach)
+                assert part.variation_table == ref
+                assert eps == (ref[min(r, top)] if top else 0.0)
+
+
+class TestVariationShell:
+    @pytest.mark.parametrize("space", [
+        build_space({"kind": "quadrant", "upper": 11, "name": "q12"}),
+        torus_graph(10),
+    ], ids=["quadrant", "graph"])
+    def test_a_lazy_extension_sweeps_only_the_new_shell(self, monkeypatch,
+                                                        space):
+        ids = np.arange(space.n)
+        dist = np.triu(space.pairwise(ids, ids), 1)
+        received = []
+        sweep = type(space).pairs_within
+
+        def counted(self, r, above=0):
+            for xs, ys, d in sweep(self, r, above):
+                received.append(d)
+                yield xs, ys, d
+
+        monkeypatch.setattr(type(space), "pairs_within", counted)
+
+        def assert_swept(lo, hi):
+            d = np.concatenate(received)
+            assert len(d) == np.count_nonzero((dist > lo) & (dist <= hi))
+            assert lo < d.min() and d.max() == hi
+            received.clear()
+
+        calls = count_calls(monkeypatch, type(space), ("pairs_within",))
+        part = make_partition(space, 2)
+        assert_swept(0, 6)
+        for lo, hi in ((6, 7), (7, 9)):
+            part.variation(hi)
+            part.variation(hi - 0.5)            # in the table: no sweep
+            assert_swept(lo, hi)
+        assert calls == [("pairs_within", 6, ("above", 0)),
+                         ("pairs_within", 7, ("above", 6)),
+                         ("pairs_within", 9, ("above", 7))]
+        assert part.variation_table == reference_variation_table(part, 9)
 
 
 class TestVariationRadii:

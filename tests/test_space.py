@@ -634,15 +634,24 @@ class TestPairsWithin:
         assert sp._largest_distance() == diam
         r = data.draw(st.one_of(radii, st.sampled_from(
             [diam, diam + 1, 1e30, math.inf])))
+        # the default keeps every pair; a shell keeps those past ``above``
+        above = data.draw(st.one_of(st.none(), st.integers(0, diam + 1)))
         chunk = data.draw(st.sampled_from([1, 3, 16, space_module._PAIR_CHUNK]))
         with mock.patch.object(space_module, "_PAIR_CHUNK", chunk):
-            chunks = list(sp.pairs_within(r))
+            chunks = list(sp.pairs_within(r) if above is None
+                          else sp.pairs_within(r, above))
         assert all(0 < len(xs) <= max(chunk, sp.n) for xs, _, _ in chunks)
+        # no two consecutive chunks would fit in one
+        assert all(len(a[0]) + len(b[0]) > chunk
+                   for a, b in zip(chunks, chunks[1:]))
         got = sorted(zip(*(np.concatenate([c[k] for c in chunks]
                                           + [[]]).astype(np.int64).tolist()
                            for k in range(3))))
-        i, j = np.nonzero(np.triu(dist <= r, 1))
+        low = -1 if above is None else above
+        i, j = np.nonzero(np.triu((dist > low) & (dist <= r), 1))
         assert got == list(zip(i.tolist(), j.tolist(), dist[i, j].tolist()))
+        if above is not None and above >= r:
+            assert got == []
 
     def test_negative_or_nan_radius_rejected(self, quad_window):
         for r in (-1, math.nan):
