@@ -14,17 +14,19 @@ for any number of column sets, with each set's zero rows trimmed.
 The p = 2 route is picked by column count: a restriction of at most
 ``_DENSE_MAX`` columns is solved dense, a wider one banded, by one rule that
 ``nu`` and the ``nu_s`` screen share.  Every p = 2 witness, kernel vectors
-included, comes from one routine, ``_banded_inverse_iteration``: inverse
-iteration on the Gram matrix G = sub* sub held in LAPACK band storage
-(``operators.gram_band``, which ``norm2`` also reads), with one banded
-Cholesky factor of G shifted just below its least eigenvalue.  A dense
-restriction takes its value from LAPACK's values-only SVD, whose square
-places the shift; the tolerance covers the witness's computed quotient.  A
-banded one takes the least eigenvalue of G from ``eigvals_banded``; the
-value is the witness quotient, an attained upper bound, and the tolerance
-reaches down to the lower bound that the factor's success certifies, so the
-reported number is a checked interval [value - tolerance, value].  No p = 2
-route asks an SVD for singular vectors.
+included, comes from one inverse iteration, ``_inverse_solves``: three
+solves with a banded Cholesky factor of the Gram matrix G = sub* sub held in
+LAPACK band storage (``operators.gram_band``, which ``norm2`` also reads),
+shifted just below its least eigenvalue.  A dense restriction takes its
+value from LAPACK's values-only SVD, whose square places the shift
+(``operators.shift_below``); the tolerance covers the witness's computed
+quotient.  A banded one finds the shift by bisection
+(``operators.least_eigenvalue``), each step one banded Cholesky
+factorization, and keeps the last factor that completes; the value is the
+witness quotient, an attained upper bound, and the tolerance reaches down to
+the lower bound that this factor certifies, so the reported number is a
+checked interval [value - tolerance, value].  No p = 2 route asks an SVD
+for singular vectors, and none reduces G to tridiagonal form.
 
 The restriction of a real operator (``BandOperator.is_real``) is real, so
 every p = 2 route runs in real arithmetic: its singular values are those over
@@ -54,11 +56,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvals_banded, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse import csr_matrix, issparse
 
 from .operators import (
-    OperatorError, Vector, _check_exponent, _unfold, gram_band, schur_bound,
+    _EPS, OperatorError, Vector, _check_exponent, _gamma, _unfold, gram_band,
+    least_eigenvalue, schur_bound, shift_below,
 )
 from .serialize import KeyedRows
 
@@ -69,7 +72,6 @@ from .serialize import KeyedRows
 # and 192 to 256 at band 64, and dense SVD grows as columns cubed past them
 _DENSE_MAX = 72
 _STACK_BYTES = 1 << 22   # largest stack of restrictions in one SVD call
-_EPS = np.finfo(float).eps
 _drawn = np.zeros(0)     # the longest draw of _random_start so far
 
 
@@ -216,10 +218,10 @@ def _sigma_min_banded(sub):
     """sigma_min of a CSR restriction as a checked interval, method
     ``banded-gram``.
 
-    The least eigenvalue lam of G = sub* sub comes from ``eigvals_banded``
-    on its band storage (``gram_band``), and ``_banded_inverse_iteration``
-    gives a witness w and a shift mu whose Cholesky factor proves
-    lambda_min(G) >= mu - slack.  The value is the computed quotient
+    ``operators.least_eigenvalue`` bisects the shift on the band storage of
+    G = sub* sub (``gram_band``) down to a shift mu whose Cholesky factor
+    proves lambda_min(G) >= mu - slack, and ``_inverse_solves`` with that
+    factor gives the witness w.  The value is the computed quotient
     q = |sub w| / |w|, an attained upper bound; the lower bound is
     sqrt(max(0, mu - slack - e)), where e bounds the rounding made when G
     was formed: the products of a column pair have at most r terms (r the
@@ -227,10 +229,8 @@ def _sigma_min_banded(sub):
     The tolerance is max(1e-10, q - lower bound): sigma_min lies in
     [value - tolerance, value].
     """
-    ab = gram_band(sub)
-    lam = float(eigvals_banded(ab, lower=True, select="i",
-                               select_range=(0, 0))[0])
-    w, mu, slack = _banded_inverse_iteration(ab, lam)
+    mu, factor, slack = least_eigenvalue(gram_band(sub))
+    w = _inverse_solves(factor)
     q = float(np.linalg.norm(sub @ w) / np.linalg.norm(w))
     size = np.abs(sub.data)
     col = np.bincount(sub.indices)
@@ -242,60 +242,32 @@ def _sigma_min_banded(sub):
     return q, w, "banded-gram", max(1e-10, q - lower)
 
 
-def _gamma(n):
-    return n * _EPS / (1.0 - n * _EPS)
-
-
 def _banded_inverse_iteration(ab, lam):
-    """(w, mu, slack): a unit vector for the least eigenvalue lam of the
-    Gram matrix G in lower band storage ab, and the certified shift.
-
-    The one inverse iteration behind every p = 2 witness: the dense and
-    banded routes of ``_sigma_min`` and the kernel vectors of
-    ``_kernel_vector``.  One banded Cholesky factorization (``pbtrf``) of
-    H = G - mu I at mu = lam - d, with d = 4 (b + 1) eps |G|_inf for band b;
-    where it fails (lam above the computed spectrum, or a zero pivot), d
-    doubles and it runs again.  That loop ends: once mu <= -|G|_inf, H is
-    diagonally dominant.  Then three ``pbtrs`` solves from
-    ``_random_start``, and every entry of modulus at most eps max |w_i| is
-    set to 0: such dust is rounding, and left in place it would spread the
-    witness's support over the whole restriction.  A G whose |G|_inf
-    overflows raises ``OperatorError``, as the loop would not end.  A factor
-    R that completes gives R* R = fl(H) + E, so G - mu I >= -E - D with D
-    the rounding of the shifted diagonal, |D| <= eps max |h_ii|.  By Higham
-    (ch. 10, Thm 10.3) |E| <= gamma_{b+4} |R*| |R| (b + 4 covers complex
-    arithmetic); a row of |R*| |R| has at most 2b + 1 entries, each at most
-    max diag R* R <= max h_ii / (1 - gamma_{b+4}).  ``slack`` sums the two
-    bounds, so lambda_min(G) >= mu - slack.  Real ab gives a real vector.
+    """(w, mu, slack): a unit vector for the known least eigenvalue lam of
+    the Gram matrix G in lower band storage ab, by ``_inverse_solves`` with
+    the factor of ``operators.shift_below``, and that shift and its slack:
+    lambda_min(G) >= mu - slack.  The witness of the dense route of
+    ``_sigma_min`` and the kernel vectors of ``_kernel_vector``.
     """
-    b, m = ab.shape[0] - 1, ab.shape[1]
-    # row i of |G|: the sum of column i of |ab|, then |ab[d, i - d]| added
-    # for d = 1 .. b in turn (bincount adds in input order)
-    size = np.abs(ab)
-    size[0] = size.sum(axis=0)
-    at = np.arange(b + 1)[:, None] + np.arange(m)
-    row_sums = np.bincount(at.ravel(), size.ravel(), minlength=m + b)[:m]
-    dist = 4.0 * (b + 1) * _EPS * float(row_sums.max()) or 1.0   # G = 0
-    if not np.isfinite(dist):
-        raise OperatorError("restriction has a non-finite Gram norm")
-    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
-    while True:
-        mu = lam - dist
-        h = ab.copy()
-        h[0] -= mu
-        top = float(np.abs(h[0]).max())
-        factor, info = pbtrf(h, lower=1, overwrite_ab=True)
-        if info == 0:
-            break
-        dist *= 2.0
-    w = _random_start(m)
+    mu, factor, slack = shift_below(ab, lam)
+    return _inverse_solves(factor), mu, slack
+
+
+def _inverse_solves(factor):
+    """Unit vector from three ``pbtrs`` solves with the banded Cholesky
+    factor of G - mu I, from ``_random_start``: inverse iteration at the
+    shift mu.  Every entry of modulus at most eps max |w_i| is set to 0: such
+    dust is rounding, and left in place it would spread the witness's
+    support over the whole restriction.  A real factor gives a real vector.
+    """
+    pbtrs = get_lapack_funcs("pbtrs", (factor,))
+    w = _random_start(factor.shape[1])
     for _ in range(3):
         w = pbtrs(factor, w, lower=1)[0]
         w /= np.linalg.norm(w)
     size = np.abs(w)
     w[size <= _EPS * size.max()] = 0.0
-    g = _gamma(b + 4)
-    return w, mu, (g / (1.0 - g) * (2 * b + 1) + _EPS) * top
+    return w
 
 
 def _random_start(m):
@@ -429,9 +401,12 @@ def nu(A, F, p=2.0):
     ``_DENSE_MAX`` columns go dense (``exact-svd``): the value is LAPACK's
     values-only SVD, exact up to rounding, with an inverse-iteration
     witness, and the tolerance covers the witness's computed quotient.
-    Wider restrictions go banded (``banded-gram``): the value is the witness
-    quotient, an attained upper bound, and value - tolerance is a lower bound
-    that a banded Cholesky factor certifies, so sigma_min lies in
+    Wider restrictions go banded (``banded-gram``): a bisection on the shift
+    of the Gram matrix, one banded Cholesky factorization a step, brackets
+    sigma_min^2 to within about 4 (b + 1) eps |G|_inf (Gram band b); the
+    value is the quotient of the witness that the last completed factor
+    gives, an attained upper bound, and value - tolerance is the lower bound
+    that this factor certifies, so sigma_min lies in
     [value - tolerance, value].  Every tolerance is at least 1e-10.  Every
     p = 2 route runs in real arithmetic when A is real.  For other exponents
     a 16-start deterministic descent over the quotient |Av|_p / |v|_p over

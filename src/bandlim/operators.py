@@ -4,7 +4,10 @@ A band operator is a point-indexed matrix whose nonzero entries sit within a
 fixed distance (the propagation) of the diagonal.  Entries are complex scalars
 or small square blocks of a fixed dimension.  The module provides the algebra
 operations, vector action in weighted p-norms, certified Schur norm bounds,
-and the exact 2-norm from the top eigenvalue of the banded Gram matrix.
+and the 2-norm from the top eigenvalue of the banded Gram matrix.  The
+extreme eigenvalues of a banded Gram matrix are bracketed by bisection on a
+shift, one banded Cholesky factorization (``pbtrf``) a step; a factor that
+completes certifies its shift up to a rounding slack.
 
 Entries are finite (NaN and inf are refused) and stored as complex128;
 ``BandOperator.is_real`` records once whether every imaginary part is zero.
@@ -13,7 +16,7 @@ complex numbers.
 """
 
 import numpy as np
-from scipy.linalg import eigvals_banded
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse import csr_matrix, issparse
 
 from .space import same_space
@@ -21,6 +24,7 @@ from .space import same_space
 # largest unfolded side of a dense matrix; norm2's band storage holds at
 # most its square in entries
 DENSE_SIDE = 4000
+_EPS = np.finfo(float).eps
 
 
 class OperatorError(ValueError):
@@ -364,18 +368,117 @@ def gram_band(M):
     return ab
 
 
+def _gamma(n):
+    return n * _EPS / (1.0 - n * _EPS)
+
+
+def _shift_test(ab, largest=False):
+    """(test, d, |G|_inf) for the Gram matrix G in lower band storage ab.
+
+    ``test(mu)`` runs the banded Cholesky factorization ``pbtrf`` of
+    H = G - mu I (mu I - G when ``largest``): (R, slack) when it completes
+    with factor R, None when it fails.  R* R = fl(H) + E, so H >= -E - D
+    with D the rounding of the shifted diagonal, |D| <= eps max |h_ii|.  By
+    Higham (ch. 10, Thm 10.3) |E| <= gamma_{b+4} |R*| |R| (b + 4 covers
+    complex arithmetic); a row of |R*| |R| has at most 2b + 1 entries, each
+    at most max diag R* R <= max h_ii / (1 - gamma_{b+4}).  ``slack`` sums
+    the two bounds: lambda_min(G) >= mu - slack, or lambda_max(G) <= mu +
+    slack.  d = 4 (b + 1) eps |G|_inf (1 when G = 0) is the step of every
+    shift search; ``OperatorError`` when |G|_inf overflows, as no search
+    would end.
+    """
+    b, m = ab.shape[0] - 1, ab.shape[1]
+    # row i of |G|: the sum of column i of |ab|, then |ab[d, i - d]| added
+    # for d = 1 .. b in turn (bincount adds in input order)
+    size = np.abs(ab)
+    size[0] = size.sum(axis=0)
+    at = np.arange(b + 1)[:, None] + np.arange(m)
+    norm = float(np.bincount(at.ravel(), size.ravel(), minlength=m + b)[:m].max())
+    dist = 4.0 * (b + 1) * _EPS * norm or 1.0   # G = 0
+    if not np.isfinite(dist):
+        raise OperatorError("non-finite Gram norm")
+    pbtrf = get_lapack_funcs("pbtrf", (ab,))
+    g = _gamma(b + 4)
+    rate = g / (1.0 - g) * (2 * b + 1) + _EPS
+
+    def test(mu):
+        h = -ab if largest else ab.copy()
+        h[0] += mu if largest else -mu
+        top = float(np.abs(h[0]).max())
+        factor, info = pbtrf(h, lower=1, overwrite_ab=True)
+        return (factor, rate * top) if info == 0 else None
+    return test, dist, norm
+
+
+def shift_below(ab, lam):
+    """(mu, R, slack): the first of the shifts lam - d, lam - 2d, lam - 4d,
+    ... at which G - mu I factors (``_shift_test``), for a known least
+    eigenvalue lam of G.  The first fails where lam lies above the computed
+    spectrum or meets a zero pivot; the doubling ends, as G - mu I is
+    diagonally dominant once mu <= -|G|_inf."""
+    test, dist, _ = _shift_test(ab)
+    mu, found = _shift_below(test, lam, dist)
+    return (mu, *found)
+
+
+def _shift_below(test, lam, dist):
+    while (found := test(lam - dist)) is None:
+        dist *= 2.0
+    return lam - dist, found
+
+
+def _bisect(test, good, found, bad, dist):
+    """Halve the shift interval from ``good``, where ``test`` gave ``found``,
+    to ``bad``, where it fails, until the two lie at most ``dist`` apart;
+    returns the last good shift and its test result."""
+    while abs(bad - good) > dist:
+        mid = 0.5 * (good + bad)
+        result = test(mid)
+        if result is None:
+            bad = mid
+        else:
+            good, found = mid, result
+    return good, found
+
+
+def least_eigenvalue(ab):
+    """(mu, R, slack): a certified lower end mu of the least eigenvalue of the
+    Gram matrix G in lower band storage ab, the Cholesky factor R of
+    G - mu I and its slack: lambda_min(G) >= mu - slack (``_shift_test``).
+
+    Bisection from [``shift_below`` at 0, min diag G] until the ends lie at
+    most d apart: about log2(1 / eps) factorizations of O(m b^2) each, for
+    m columns and band b, where a tridiagonal reduction costs O(m^2 b).
+    """
+    test, dist, _ = _shift_test(ab)
+    mu, found = _bisect(test, *_shift_below(test, 0.0, dist),
+                        float(ab[0].real.min()), dist)
+    return (mu, *found)
+
+
+def largest_eigenvalue(ab):
+    """A certified upper end of the largest eigenvalue of the Gram matrix G
+    in lower band storage ab: bisection over [max diag G, |G|_inf] until the
+    ends lie at most d apart.  The upper end is Gershgorin's bound |G|_inf
+    or a shift mu at which mu I - G factored, so lambda_max(G) <= mu + slack
+    (``_shift_test``)."""
+    test, dist, norm = _shift_test(ab, largest=True)
+    return _bisect(test, norm, None, float(ab[0].real.max()), dist)[0]
+
+
 def norm2(A: BandOperator) -> float:
     """Largest singular value (p = 2 operator norm), exact up to rounding.
 
-    The square root of the top eigenvalue of the Gram matrix G = A*A, read
-    from its band storage (``gram_band``), in real arithmetic when A is real.
+    The square root of the upper end of the certified bracket of the top
+    eigenvalue of the Gram matrix G = A*A (``largest_eigenvalue``), read
+    from its band storage (``gram_band``), in real arithmetic when A is
+    real.  The bracket is at most 4 (b + 1) eps |G|_inf wide (Gram band b).
+    ``OperatorError`` when G or |G|_inf overflows.
     """
     if A.nnz == 0:
         return 0.0
     ab = gram_band(A.csr().real if A.is_real else A.csr())
-    nk = ab.shape[1]
-    top = eigvals_banded(ab, lower=True, select="i", select_range=(nk - 1, nk - 1))
-    return float(np.sqrt(max(top[0], 0.0)))
+    return float(np.sqrt(largest_eigenvalue(ab)))
 
 
 # -- operator files ------------------------------------------------------------

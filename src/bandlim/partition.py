@@ -248,6 +248,18 @@ class PPartition:
     variation_table: dict = field(default_factory=dict)
     _worst: np.ndarray = field(default_factory=lambda: np.zeros(1), repr=False)
 
+    def __eq__(self, other):
+        """Equal partitions: one space (``same_space``), the same centers,
+        scale, exponent and bump matrix.  The variation table is a lazily
+        grown measurement of the bumps and does not count."""
+        if not isinstance(other, PPartition):
+            return NotImplemented
+        return (same_space(self.space, other.space)
+                and self.centers == other.centers
+                and (self.scale, self.p) == (other.scale, other.p)
+                and self.bumps.shape == other.bumps.shape
+                and (self.bumps != other.bumps).nnz == 0)
+
     @property
     def point_funcs(self):
         """Rows of Phi as dicts {center index: value}, rebuilt on each access."""

@@ -27,7 +27,7 @@ newline, applied to the report with every number rounded:
   ``{int(keys[i]): values[i]}``, each row a 1-d ndarray.
 
 Each float's text is kept for the length of one ``report_dumps`` call, so
-``round15`` runs once per distinct value of a body: report floats repeat,
+it is formatted once per distinct value of a body: report floats repeat,
 and in the benchmark bodies at seed 7 the distinct values of a body are
 19 % of its floats for ``spectrum``, 50 % for ``localize`` and 9 % for
 ``partition``.  Lists of plain numbers and 1-d
@@ -39,10 +39,12 @@ values, without a view per row.
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _string
 import math
+import sys
 
 import numpy as np
 
 _INF = float("inf")
+_NORMAL = sys.float_info.min   # the least positive normal float
 
 
 class KeyedRows:
@@ -82,7 +84,17 @@ def round15(x):
 
 @lru_cache(maxsize=None)
 def _float_text(x):
-    """JSON text of round15(x); report_dumps empties the cache after each body."""
+    """JSON text of round15(x); report_dumps empties the cache after each body.
+
+    A normal float below 1e14 in modulus is formatted once, as ``%.15g``
+    (plus ``.0`` for an integer): 15 digits round-trip, so that is the repr
+    of round15(x).  From 1e14 on the rounding can carry to 1e15, which
+    ``%.15g`` writes with an exponent; subnormals hold fewer digits.
+    """
+    x = float(x)
+    if _NORMAL <= abs(x) < 1e14:
+        text = "%.15g" % x
+        return text if "." in text or "e" in text else text + ".0"
     x = round15(x)
     if x != x:
         return "NaN"

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import asdict
 from functools import partial
 from unittest import mock
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvals_banded
 from scipy.sparse import issparse
 
-from bandlim import lowernorm
+from bandlim import lowernorm, operators
 from bandlim.space import build_space
 from bandlim.operators import (
     OperatorError, from_triplets, identity, multiplier, compose, add, scale,
@@ -646,17 +647,19 @@ class TestIterativeFallback:
     @staticmethod
     def first_factorization_fails(calls):
         """Patch ``pbtrf`` to report failure on its first call; record the
-        diagonal of every matrix it is given."""
-        real = lowernorm.get_lapack_funcs
+        diagonal of every matrix it is given and whether it factored."""
+        real = operators.get_lapack_funcs
 
         def funcs(names, arrays):
-            pbtrf, pbtrs = real(names, arrays)
+            pbtrf = real(names, arrays)
 
             def factor(h, **kwargs):
-                calls.append(h[0].copy())
-                return (h, 1) if len(calls) == 1 else pbtrf(h, **kwargs)
-            return factor, pbtrs
-        return mock.patch.object(lowernorm, "get_lapack_funcs", funcs)
+                diag = h[0].copy()
+                out = pbtrf(h, **kwargs) if calls else (h, 1)
+                calls.append((diag, out[1] == 0))
+                return out
+            return factor
+        return mock.patch.object(operators, "get_lapack_funcs", funcs)
 
     def test_failed_factorization_doubles_the_shift(self):
         sp = build_space({"kind": "n-window", "upper": 399, "name": "n400"})
@@ -667,12 +670,24 @@ class TestIterativeFallback:
         calls = []
         with self.first_factorization_fails(calls):
             _, mu1, _ = lowernorm._banded_inverse_iteration(ab, lam)
-        assert len(calls) == 2 and np.all(calls[1] > calls[0])
+        assert len(calls) == 2 and np.all(calls[1][0] > calls[0][0])
         assert abs((lam - mu1) - 2 * (lam - mu0)) <= 0.01 * (lam - mu0)
+        # nu's bisection: its lower end -d fails, so -2d is tried; the search
+        # then halves [-2d, min diag G] until a factored shift lies within d
+        # of a failed one, about log2(|G| / d) steps
+        d = lam - mu0
         calls = []
         with self.first_factorization_fails(calls):
             rep = nu(A, range(sp.n))
-        assert len(calls) == 2
+        diags = np.array([diag for diag, _ in calls])
+        factored = np.array([ok for _, ok in calls])
+        assert factored[:2].tolist() == [False, True]
+        assert abs((diags[1] - diags[0]).max() - d) <= 0.2 * d
+        assert np.all(diags[2:] < diags[1])
+        good = diags[factored, 0].min()          # the highest factored shift
+        bad = diags[2:][~factored[2:], 0].max()  # the lowest failed one
+        assert 0 < good - bad <= 1.2 * d
+        assert 40 <= len(calls) <= 55
         sigma = 3 - 2 * np.cos(np.pi / 401)
         assert rep.method == "banded-gram"
         assert rep.value - rep.tolerance <= sigma <= rep.value + 1e-15
@@ -939,6 +954,41 @@ def neumann_operator(n):
     return dense_operator(M)
 
 
+class TestBisectedEigenvalues:
+    """The banded route and norm2 bracket their Gram eigenvalue by bisection
+    on the shift, with banded Cholesky factorizations as the only test."""
+
+    def test_no_band_reduction(self):
+        # nu's routes and norm2 ask LAPACK for banded Cholesky factors and
+        # solves only, and never for a band eigenvalue routine
+        requested = []
+        real = operators.get_lapack_funcs
+
+        def spy(names, arrays):
+            requested.append(names)
+            return real(names, arrays)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a band eigenvalue routine was called")
+
+        decomp = sys.modules[eigvals_banded.__module__]
+        sp = build_space({"kind": "n-window", "upper": 299, "name": "n300"})
+        A = three_i_minus_tridiag(sp)
+        C = from_triplets(sp, [(0, 0, 1.0), (0, 1, 2.0)]
+                          + [(x, x, 1.0) for x in range(2, sp.n)])
+        with mock.patch.object(operators, "get_lapack_funcs", spy), \
+                mock.patch.object(lowernorm, "get_lapack_funcs", spy), \
+                mock.patch.object(decomp, "eigvals_banded", refuse), \
+                mock.patch.object(decomp, "eig_banded", refuse):
+            methods = [nu(A, range(sp.n)).method, nu(A, range(40)).method,
+                       nu(C, range(sp.n)).method]
+            norm2(A)
+        assert methods == ["banded-gram", "exact-svd", "kernel"]
+        assert set(requested) == {"pbtrf", "pbtrs"}
+        assert not hasattr(operators, "eigvals_banded")
+        assert not hasattr(lowernorm, "eigvals_banded")
+
+
 class TestBandedRoute:
     """Witness quotient for the value, a Cholesky-certified lower bound."""
 
@@ -956,6 +1006,8 @@ class TestBandedRoute:
         with banded_route():
             rep = nu(A, F)
             sub = lowernorm._restricted(A, F)[2]
+        dense = np.linalg.norm(A.to_dense(), 2)
+        assert abs(norm2(A) - dense) <= 1e-12 * max(1.0, dense)
         assert issparse(sub)
         if rep.method == "kernel":
             assert quotient(A, rep) <= rep.tolerance + rounding_slack(rep)

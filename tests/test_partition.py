@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 import tracemalloc
 from unittest import mock
@@ -151,6 +152,20 @@ class TestSparsify:
 
 
 class TestMakePartition:
+    def test_equality_compares_the_bumps(self):
+        sp = build_space({"kind": "n-window", "upper": 9})
+        part = make_partition(sp, 2)
+        same = make_partition(build_space({"kind": "n-window", "upper": 9}), 2)
+        assert part == same and not part != same
+        same.variation(20)      # a longer variation table: the same bumps
+        assert part == same
+        assert part != replace(part, bumps=2.0 * part.bumps)
+        assert part != make_partition(sp, 3)
+        assert part != make_partition(sp, 2, p=3.0)
+        assert part != make_partition(build_space({"kind": "n-window",
+                                                   "upper": 10}), 2)
+        assert part != "a partition"
+
     def test_normalization_exact(self):
         sp = interval(60, "n60")
         for p in (1.5, 2.0, 3.0):

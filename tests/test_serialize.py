@@ -11,6 +11,7 @@ and both must give the same body.
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -160,6 +161,41 @@ class TestFloatTexts:
         obj = [x32, float(x32), 0.1, -0.0, 0.0, np.float64(-0.0), math.nan,
                np.float64(math.nan), complex(0.0, -0.0), np.array([-0.0, 0.0])]
         assert report_dumps(obj) == reference_dumps(obj)
+
+    @staticmethod
+    def round_trip_text(x):
+        """The text of every float before the one-format path: repr of round15."""
+        x = serialize.round15(x)
+        if math.isnan(x):
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+
+    # where %.15g and repr part ways (exponent at 1e15, fewer digits in
+    # subnormals, the sign of zero) and the edges of the one-format range
+    BOUNDARY = [999999999999999.9, 99999999999999.99, 99999999999999.95,
+                1e14, math.nextafter(1e14, 0.0), -math.nextafter(1e14, 0.0),
+                99999999999999.0, 1e15, 0.0, -0.0, 5e-324, 1e-310,
+                sys.float_info.min, math.nextafter(sys.float_info.min, 0.0),
+                math.nextafter(sys.float_info.min, 1.0), -sys.float_info.min,
+                1e-4, 9.999999999999999e-05, 9.9999999999999995e-05, 1e-5,
+                0.1 + 0.2, 123.0, -7.0, 1.7976931348623157e308]
+
+    @pytest.mark.parametrize("x", BOUNDARY)
+    def test_boundary_texts(self, x):
+        serialize._float_text.cache_clear()
+        assert serialize._float_text(x) == self.round_trip_text(x)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(x=st.one_of(st.floats(), st.floats(allow_subnormal=True,
+                                              min_value=-1e-300, max_value=1e-300),
+                       st.floats(min_value=-1e16, max_value=1e16),
+                       st.sampled_from(SPECIAL)))
+    def test_text_is_repr_of_round15(self, x):
+        serialize._float_text.cache_clear()
+        assert serialize._float_text(x) == self.round_trip_text(x)
+        assert serialize._float_text(np.float64(x)) == self.round_trip_text(x)
 
     def test_cache_lasts_one_body(self):
         report_dumps([0.5, 0.25, 0.5])
