@@ -38,12 +38,20 @@ positive, whichever route found it.
 
 ``nu_s`` restricts witnesses to ball neighborhoods inside F.  Its screen
 builds every distinct ball restriction from one ``_gather`` call.  Kernel
-balls get 0 without an SVD.  The balls that ``nu`` would solve by dense SVD
-land in one zeroed stack per shape, bitwise the matrices ``_restricted``
-builds, and take values-only SVDs of slices of it, the LAPACK call ``nu``
-makes, so they get ``nu``'s values bitwise.  The rest go through ``nu``,
-which builds the witness and report of the winning ball too.  ``threads``
-sizes the pool that runs the SVD slices and the ``nu`` calls.
+balls get 0 without an SVD, and the balls past the dense limit go through
+``nu``.  The balls that ``nu`` would solve by dense SVD are screened in
+three steps.  Sample: every k-th of them (k the square root of their
+count) takes a values-only SVD, and U is the least value known then.
+Certify: one batched banded Cholesky factorization of their shifted Gram
+matrices, formed from the gathered entries without a dense stack, proves
+of most other balls that their SVD value exceeds U, counting the rounding
+of the Gram matrix, of the factorization and of the SVD, so they cannot be
+the minimum.  Survivors: the rest take values-only SVDs.  Every SVD runs on
+a zeroed same-shape stack, bitwise the matrices ``_restricted`` builds,
+with the LAPACK call ``nu`` makes, so the values are ``nu``'s bitwise.
+``nu`` builds the witness and report of the winning ball.  ``threads``
+sizes the pool that runs the ``nu`` calls of the balls past the dense
+limit; the screen runs in the calling thread.
 
 ``localization_check`` computes the support bound under which the localized
 value provably sits within delta of the global one, given the sparsifier
@@ -52,6 +60,7 @@ around the designated center to probe essential behavior, and
 ``witness_cascade`` drills nested witness balls down a schedule of scales.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -60,8 +69,8 @@ from scipy.linalg import get_lapack_funcs
 from scipy.sparse import csr_matrix, issparse
 
 from .operators import (
-    _EPS, OperatorError, Vector, _check_exponent, _gamma, _unfold, gram_band,
-    least_eigenvalue, schur_bound, shift_below,
+    _EPS, OperatorError, Vector, _check_exponent, _cholesky_rate, _gamma,
+    _unfold, gram_band, least_eigenvalue, schur_bound, shift_below,
 )
 from .serialize import KeyedRows
 
@@ -223,23 +232,29 @@ def _sigma_min_banded(sub):
     proves lambda_min(G) >= mu - slack, and ``_inverse_solves`` with that
     factor gives the witness w.  The value is the computed quotient
     q = |sub w| / |w|, an attained upper bound; the lower bound is
-    sqrt(max(0, mu - slack - e)), where e bounds the rounding made when G
-    was formed: the products of a column pair have at most r terms (r the
-    most entries of one column), so |dG|_2 <= gamma_{r+2} |sub|_1 |sub|_inf.
-    The tolerance is max(1e-10, q - lower bound): sigma_min lies in
-    [value - tolerance, value].
+    sqrt(max(0, mu - slack - e)), where e is ``_formed``'s bound on the
+    rounding made when G was formed.  The tolerance is
+    max(1e-10, q - lower bound): sigma_min lies in [value - tolerance, value].
     """
     mu, factor, slack = least_eigenvalue(gram_band(sub))
     w = _inverse_solves(factor)
     q = float(np.linalg.norm(sub @ w) / np.linalg.norm(w))
     size = np.abs(sub.data)
-    col = np.bincount(sub.indices)
     rows = np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr))
-    formed = (_gamma(int(col.max()) + 2)
-              * np.bincount(sub.indices, weights=size).max()
-              * np.bincount(rows, weights=size).max())
+    formed = _formed(int(np.bincount(sub.indices).max()),
+                     np.bincount(sub.indices, weights=size).max(),
+                     np.bincount(rows, weights=size).max())
     lower = float(np.sqrt(max(0.0, mu - slack - formed)))
     return q, w, "banded-gram", max(1e-10, q - lower)
+
+
+def _formed(count, col, row):
+    """A bound on the rounding e of a Gram matrix G = sub* sub as formed,
+    given the most entries ``count`` of one column of sub, |sub|_1 = ``col``
+    and |sub|_inf = ``row`` (arrays too): the products of a column pair have
+    at most ``count`` terms, so |dG|_2 <= gamma_{count+2} |sub|_1 |sub|_inf.
+    """
+    return _gamma(count + 2) * col * row
 
 
 def _banded_inverse_iteration(ab, lam):
@@ -448,14 +463,21 @@ def nu_s(A, F, s, p=2.0, threads=1):
     them all from one gather.  A restriction with fewer rows than columns
     has value 0 without an SVD.  Restrictions that ``nu`` solves by
     ``exact-svd`` (p = 2, dense under ``_restricted``'s column rule) take
-    their values from values-only SVDs, one call per chunk of a same-shape
-    stack: the matrices and the LAPACK call are ``nu``'s, so the values are
-    bitwise those of ``nu``.  Every other restriction goes through ``nu``.
-    The first strict minimum in ascending center order wins, and its report
-    comes from one ``nu`` call on the winning ball (or the call already
-    made).  An infinite scale makes every ball F itself.
-    ``threads`` sizes the pool that runs the SVD chunks and the ``nu`` calls;
-    the result is independent of it.
+    their values from values-only SVDs of same-shape stacks: the matrices
+    and the LAPACK call are ``nu``'s, so the values are bitwise those of
+    ``nu``.  Every other restriction goes through ``nu`` first.  The dense
+    ones are screened in three steps.  Sample: every k-th of the N dense
+    balls in job order, k = floor(sqrt(N)), takes its SVD; U is then the
+    least value known, kernel zeros and ``nu`` values included.  Certify:
+    ``_pruned`` proves with one batched banded Cholesky factorization that
+    most other balls have an SVD value above U; they cannot be the minimum
+    and take no SVD.  Survivors: the rest take their SVDs.  The stride only
+    changes the speed.  The first strict minimum in ascending center order
+    wins, and its report comes from one ``nu`` call on the winning ball (or
+    the call already made).  An infinite scale makes every ball F itself.
+    ``threads`` sizes the pool that runs the ``nu`` calls of the balls past
+    the dense limit; the SVDs and the certificate run in the calling
+    thread, and the result is independent of it.
     """
     if not s >= 0:
         raise OperatorError(f"support scale must be nonnegative, got {s}")
@@ -473,19 +495,23 @@ def nu_s(A, F, s, p=2.0, threads=1):
         seen.add(key)
         jobs.append((x, ball))
 
-    value, stacks, direct = _screen(A, [ball for _, ball in jobs], p)
-
-    def screen(chunk):
-        idx, stack = chunk
-        return idx, np.linalg.svd(stack, compute_uv=False).min(axis=1)
-
+    balls = [ball for _, ball in jobs]
+    value, stacked, direct, gathered = _screen(A, balls, p)
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         run = pool.map if threads > 1 else map
         reports = dict(zip(direct, run(lambda j: nu(A, jobs[j][1], p=p), direct)))
-        for j, rep in reports.items():
-            value[j] = rep.value
-        for idx, sv in run(screen, _stacks(stacks, threads)):
-            value[idx] = sv
+    for j, rep in reports.items():
+        value[j] = rep.value
+
+    def svd(picked):
+        for idx, stack in _stacks(_stacked(gathered, picked)):
+            value[idx] = np.linalg.svd(stack, compute_uv=False).min(axis=1)
+
+    sample = np.zeros(len(stacked), dtype=bool)
+    sample[::max(1, math.isqrt(len(stacked)))] = True
+    svd(stacked[sample])
+    rest = stacked[~sample]
+    svd(rest[~_pruned(gathered, rest, value.min())])
 
     j = int(np.argmin(value))
     rep = reports[j] if j in reports else nu(A, jobs[j][1], p=p)
@@ -494,33 +520,128 @@ def nu_s(A, F, s, p=2.0, threads=1):
 
 
 def _screen(A, balls, p):
-    """(value, stacks, direct) of the balls, from one ``_gather``: value 0
-    for a kernel ball (fewer rows than columns), inf otherwise; the
-    ``_dense_stacks`` of the balls that ``nu`` solves by ``exact-svd``; and
-    the rest, which go through ``nu``."""
+    """(value, stacked, direct, gathered) of the balls, from one
+    ``_gather``: value 0 for a kernel ball (fewer rows than columns), inf
+    otherwise; the ids of the balls that ``nu`` solves by ``exact-svd``;
+    the rest, which go through ``nu``; and (rows, cols, entries) of the
+    gather, which ``_stacked`` and ``_pruned`` read."""
     _, rows, cols, entries = _gather(A, balls)
     kernel = rows < cols
     stacked = ~kernel & (cols <= _DENSE_MAX) & (p == 2.0)
-    keep = stacked[entries[0]]
-    return (np.where(kernel, 0.0, np.inf),
-            _dense_stacks(rows, cols, np.flatnonzero(stacked),
-                          tuple(a[keep] for a in entries)),
-            np.flatnonzero(~kernel & ~stacked).tolist())
+    return (np.where(kernel, 0.0, np.inf), np.flatnonzero(stacked),
+            np.flatnonzero(~kernel & ~stacked).tolist(), (rows, cols, entries))
 
 
-def _stacks(stacks, threads):
+def _entries_of(gathered, jobs):
+    """The gathered triplets (owner, r, c, v) of the listed jobs only."""
+    rows, _, entries = gathered
+    mask = np.zeros(len(rows), dtype=bool)
+    mask[jobs] = True
+    keep = mask[entries[0]]
+    return tuple(a[keep] for a in entries)
+
+
+def _stacked(gathered, jobs):
+    """The ``_dense_stacks`` of the listed jobs of a ``_screen``."""
+    rows, cols, _ = gathered
+    return _dense_stacks(rows, cols, jobs, _entries_of(gathered, jobs))
+
+
+def _stacks(stacks):
     """(job ids, matrices) per chunk of each (job ids, stack) pair: slices,
-    not copies.
-
-    A chunk holds at most ``_STACK_BYTES`` of matrices, and each stack is
-    split into at least ``threads`` chunks where it has that many members.
-    """
+    not copies, each of at most ``_STACK_BYTES`` of matrices (one matrix
+    where a single one is larger)."""
     for idx, stack in stacks:
-        size = min(_STACK_BYTES // stack[0].nbytes,
-                   -(-len(idx) // max(1, threads)))
-        size = max(1, size)
+        size = max(1, _STACK_BYTES // stack[0].nbytes)
         for lo in range(0, len(idx), size):
             yield idx[lo:lo + size], stack[lo:lo + size]
+
+
+def _pruned(gathered, jobs, least):
+    """Mask of the listed dense jobs whose values-only SVD value provably
+    exceeds ``least``, from one batched Cholesky factorization.
+
+    Ball j's restriction B has R rows and C columns.  Its Gram matrix
+    G = B* B is formed from the gathered triplets by one sparse product over
+    all listed balls, with rounding e_j at most ``_formed``'s bound, and put
+    in lower band storage.  E_j = 16 R C eps |B|_F bounds the absolute error
+    of LAPACK's SVD value.  The Householder bidiagonalization is backward
+    stable, |dB|_F <= c R C u |B|_F with u = eps / 2 and c a small constant
+    (Higham, Lemma 19.3 and Thm 19.4, applied from both sides; c = 32 here),
+    each singular value moves by at most |dB|_2 (Weyl), and the values of
+    the bidiagonal are found to high relative accuracy.  The shift tau_j is
+    set so that tau_j - slack_j - e_j >= (least + 2 E_j)^2, slack_j the
+    ``operators._cholesky_rate`` slack of the factor of G - tau_j I, and
+    ``_factors`` factors all shifted matrices at once.  Where the factor
+    completes, sigma_min(B) > least + 2 E_j, so the computed SVD value
+    exceeds least + E_j > least.
+    """
+    rows, cols, _ = gathered
+    count = len(jobs)
+    if count == 0:
+        return np.zeros(0, dtype=bool)
+    owner, r, c, v = _entries_of(gathered, jobs)
+    at = np.empty(len(rows), dtype=np.int64)
+    at[jobs] = np.arange(count)
+    owner = at[owner]
+    R, C = rows[jobs], cols[jobs]
+    first_row, first_col = np.cumsum(R) - R, np.cumsum(C) - C
+    r += first_row[owner]
+    c += first_col[owner]
+    size = np.abs(v)
+
+    def most(idx, first, total, weights=None):     # per ball
+        return np.maximum.reduceat(
+            np.bincount(idx, weights, minlength=total), first)
+    formed = _formed(most(c, first_col, C.sum()),
+                     most(c, first_col, C.sum(), size),
+                     most(r, first_row, R.sum(), size))
+    error = 16.0 * R * C * _EPS * np.sqrt(
+        np.bincount(owner, size * size, minlength=count))
+    B = csr_matrix((v, (r, c)), shape=(R.sum(), C.sum()))
+    G = (B.conj().T @ B).tocoo()        # block diagonal, ball after ball
+    low = G.row >= G.col
+    off = (G.row - G.col)[low]
+    band = int(off.max(initial=0))
+    strip = np.zeros((band + 1, C.sum() + 1), dtype=v.dtype)
+    strip[off, G.col[low]] = G.data[low]
+    q = np.arange(C.max())[:, None]
+    inside = q < C
+    ab = strip[:, np.where(inside, first_col + q, -1)]   # column -1 is zero
+    ab[0] += ~inside                    # a padded column factors as 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = (least + 2.0 * error) ** 2
+        rate = _cholesky_rate(band)
+        # top |g_ii - tau| <= max g_ii + tau, as G >= 0 and tau >= 0
+        diag = np.where(inside, ab[0].real, 0.0).max(axis=0)
+        tau = (want + formed + rate * diag) / (1.0 - rate)
+        ab[0] -= np.where(inside, tau, 0.0)
+        top = np.where(inside, np.abs(ab[0]), 0.0).max(axis=0)
+        proved = tau - rate * top - formed >= want
+    return _factors(ab) & proved
+
+
+def _factors(ab):
+    """Mask of the banded Hermitian matrices in ``ab`` whose Cholesky
+    factorization completes: every pivot is positive.
+
+    ``ab[:, :, i]`` is matrix i in LAPACK lower band storage, so that each
+    step of the one loop over columns works on contiguous rows of all
+    matrices at once.  The factorization overwrites ``ab``.  After a pivot
+    that is not positive, that matrix's entries may turn NaN or inf; no
+    other matrix's do.
+    """
+    width, m, count = ab.shape
+    pivots = np.empty((m, count))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(m):
+            pivots[j] = d = ab[0, j].real
+            k = min(width - 1, m - 1 - j)
+            below = ab[1:k + 1, j] / np.sqrt(d)     # L[j + t, j], t = 1 .. k
+            conj = below.conj()
+            for e in range(k):          # H[j + t + e, j + t], t = 1 .. k - e
+                ab[e, j + 1:j + 1 + k - e] -= below[e:] * conj[:k - e]
+    return (pivots > 0).all(axis=0)
 
 
 @dataclass
@@ -542,11 +663,15 @@ def localization_check(A, delta, sparsifier, family, p=2.0, norm_bound=None):
     error M (c'^(-1/p) - 1) drops below delta, and s is the part diameter the
     sparsifier needs at separation 2 prop(A) + 1 for that fraction.  The
     verification sweep checks nu_s <= nu + delta on every F in the family.
-    ``OperatorError`` unless delta > 0 and p lies in [1, inf).
+    ``OperatorError`` unless delta > 0 and p lies in [1, inf), and for an
+    empty family, which would verify nothing.
     """
     if not delta > 0:
         raise OperatorError("delta must be positive")
     _check_exponent(p)
+    family = list(family)
+    if not family:
+        raise OperatorError("localization family is empty")
     M = schur_bound(A, p) if norm_bound is None else float(norm_bound)
     r = A.propagation
     m = 2 * r + 1

@@ -372,20 +372,34 @@ def _gamma(n):
     return n * _EPS / (1.0 - n * _EPS)
 
 
+def _cholesky_rate(b):
+    """The rate r at which a completed banded Cholesky factorization of
+    H = G - mu I (Gram band b) certifies lambda_min(G) >= mu - r top, with
+    top = max |h_ii| the largest entry of the shifted diagonal.
+
+    R is the computed factor.  R* R = fl(H) + E, so H >= -E - D
+    with D the rounding of the shifted diagonal, |D| <= eps top.  By
+    Higham (ch. 10, Thm 10.3, which holds for any order of the inner
+    products) |E| <= gamma_{b+4} |R*| |R| (b + 4 covers complex
+    arithmetic); a row of |R*| |R| has at most 2b + 1 entries, each at most
+    max diag R* R <= top / (1 - gamma_{b+4}).  The slack r top sums the
+    two bounds.
+    """
+    g = _gamma(b + 4)
+    return g / (1.0 - g) * (2 * b + 1) + _EPS
+
+
 def _shift_test(ab, largest=False):
     """(test, d, |G|_inf) for the Gram matrix G in lower band storage ab.
 
     ``test(mu)`` runs the banded Cholesky factorization ``pbtrf`` of
     H = G - mu I (mu I - G when ``largest``): (R, slack) when it completes
-    with factor R, None when it fails.  R* R = fl(H) + E, so H >= -E - D
-    with D the rounding of the shifted diagonal, |D| <= eps max |h_ii|.  By
-    Higham (ch. 10, Thm 10.3) |E| <= gamma_{b+4} |R*| |R| (b + 4 covers
-    complex arithmetic); a row of |R*| |R| has at most 2b + 1 entries, each
-    at most max diag R* R <= max h_ii / (1 - gamma_{b+4}).  ``slack`` sums
-    the two bounds: lambda_min(G) >= mu - slack, or lambda_max(G) <= mu +
-    slack.  d = 4 (b + 1) eps |G|_inf (1 when G = 0) is the step of every
-    shift search; ``OperatorError`` when |G|_inf overflows, as no search
-    would end.
+    with factor R, None when it fails, with slack = ``_cholesky_rate(b)``
+    times max |h_ii|: lambda_min(G) >= mu - slack, or lambda_max(G) <=
+    mu + slack.
+    d = 4 (b + 1) eps |G|_inf (1 when G = 0) is the step of every shift
+    search; ``OperatorError`` when |G|_inf overflows, as no search would
+    end.
     """
     b, m = ab.shape[0] - 1, ab.shape[1]
     # row i of |G|: the sum of column i of |ab|, then |ab[d, i - d]| added
@@ -398,8 +412,7 @@ def _shift_test(ab, largest=False):
     if not np.isfinite(dist):
         raise OperatorError("non-finite Gram norm")
     pbtrf = get_lapack_funcs("pbtrf", (ab,))
-    g = _gamma(b + 4)
-    rate = g / (1.0 - g) * (2 * b + 1) + _EPS
+    rate = _cholesky_rate(b)
 
     def test(mu):
         h = -ab if largest else ab.copy()

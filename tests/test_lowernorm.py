@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigvals_banded
+from scipy.linalg import eigvals_banded, get_lapack_funcs
 from scipy.sparse import issparse
 
 from bandlim import lowernorm, operators
@@ -282,6 +282,13 @@ class TestLocalization:
         with pytest.raises(OperatorError):
             localization_check(A, 0.0, BlockSparsifierModel(), [])
 
+    def test_empty_family_rejected(self, nat_window):
+        # no column set, nothing verified: refused, not reported as verified
+        A = three_i_minus_tridiag(nat_window)
+        for family in ([], iter([])):
+            with pytest.raises(OperatorError, match="family"):
+                localization_check(A, 0.5, BlockSparsifierModel(), family)
+
 
 class TestEssentialNu:
     def test_identity_profile_flat_one(self, nat_window):
@@ -494,23 +501,28 @@ class TestBatchedScreen:
                         real=real)
         F = [x for x in range(sp.n) if rng.random() < keep] or [0]
         balls = distinct_balls(A, F, s)
-        value, stacks, direct = lowernorm._screen(A, balls, p)
+        value, stacked, direct, gathered = lowernorm._screen(A, balls, p)
         subs = [lowernorm._restricted(A, ball)[2] for ball in balls]
-        stacked = []
-        for idx, stack in stacks:
-            for j, mat in zip(idx.tolist(), stack):
-                sub = subs[j]
-                assert not issparse(sub)
-                assert mat.shape == sub.shape and mat.dtype == sub.dtype
-                assert mat.tobytes() == sub.tobytes()
-                stacked.append(j)
+        # every stacked ball, and every other one alone: the stacks of a
+        # subset hold its restrictions only
+        for jobs in (stacked, stacked[::2], stacked[1::2]):
+            listed = []
+            for idx, stack in lowernorm._stacked(gathered, jobs):
+                for j, mat in zip(idx.tolist(), stack):
+                    sub = subs[j]
+                    assert not issparse(sub)
+                    assert mat.shape == sub.shape and mat.dtype == sub.dtype
+                    assert mat.tobytes() == sub.tobytes()
+                    listed.append(j)
+            assert sorted(listed) == jobs.tolist()
         kernel = np.flatnonzero(value == 0).tolist()
         assert kernel == [j for j, sub in enumerate(subs)
                           if sub.shape[0] < sub.shape[1]]
         assert np.all(np.isinf(np.delete(value, kernel)))
         assert direct == [j for j, sub in enumerate(subs) if j not in kernel
                           and (p != 2.0 or issparse(sub))]
-        assert sorted(stacked + kernel + direct) == list(range(len(balls)))
+        assert sorted(stacked.tolist() + kernel + direct) == \
+            list(range(len(balls)))
 
     def test_kernel_and_both_routes_in_one_screen(self):
         # zero columns make kernel balls; s = 40 on 100 points gives balls on
@@ -519,12 +531,112 @@ class TestBatchedScreen:
         A = from_triplets(sp, [(x, x, 3.0) for x in range(sp.n) if x % 10]
                           + [(x, x + 1, -1.0) for x in range(sp.n - 1)])
         balls = distinct_balls(A, range(sp.n), 40) + [np.array([0])]
-        value, stacks, direct = lowernorm._screen(A, balls, 2.0)
+        value, stacked, direct, gathered = lowernorm._screen(A, balls, 2.0)
+        stacks = list(lowernorm._stacked(gathered, stacked))
         assert value[-1] == 0.0 and len(stacks) > 1 and direct
         for idx, stack in stacks:
             for j, mat in zip(idx.tolist(), stack):
                 assert mat.tobytes() == \
                     lowernorm._restricted(A, balls[j])[2].tobytes()
+
+
+pruned_spaces = st.one_of(
+    st.builds(lambda u: {"kind": "n-window", "upper": u}, st.integers(0, 40)),
+    st.builds(lambda hi, norm: {"kind": "quadrant", "upper": hi, "norm": norm},
+              st.lists(st.integers(0, 6), min_size=2, max_size=2),
+              st.sampled_from(["linf", "l1", "l2"])),
+    st.builds(path_graph, st.integers(2, 20),
+              st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)),
+                       max_size=6)),
+)
+
+
+def bump_tridiagonal(n):
+    """3 + 0.04 exp(-x / 30) on the diagonal of an n-window, 0.9 beside it."""
+    sp = build_space({"kind": "n-window", "upper": n - 1, "name": f"n{n}"})
+    trip = [(x, x, 3.0 + 0.04 * np.exp(-x / 30.0)) for x in range(n)]
+    trip += [(x, x + 1, 0.9) for x in range(n - 1)]
+    trip += [(x + 1, x, 0.9) for x in range(n - 1)]
+    return from_triplets(sp, trip)
+
+
+class TestPrunedScreen:
+    """The batched Cholesky certificate that spares ``nu_s`` most SVDs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(desc=pruned_spaces, seed=st.integers(0, 2 ** 32 - 1),
+           block_dim=st.sampled_from([1, 2]), real=st.booleans(),
+           s=st.integers(0, 4), prop=st.integers(0, 2),
+           density=st.sampled_from([0.3, 0.8]), pick=st.floats(0.0, 1.0),
+           factor=st.sampled_from([0.0, 0.5, 1 - 1e-6, 1 - 1e-12, 1.0,
+                                   1 + 1e-12, 1 + 1e-6, 2.0]))
+    def test_pruned_balls_exceed_the_bound(self, desc, seed, block_dim, real,
+                                           s, prop, density, pick, factor):
+        sp = build_space(desc)
+        A = random_band(sp, prop, np.random.default_rng(seed),
+                        density=density, block_dim=block_dim, real=real)
+        balls = distinct_balls(A, range(sp.n), s)
+        _, stacked, _, gathered = lowernorm._screen(A, balls, 2.0)
+        value = {}
+        for idx, stack in lowernorm._stacked(gathered, stacked):
+            value.update(zip(idx.tolist(), np.linalg.svd(
+                stack, compute_uv=False).min(axis=1)))
+        value = np.array([value[j] for j in stacked.tolist()])
+        if len(value) == 0:
+            return
+        least = float(np.sort(value)[int(pick * (len(value) - 1))]) * factor
+        pruned = lowernorm._pruned(gathered, stacked, least)
+        assert np.all(value[pruned] > least)
+
+    def test_most_balls_take_no_svd(self):
+        # 210 distinct balls of up to 41 columns: the sample takes 15 SVDs
+        # and the certificate rules out nearly all of the rest
+        A = bump_tridiagonal(210)
+        svd, taken = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            taken.append(1 if a.ndim == 2 else a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        with mock.patch.object(np.linalg, "svd", spy):
+            rep = nu_s(A, range(210), 20)
+        assert sum(taken) <= 210 // 3
+        assert body(rep) == body(nu_s_reference(A, range(210), 20))
+        # a bound below every value prunes every ball
+        _, stacked, _, gathered = lowernorm._screen(
+            A, distinct_balls(A, range(210), 20), 2.0)
+        assert lowernorm._pruned(gathered, stacked, 0.5).all()
+        assert not lowernorm._pruned(gathered, stacked, 2.0).any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_batched_factor_agrees_with_pbtrf(self, dtype):
+        # Gram matrices of 1 to 12 columns and bands 0 to 4 in one batch,
+        # shifted 0.1 % below and above their least eigenvalue
+        rng = np.random.default_rng(139)
+        pbtrf = get_lapack_funcs("pbtrf", dtype=dtype)
+        bands, want = [], []
+        for m, w in [(1, 1), (5, 2), (12, 3), (9, 5), (12, 2), (7, 4)]:
+            B = np.zeros((m + w, m), dtype=dtype)
+            for j in range(m):
+                B[j:j + w, j] = rng.standard_normal(w)
+                if dtype == np.complex128:
+                    B[j:j + w, j] += 1j * rng.standard_normal(w)
+            ab = gram_band(B)
+            lam = np.linalg.eigvalsh(B.conj().T @ B)[0]
+            for tau in (0.999 * lam, 1.001 * lam):
+                h = ab.copy()
+                h[0] -= tau
+                want.append(pbtrf(h.copy(), lower=1)[1] == 0)
+                bands.append(h)
+        width = max(h.shape[0] for h in bands)
+        m = max(h.shape[1] for h in bands)
+        batch = np.zeros((width, m, len(bands)), dtype=dtype)
+        batch[0] = 1.0
+        for i, h in enumerate(bands):
+            batch[0, :h.shape[1], i] = 0.0
+            batch[:h.shape[0], :h.shape[1], i] = h
+        got = lowernorm._factors(batch)
+        assert got.tolist() == want and want == [True, False] * 6
 
 
 class TestOutOfRangeArguments:
@@ -795,7 +907,7 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_stacks_bounded_by_own_itemsize(self, dtype):
         stack = np.zeros((2000, 30, 20), dtype=dtype)
-        chunks = list(lowernorm._stacks([(np.arange(2000), stack)], threads=1))
+        chunks = list(lowernorm._stacks([(np.arange(2000), stack)]))
         assert max(len(idx) for idx, _ in chunks) == \
             lowernorm._STACK_BYTES // stack[0].nbytes
         assert all(part.nbytes <= lowernorm._STACK_BYTES for _, part in chunks)
