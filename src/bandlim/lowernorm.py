@@ -14,19 +14,17 @@ for any number of column sets, with each set's zero rows trimmed.
 The p = 2 route is picked by column count: a restriction of at most
 ``_DENSE_MAX`` columns is solved dense, a wider one banded, by one rule that
 ``nu`` and the ``nu_s`` screen share.  Every p = 2 witness, kernel vectors
-included, comes from one inverse iteration, ``_inverse_solves``: three
-solves with a banded Cholesky factor of the Gram matrix G = sub* sub held in
-LAPACK band storage (``operators.gram_band``, which ``norm2`` also reads),
-shifted just below its least eigenvalue.  A dense restriction takes its
-value from LAPACK's values-only SVD, whose square places the shift
-(``operators.shift_below``); the tolerance covers the witness's computed
-quotient.  A banded one finds the shift by bisection
-(``operators.least_eigenvalue``), each step one banded Cholesky
-factorization, and keeps the last factor that completes; the value is the
+included, comes from inverse iteration (``_inverse_solves``) with a banded
+Cholesky factor of the Gram matrix G = sub* sub in LAPACK band storage
+(``operators.gram_band``, which ``norm2`` also reads), shifted just below its
+least eigenvalue.  A dense restriction takes its value from LAPACK's
+values-only SVD, whose square places the shift (``operators.shift_below``);
+the tolerance covers the witness's computed quotient.  A banded one lets the
+witness steer the shift (``operators.least_eigenvalue``): the value is the
 witness quotient, an attained upper bound, and the tolerance reaches down to
-the lower bound that this factor certifies, so the reported number is a
-checked interval [value - tolerance, value].  No p = 2 route asks an SVD
-for singular vectors, and none reduces G to tridiagonal form.
+the bound that the last completed factor certifies, a checked interval
+[value - tolerance, value].  No p = 2 route asks an SVD for singular
+vectors, and none reduces G to tridiagonal form.
 
 The restriction of a real operator (``BandOperator.is_real``) is real, so
 every p = 2 route runs in real arithmetic: its singular values are those over
@@ -70,7 +68,8 @@ from scipy.sparse import csr_matrix, issparse
 
 from .operators import (
     _EPS, OperatorError, Vector, _check_exponent, _cholesky_rate, _gamma,
-    _unfold, gram_band, least_eigenvalue, schur_bound, shift_below,
+    _random_start, _unfold, gram_band, least_eigenvalue, schur_bound,
+    shift_below,
 )
 from .serialize import KeyedRows
 
@@ -81,7 +80,6 @@ from .serialize import KeyedRows
 # and 192 to 256 at band 64, and dense SVD grows as columns cubed past them
 _DENSE_MAX = 72
 _STACK_BYTES = 1 << 22   # largest stack of restrictions in one SVD call
-_drawn = np.zeros(0)     # the longest draw of _random_start so far
 
 
 @dataclass
@@ -128,9 +126,9 @@ def _gather(A, sets):
     """The unfolded restrictions of A to many column sets, from one gather.
 
     ``sets`` holds sorted id arrays without repeats.  One ``A.entries`` call
-    takes the entries of all sets; one ``np.unique`` of the keys
-    set * n + row, searched, ranks each row within its set, trimming the
-    zero rows.
+    takes the entries of all sets; one stable argsort of the keys
+    set * n + row, with a mask of each key's first occurrence and its
+    cumulative sum, ranks each row within its set, trimming the zero rows.
     Returns (row_ids, rows, cols, entries): the nonzero rows' point ids, set
     after set; each restriction's unfolded shape; and the arrays
     (owner, r, c, v), the unfolded triplets within the restriction of set
@@ -141,11 +139,16 @@ def _gather(A, sets):
     pos, rows, j = A.entries(np.concatenate(sets))
     owner = np.repeat(np.arange(len(sets)), lens)[j]
     keys = owner * n + rows
-    row_ids = np.unique(keys)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    first = np.ones(len(keys), dtype=bool)      # a key's first occurrence
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    row_ids = ranked[first]
+    rank = np.empty_like(keys)
+    rank[order] = first.cumsum()                # 1 + rank among all keys
     counts = np.bincount(row_ids // n, minlength=len(sets))
     blocks = A.blocks[pos].real if A.is_real else A.blocks[pos]
-    r, c, v = _unfold(np.searchsorted(row_ids, keys)
-                      - (np.cumsum(counts) - counts)[owner],
+    r, c, v = _unfold(rank - (np.cumsum(counts) - counts + 1)[owner],
                       j - (np.cumsum(lens) - lens)[owner], blocks)
     return (row_ids % n, counts * k, lens * k,
             (np.repeat(owner, k * k), r, c, v))
@@ -227,23 +230,29 @@ def _sigma_min_banded(sub):
     """sigma_min of a CSR restriction as a checked interval, method
     ``banded-gram``.
 
-    ``operators.least_eigenvalue`` bisects the shift on the band storage of
-    G = sub* sub (``gram_band``) down to a shift mu whose Cholesky factor
-    proves lambda_min(G) >= mu - slack, and ``_inverse_solves`` with that
-    factor gives the witness w.  The value is the computed quotient
-    q = |sub w| / |w|, an attained upper bound; the lower bound is
-    sqrt(max(0, mu - slack - e)), where e is ``_formed``'s bound on the
-    rounding made when G was formed.  The tolerance is
-    max(1e-10, q - lower bound): sigma_min lies in [value - tolerance, value].
+    ``operators.least_eigenvalue`` steers the shift on the band storage of
+    G = sub* sub (``gram_band``) until the lower bound that its last factor
+    certifies, sqrt(max(0, mu - slack - e)) with e ``_formed``'s bound on
+    the rounding of G, lies within half the 1e-10 floor of sqrt(U), U its
+    witness's Rayleigh quotient, or its bracket is d wide.  One more solve
+    polishes the witness w; no solve raises the quotient, so the value
+    q = |sub w| / |w|, an attained bound, is at most sqrt(U) in exact
+    arithmetic.  sigma_min lies in [value - tolerance, value], tolerance
+    max(1e-10, q - lower bound).
     """
-    mu, factor, slack = least_eigenvalue(gram_band(sub))
-    w = _inverse_solves(factor)
-    q = float(np.linalg.norm(sub @ w) / np.linalg.norm(w))
+    ab = gram_band(sub)
     size = np.abs(sub.data)
     rows = np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr))
     formed = _formed(int(np.bincount(sub.indices).max()),
                      np.bincount(sub.indices, weights=size).max(),
                      np.bincount(rows, weights=size).max())
+
+    def floor(U):
+        root = np.sqrt(max(U, 0.0)) - 0.5e-10
+        return root * root + formed if root > 0 else -np.inf
+    mu, factor, slack, w = least_eigenvalue(ab, floor)
+    w = _inverse_solves(factor, w, 1)
+    q = float(np.linalg.norm(sub @ w) / np.linalg.norm(w))
     lower = float(np.sqrt(max(0.0, mu - slack - formed)))
     return q, w, "banded-gram", max(1e-10, q - lower)
 
@@ -268,36 +277,22 @@ def _banded_inverse_iteration(ab, lam):
     return _inverse_solves(factor), mu, slack
 
 
-def _inverse_solves(factor):
-    """Unit vector from three ``pbtrs`` solves with the banded Cholesky
-    factor of G - mu I, from ``_random_start``: inverse iteration at the
-    shift mu.  Every entry of modulus at most eps max |w_i| is set to 0: such
+def _inverse_solves(factor, w=None, count=3):
+    """Unit vector from ``count`` ``pbtrs`` solves with the banded Cholesky
+    factor of G - mu I from w (``_random_start`` if None): inverse iteration
+    at mu.  Every entry of modulus at most eps max |w_i| is set to 0: such
     dust is rounding, and left in place it would spread the witness's
     support over the whole restriction.  A real factor gives a real vector.
     """
     pbtrs = get_lapack_funcs("pbtrs", (factor,))
-    w = _random_start(factor.shape[1])
-    for _ in range(3):
+    if w is None:
+        w = _random_start(factor.shape[1])
+    for _ in range(count):
         w = pbtrs(factor, w, lower=1)[0]
         w /= np.linalg.norm(w)
     size = np.abs(w)
     w[size <= _EPS * size.max()] = 0.0
     return w
-
-
-def _random_start(m):
-    """``default_rng(0).standard_normal(m)``, the seeded start of every
-    inverse iteration.  A longer draw begins with every shorter one, so the
-    longest so far is kept (read-only) and sliced, as a draw costs as much as
-    three small solves; a call slices the array it checked, so another
-    thread's draw cannot shorten it."""
-    global _drawn
-    start = _drawn
-    if len(start) < m:
-        start = np.random.default_rng(0).standard_normal(m)
-        start.flags.writeable = False
-        _drawn = start
-    return start[:m]
 
 
 def _kernel_vector(sub):
@@ -416,13 +411,13 @@ def nu(A, F, p=2.0):
     ``_DENSE_MAX`` columns go dense (``exact-svd``): the value is LAPACK's
     values-only SVD, exact up to rounding, with an inverse-iteration
     witness, and the tolerance covers the witness's computed quotient.
-    Wider restrictions go banded (``banded-gram``): a bisection on the shift
-    of the Gram matrix, one banded Cholesky factorization a step, brackets
-    sigma_min^2 to within about 4 (b + 1) eps |G|_inf (Gram band b); the
-    value is the quotient of the witness that the last completed factor
-    gives, an attained upper bound, and value - tolerance is the lower bound
-    that this factor certifies, so sigma_min lies in
-    [value - tolerance, value].  Every tolerance is at least 1e-10.  Every
+    Wider restrictions go banded (``banded-gram``): a search on the shift
+    of the Gram matrix, steered by its own inverse iteration, brackets
+    sigma_min within the 1e-10 floor, or sigma_min^2 within about
+    4 (b + 1) eps |G|_inf (Gram band b); the value is the witness quotient,
+    an attained upper bound, and value - tolerance is the lower bound that
+    the last completed banded Cholesky factor certifies, so sigma_min lies
+    in [value - tolerance, value].  Every tolerance is at least 1e-10.  Every
     p = 2 route runs in real arithmetic when A is real.  For other exponents
     a 16-start deterministic descent over the quotient |Av|_p / |v|_p over
     complex vectors, warm started from the p = 2 witness.  The unit witness

@@ -5,9 +5,9 @@ fixed distance (the propagation) of the diagonal.  Entries are complex scalars
 or small square blocks of a fixed dimension.  The module provides the algebra
 operations, vector action in weighted p-norms, certified Schur norm bounds,
 and the 2-norm from the top eigenvalue of the banded Gram matrix.  The
-extreme eigenvalues of a banded Gram matrix are bracketed by bisection on a
-shift, one banded Cholesky factorization (``pbtrf``) a step; a factor that
-completes certifies its shift up to a rounding slack.
+extreme eigenvalues of a banded Gram matrix are bracketed by a search on a
+shift that inverse iteration with its last banded Cholesky factor steers; a
+factor (``pbtrf``) that completes certifies its shift up to a rounding slack.
 
 Entries are finite (NaN and inf are refused) and stored as complex128;
 ``BandOperator.is_real`` records once whether every imaginary part is zero.
@@ -25,6 +25,8 @@ from .space import same_space
 # most its square in entries
 DENSE_SIDE = 4000
 _EPS = np.finfo(float).eps
+_STEER = 0.5             # least_eigenvalue's margin per unit of U's move
+_drawn = np.zeros(0)     # the longest draw of _random_start so far
 
 
 class OperatorError(ValueError):
@@ -180,12 +182,6 @@ class Vector:
         if values.shape != (space.n, self.block_dim):
             raise OperatorError("vector shape does not match space/block_dim")
         self.values = values
-
-    @classmethod
-    def basis(cls, space, x, p=2.0, block_dim=1, component=0):
-        v = np.zeros((space.n, block_dim), dtype=np.complex128)
-        v[x, component] = 1.0
-        return cls(space, v, p=p, block_dim=block_dim)
 
     def flat(self):
         return self.values.reshape(-1)
@@ -389,14 +385,13 @@ def _cholesky_rate(b):
     return g / (1.0 - g) * (2 * b + 1) + _EPS
 
 
-def _shift_test(ab, largest=False):
+def _shift_test(ab):
     """(test, d, |G|_inf) for the Gram matrix G in lower band storage ab.
 
     ``test(mu)`` runs the banded Cholesky factorization ``pbtrf`` of
-    H = G - mu I (mu I - G when ``largest``): (R, slack) when it completes
-    with factor R, None when it fails, with slack = ``_cholesky_rate(b)``
-    times max |h_ii|: lambda_min(G) >= mu - slack, or lambda_max(G) <=
-    mu + slack.
+    H = G - mu I: (R, slack) when it completes with factor R, None when it
+    fails, with slack = ``_cholesky_rate(b)`` times max |h_ii|:
+    lambda_min(G) >= mu - slack.
     d = 4 (b + 1) eps |G|_inf (1 when G = 0) is the step of every shift
     search; ``OperatorError`` when |G|_inf overflows, as no search would
     end.
@@ -415,8 +410,8 @@ def _shift_test(ab, largest=False):
     rate = _cholesky_rate(b)
 
     def test(mu):
-        h = -ab if largest else ab.copy()
-        h[0] += mu if largest else -mu
+        h = ab.copy()
+        h[0] -= mu
         top = float(np.abs(h[0]).max())
         factor, info = pbtrf(h, lower=1, overwrite_ab=True)
         return (factor, rate * top) if info == 0 else None
@@ -440,43 +435,72 @@ def _shift_below(test, lam, dist):
     return lam - dist, found
 
 
-def _bisect(test, good, found, bad, dist):
-    """Halve the shift interval from ``good``, where ``test`` gave ``found``,
-    to ``bad``, where it fails, until the two lie at most ``dist`` apart;
-    returns the last good shift and its test result."""
-    while abs(bad - good) > dist:
-        mid = 0.5 * (good + bad)
-        result = test(mid)
-        if result is None:
-            bad = mid
-        else:
-            good, found = mid, result
-    return good, found
+def _random_start(m):
+    """``default_rng(0).standard_normal(m)``, the seeded start of every
+    inverse iteration.  A longer draw begins with every shorter one, so the
+    longest so far is kept (read-only) and sliced; a call slices the array
+    it checked, so another thread's draw cannot shorten it."""
+    global _drawn
+    start = _drawn
+    if len(start) < m:
+        start = np.random.default_rng(0).standard_normal(m)
+        start.flags.writeable = False
+        _drawn = start
+    return start[:m]
 
 
-def least_eigenvalue(ab):
-    """(mu, R, slack): a certified lower end mu of the least eigenvalue of the
-    Gram matrix G in lower band storage ab, the Cholesky factor R of
-    G - mu I and its slack: lambda_min(G) >= mu - slack (``_shift_test``).
+def least_eigenvalue(ab, floor=None, lower=0.0):
+    """(mu, R, slack, w): a certified lower end mu of lambda_min of the
+    Hermitian G in lower band storage ab, the Cholesky factor R of G - mu I,
+    its slack (lambda_min(G) >= mu - slack, ``_shift_test``) and a unit
+    witness w.
 
-    Bisection from [``shift_below`` at 0, min diag G] until the ends lie at
-    most d apart: about log2(1 / eps) factorizations of O(m b^2) each, for
-    m columns and band b, where a tridiagonal reduction costs O(m^2 b).
+    From the factor ``_shift_below`` finds under ``lower`` (0 for a Gram
+    matrix; None takes -|G|_inf), each round's ``pbtrs`` solve
+    v = (G - mu I)^-1 w makes w = v / |v|.  Its Rayleigh quotient
+    U = mu + (w, v) / |v|^2 bounds lambda_min above in exact arithmetic, as
+    does ``top``, the least of min diag G, every U and every failed shift.
+    The search stops once mu >= top - d or mu - slack >= ``floor(U)``.  Else,
+    from the second round on, it factors at the lowest stopping shift if
+    that lies ``_STEER`` times U's last move (at least d) below ``top``; else
+    at ``top`` less that margin, or at the midpoint of [mu, top] if higher;
+    after a failure, at the lower of the stopping shift and the midpoint.
+    U only steers: only a completed factorization certifies.
     """
-    test, dist, _ = _shift_test(ab)
-    mu, found = _bisect(test, *_shift_below(test, 0.0, dist),
-                        float(ab[0].real.min()), dist)
-    return (mu, *found)
+    test, dist, norm = _shift_test(ab)
+    pbtrs = get_lapack_funcs("pbtrs", (ab,))
+    start = -norm if lower is None else lower
+    good, (factor, slack) = _shift_below(test, start, dist)
+    top, w = float(ab[0].real.min()), _random_start(ab.shape[1])
+    w, last, failed = w / np.linalg.norm(w), None, False
+    while True:
+        v = pbtrs(factor, w, lower=1)[0]
+        size = np.linalg.norm(v)
+        U = good + np.vdot(w, v).real / (size * size)
+        if last is not None:    # no solve raises U in exact arithmetic
+            U = min(U, last)
+        w, top = v / size, min(top, U)
+        end = top - dist if floor is None else min(top - dist, floor(U) + slack)
+        if good >= end:
+            return good, factor, slack, w
+        if last is not None:        # the first trial waits for U to move
+            mid = 0.5 * (good + top)
+            safe = top - max(_STEER * (last - U), dist)
+            trial = (min(end, mid) if failed else end if end <= safe
+                     else max(safe, mid))
+            found = test(trial)
+            failed = found is None
+            if failed:
+                top = trial
+            else:
+                good, (factor, slack) = trial, found
+        last = U
 
 
 def largest_eigenvalue(ab):
-    """A certified upper end of the largest eigenvalue of the Gram matrix G
-    in lower band storage ab: bisection over [max diag G, |G|_inf] until the
-    ends lie at most d apart.  The upper end is Gershgorin's bound |G|_inf
-    or a shift mu at which mu I - G factored, so lambda_max(G) <= mu + slack
-    (``_shift_test``)."""
-    test, dist, norm = _shift_test(ab, largest=True)
-    return _bisect(test, norm, None, float(ab[0].real.max()), dist)[0]
+    """A certified upper end -mu of the largest eigenvalue of the Gram matrix
+    in lower band storage ab: ``least_eigenvalue`` of -G from -|G|_inf."""
+    return -least_eigenvalue(-ab, lower=None)[0]
 
 
 def norm2(A: BandOperator) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 from bandlim.space import SpaceError, build_space, _grid
 from bandlim.operators import (
-    BandOperator, OperatorError, _check_exponent, from_triplets,
+    BandOperator, OperatorError, Vector, _check_exponent, from_triplets,
 )
 from bandlim.limits import LimitWindow
 from bandlim.lowernorm import NuReport, _restricted, _witness_vector
@@ -46,6 +46,13 @@ def random_band(space, prop, rng, density=0.5, block_dim=1, real=False,
     if not triplets:
         triplets = [(0, 0, 1.0 if block_dim == 1 else np.eye(block_dim))]
     return from_triplets(space, triplets, block_dim=block_dim, p=p)
+
+
+def basis(space, x):
+    """The unit vector at point x."""
+    v = np.zeros(space.n, dtype=np.complex128)
+    v[x] = 1.0
+    return Vector(space, v)
 
 
 def shift_operator(space, offset=1):

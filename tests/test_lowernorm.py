@@ -759,15 +759,18 @@ class TestIterativeFallback:
     @staticmethod
     def first_factorization_fails(calls):
         """Patch ``pbtrf`` to report failure on its first call; record the
-        diagonal of every matrix it is given and whether it factored."""
+        diagonal of every matrix it is given and whether it factored.  Other
+        LAPACK routines pass through."""
         real = operators.get_lapack_funcs
 
         def funcs(names, arrays):
-            pbtrf = real(names, arrays)
+            func = real(names, arrays)
+            if names != "pbtrf":
+                return func
 
             def factor(h, **kwargs):
                 diag = h[0].copy()
-                out = pbtrf(h, **kwargs) if calls else (h, 1)
+                out = func(h, **kwargs) if calls else (h, 1)
                 calls.append((diag, out[1] == 0))
                 return out
             return factor
@@ -784,9 +787,9 @@ class TestIterativeFallback:
             _, mu1, _ = lowernorm._banded_inverse_iteration(ab, lam)
         assert len(calls) == 2 and np.all(calls[1][0] > calls[0][0])
         assert abs((lam - mu1) - 2 * (lam - mu0)) <= 0.01 * (lam - mu0)
-        # nu's bisection: its lower end -d fails, so -2d is tried; the search
-        # then halves [-2d, min diag G] until a factored shift lies within d
-        # of a failed one, about log2(|G| / d) steps
+        # nu's search: its first shift -d fails, so -2d is tried; every
+        # later trial shift lies above that factored one, and the witness
+        # steers the search to its end in a handful of factorizations
         d = lam - mu0
         calls = []
         with self.first_factorization_fails(calls):
@@ -796,10 +799,7 @@ class TestIterativeFallback:
         assert factored[:2].tolist() == [False, True]
         assert abs((diags[1] - diags[0]).max() - d) <= 0.2 * d
         assert np.all(diags[2:] < diags[1])
-        good = diags[factored, 0].min()          # the highest factored shift
-        bad = diags[2:][~factored[2:], 0].max()  # the lowest failed one
-        assert 0 < good - bad <= 1.2 * d
-        assert 40 <= len(calls) <= 55
+        assert len(calls) <= 12
         sigma = 3 - 2 * np.cos(np.pi / 401)
         assert rep.method == "banded-gram"
         assert rep.value - rep.tolerance <= sigma <= rep.value + 1e-15
@@ -1067,7 +1067,7 @@ def neumann_operator(n):
 
 
 class TestBisectedEigenvalues:
-    """The banded route and norm2 bracket their Gram eigenvalue by bisection
+    """The banded route and norm2 bracket their Gram eigenvalue by a search
     on the shift, with banded Cholesky factorizations as the only test."""
 
     def test_no_band_reduction(self):
@@ -1099,6 +1099,89 @@ class TestBisectedEigenvalues:
         assert set(requested) == {"pbtrf", "pbtrs"}
         assert not hasattr(operators, "eigvals_banded")
         assert not hasattr(lowernorm, "eigvals_banded")
+
+
+def counting_factorizations(calls):
+    """Patch ``operators`` to append "pbtrf" to calls at every banded
+    Cholesky factorization."""
+    real = operators.get_lapack_funcs
+
+    def funcs(names, arrays):
+        func = real(names, arrays)
+        if names != "pbtrf":
+            return func
+
+        def factor(*args, **kwargs):
+            calls.append(names)
+            return func(*args, **kwargs)
+        return factor
+    return mock.patch.object(operators, "get_lapack_funcs", funcs)
+
+
+def laplacian_window(n, band, shift, noise, rng):
+    """shift I + L on an n-window: L the Laplacian of the path with weight 1
+    on neighbours and 1/4 on second neighbours (band 2), so the constants
+    span its kernel and the least singular values cluster at shift; every
+    entry then moves by up to ``noise``."""
+    M = shift * np.eye(n)
+    for d, weight in ((1, 1.0), (2, 0.25))[:band]:
+        edge = weight * np.ones(n - d)
+        M -= np.diag(edge, d) + np.diag(edge, -d)
+        M += np.diag(np.concatenate((edge, np.zeros(d)))
+                     + np.concatenate((np.zeros(d), edge)))
+    M += noise * np.where(M != 0, rng.uniform(-1, 1, M.shape), 0.0)
+    return dense_operator(M)
+
+
+class TestSteeredSearch:
+    """The banded shift search: its witness steers the shift, a completed
+    factorization certifies, and a handful of factorizations suffice."""
+
+    def test_nu_factorization_ceilings(self):
+        sp = build_space({"kind": "n-window", "upper": 399, "name": "n400"})
+        for A, most in ((three_i_minus_tridiag(sp), 12),
+                        (neumann_operator(1000), 3)):
+            calls = []
+            with counting_factorizations(calls):
+                rep = nu(A, range(A.space.n))
+            assert rep.method == "banded-gram"
+            assert 1 <= len(calls) <= most
+
+    def test_norm2_factorization_ceilings(self):
+        sp = build_space({"kind": "n-window", "upper": 399, "name": "n400"})
+        for A in (three_i_minus_tridiag(sp), neumann_operator(1000)):
+            calls = []
+            with counting_factorizations(calls):
+                value = norm2(A)
+            assert 1 <= len(calls) <= 8
+            dense = np.linalg.norm(A.to_dense(), 2)
+            assert abs(value - dense) <= 1e-12 * dense
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(200, 600), band=st.sampled_from([1, 2]),
+           shift=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5]),
+           noise=st.sampled_from([0.0, 1e-9, 1e-4]),
+           c=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_clustered_windows(self, n, band, shift, noise, c, seed):
+        A = laplacian_window(n, band, shift, noise, np.random.default_rng(seed))
+        rep = nu(A, range(n))
+        sigma = np.linalg.svd(A.to_dense().real, compute_uv=False)
+        assert rep.method == "banded-gram" and rep.tolerance >= 1e-10
+        assert rep.value - rep.tolerance <= sigma[-1] <= rep.value + rounding_slack(rep)
+        assert abs(norm2(A) - sigma[0]) <= 1e-12 * sigma[0]
+        # a repeated bottom eigenvalue: one trial factorization after the
+        # first; a repeated top one: none
+        sp = build_space({"kind": "n-window", "upper": n - 1})
+        cI = scale(identity(sp), c)
+        calls = []
+        with counting_factorizations(calls):
+            rep = nu(cI, range(n))
+        assert len(calls) == 2 and rep.tolerance == 1e-10
+        assert abs(rep.value - c) <= 1e-15 * c
+        calls = []
+        with counting_factorizations(calls):
+            value = norm2(cI)
+        assert len(calls) == 1 and abs(value - c) <= 1e-15 * c
 
 
 class TestBandedRoute:

@@ -12,7 +12,9 @@ from bandlim.operators import (
     gram_band, save_operator, load_operator, _from_csr, DENSE_SIDE,
 )
 
-from conftest import random_band, shift_operator, torus_graph, tridiagonal
+from conftest import (
+    basis, random_band, shift_operator, torus_graph, tridiagonal,
+)
 
 
 class TestConstruction:
@@ -130,13 +132,13 @@ class TestAlgebra:
 
 class TestApply:
     def test_identity_action(self, nat_window):
-        v = Vector.basis(nat_window, 7)
+        v = basis(nat_window, 7)
         w = apply_operator(identity(nat_window), v)
         assert np.array_equal(w.values, v.values)
 
     def test_shift_moves_basis(self, nat_window):
         S = shift_operator(nat_window)
-        w = apply_operator(S, Vector.basis(nat_window, 3))
+        w = apply_operator(S, basis(nat_window, 3))
         assert w.values[4, 0] == 1.0 and w.norm() == 1.0
 
     def test_against_dense_oracle(self):
@@ -180,7 +182,7 @@ class TestSameSpace:
             assert quad.n == torus.n == 144
             A, B = identity(quad), identity(torus)
             for call in (lambda: compose(A, B), lambda: add(A, B),
-                         lambda: apply_operator(A, Vector.basis(torus, 3))):
+                         lambda: apply_operator(A, basis(torus, 3))):
                 with pytest.raises(OperatorError, match="different spaces"):
                     call()
 
@@ -192,7 +194,7 @@ class TestSameSpace:
         assert np.allclose(compose(T, identity(twin)).to_dense(), D, atol=0)
         assert np.allclose(add(T, identity(twin)).to_dense(),
                            D + np.eye(torus.n), atol=0)
-        w = apply_operator(T, Vector.basis(twin, 3))
+        w = apply_operator(T, basis(twin, 3))
         assert np.array_equal(w.flat(), D[:, 3])
 
     @pytest.mark.parametrize("desc, default", [
