@@ -47,9 +47,8 @@ of the Gram matrix, of the factorization and of the SVD, so they cannot be
 the minimum.  Survivors: the rest take values-only SVDs.  Every SVD runs on
 a zeroed same-shape stack, bitwise the matrices ``_restricted`` builds,
 with the LAPACK call ``nu`` makes, so the values are ``nu``'s bitwise.
-``nu`` builds the witness and report of the winning ball.  ``threads``
-sizes the pool that runs the ``nu`` calls of the balls past the dense
-limit; the screen runs in the calling thread.
+``nu`` builds the witness and report of the winning ball.  Every lower
+norm runs in the calling thread.
 
 ``localization_check`` computes the support bound under which the localized
 value provably sits within delta of the global one, given the sparsifier
@@ -59,7 +58,6 @@ around the designated center to probe essential behavior, and
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,19 +185,19 @@ def _restricted(A, F):
     without repeats, row_ids the points whose row holds an entry in a column
     of F, and the unfolded restricted matrix.  ``A.entries`` raises
     ``OperatorError`` for an id outside the space, as ``_column_set`` does
-    for an empty F.  ``sub`` is dense (``_dense_stacks``) when it has at most
+    for an empty F.  ``sub`` is a dense array when it has at most
     ``_DENSE_MAX`` (unfolded) columns, CSR otherwise; that rule picks the
     p = 2 route (``_sigma_min``) for ``nu`` and the ``nu_s`` screen alike.
     Dropping all-zero rows leaves the singular values unchanged.  The matrix
     is float64 when A is real, complex128 otherwise.
     """
     F = _column_set(F)
-    row_ids, rows, cols, entries = _gather(A, [F])
+    row_ids, rows, cols, (_, r, c, v) = _gather(A, [F])
     if cols[0] > _DENSE_MAX:
-        _, r, c, v = entries
         return F, row_ids, csr_matrix((v, (r, c)), shape=(rows[0], cols[0]))
-    [(_, stack)] = _dense_stacks(rows, cols, np.arange(1), entries)
-    return F, row_ids, stack[0]
+    sub = np.zeros((rows[0], cols[0]), v.dtype)
+    sub[r, c] = v
+    return F, row_ids, sub
 
 
 def _witness_vector(A, F, coeffs, p):
@@ -470,9 +468,8 @@ def nu_s(A, F, s, p=2.0, threads=1):
     changes the speed.  The first strict minimum in ascending center order
     wins, and its report comes from one ``nu`` call on the winning ball (or
     the call already made).  An infinite scale makes every ball F itself.
-    ``threads`` sizes the pool that runs the ``nu`` calls of the balls past
-    the dense limit; the SVDs and the certificate run in the calling
-    thread, and the result is independent of it.
+    ``threads`` is ignored: it stays only because the benchmark's query
+    list passes it, and the next benchmark re-baseline deletes it.
     """
     if not s >= 0:
         raise OperatorError(f"support scale must be nonnegative, got {s}")
@@ -492,9 +489,7 @@ def nu_s(A, F, s, p=2.0, threads=1):
 
     balls = [ball for _, ball in jobs]
     value, stacked, direct, gathered = _screen(A, balls, p)
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        run = pool.map if threads > 1 else map
-        reports = dict(zip(direct, run(lambda j: nu(A, jobs[j][1], p=p), direct)))
+    reports = {j: nu(A, jobs[j][1], p=p) for j in direct}
     for j, rep in reports.items():
         value[j] = rep.value
 
@@ -708,7 +703,8 @@ def essential_nu(A, exclusion_radii, p=2.0, threads=1):
     ball; rows are never restricted.  A profile tending to zero flags
     essential spectrum at zero.  A flat positive one bounds A from below
     only: the profile reads A alone, and Fredholmness also needs A* bounded
-    below.
+    below.  ``threads`` is ignored: it stays only because the benchmark's
+    query list passes it, and the next benchmark re-baseline deletes it.
     """
     space = A.space
     inter = space.interior(A.propagation)
@@ -721,9 +717,7 @@ def essential_nu(A, exclusion_radii, p=2.0, threads=1):
         return nu(A, F, p=p)
 
     radii = [float(r) for r in exclusion_radii]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        run = pool.map if threads > 1 else map
-        return list(zip(radii, run(work, radii)))
+    return [(r, work(r)) for r in radii]
 
 
 def witness_cascade(A, delta_schedule, s_schedule, p=2.0, F=None):

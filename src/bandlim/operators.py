@@ -127,14 +127,14 @@ class BandOperator:
             raise OperatorError(f"point id {bad[0]} outside the space")
         return ids
 
-    def entries(self, cols, rows=None):
-        """The entries in the listed columns (and rows): (pos, i, j).
+    def entries(self, cols):
+        """The entries in the listed columns: (pos, i, j).
 
-        ``pos`` indexes the stored entries; ``j`` is the index of each
-        entry's column in ``cols``, and ``i`` that of its row in ``rows``, or
-        the row id when rows is None.  Entries come column by column in the
-        order of ``cols``, by row within a column.  The gather reads a cached
-        column index; an id outside the space raises ``OperatorError``.
+        ``pos`` indexes the stored entries; ``i`` is each entry's row id and
+        ``j`` the index of its column in ``cols``.  Entries come column by
+        column in the order of ``cols``, by row within a column.  The gather
+        reads a cached column index; an id outside the space raises
+        ``OperatorError``.
         """
         if self._col_index is None:
             counts = np.bincount(self.cols, minlength=self.space.n)
@@ -146,13 +146,7 @@ class BandOperator:
         ends = np.cumsum(counts)
         pos = order[np.arange(int(counts.sum()))
                     + np.repeat(ptr[cols] - ends + counts, counts)]
-        i, j = self.rows[pos], np.repeat(np.arange(len(cols)), counts)
-        if rows is not None:
-            where = np.full(self.space.n, -1, dtype=np.int64)
-            where[self._ids(rows)] = np.arange(len(rows))
-            i = where[i]
-            pos, i, j = pos[i >= 0], i[i >= 0], j[i >= 0]
-        return pos, i, j
+        return pos, self.rows[pos], np.repeat(np.arange(len(cols)), counts)
 
     def to_dense(self):
         nk = self.space.n * self.block_dim

@@ -1,9 +1,9 @@
 """JSON/CSV emission helpers shared by all report-producing modules.
 
 Report numbers are rounded to 15 significant digits so that repeated runs
-(and runs with different thread counts) produce byte-identical files.  They
-are rounded only where they are written, by ``report_dumps``; the
-``to_json`` methods return the values their results hold.
+produce byte-identical files.  They are rounded only where they are
+written, by ``report_dumps``; the ``to_json`` methods return the values
+their results hold.
 Operator files are the exception: their CSV bodies use shortest round-trip
 ``repr`` because they must reload bit-exactly.
 

@@ -105,9 +105,12 @@ def reference_check_metric_matrix(mat):
 def reference_window_matrix(A, ids):
     """Unfolded matrix of A on the listed points, in order, one window alone."""
     k, m = A.block_dim, len(ids)
-    pos, i, j = A.entries(ids, ids)
+    where = np.full(A.space.n, -1)
+    where[ids] = np.arange(m)
+    i, j = where[A.rows], where[A.cols]
+    keep = (i >= 0) & (j >= 0)
     out = np.zeros((m, k, m, k), dtype=np.complex128)
-    out[i, :, j, :] = A.blocks[pos]
+    out[i[keep], :, j[keep], :] = A.blocks[keep]
     return out.reshape(m * k, m * k)
 
 

@@ -1,4 +1,5 @@
 import sys
+import threading
 from dataclasses import asdict
 from functools import partial
 from unittest import mock
@@ -824,6 +825,28 @@ class TestThreadInvariantBodies:
                                     essential_nu(A, [5, 20], threads=t)]),
                       report_dumps(loc))
         assert out[1] == out[2] == out[4]
+
+    @staticmethod
+    def no_thread():
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+        return mock.patch.object(threading.Thread, "start", refuse)
+
+    def test_nu_s_starts_no_thread(self):
+        # balls of up to 81 columns pass _DENSE_MAX, so nu_s calls nu on them
+        sp = build_space({"kind": "n-window", "upper": 199, "name": "n200"})
+        A = three_i_minus_tridiag(sp)
+        with self.no_thread(), \
+                mock.patch.object(lowernorm, "nu", wraps=lowernorm.nu) as spy:
+            nu_s(A, range(sp.n), 40, threads=4)
+        assert max(len(call.args[1]) for call in spy.call_args_list) \
+            > lowernorm._DENSE_MAX
+
+    def test_essential_nu_starts_no_thread(self):
+        sp = build_space({"kind": "n-window", "upper": 199, "name": "n200"})
+        with self.no_thread():
+            assert len(essential_nu(three_i_minus_tridiag(sp), [5, 20],
+                                    threads=4)) == 2
 
 
 real_spaces = st.one_of(
