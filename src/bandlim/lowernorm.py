@@ -14,17 +14,17 @@ for any number of column sets, with each set's zero rows trimmed.
 The p = 2 route is picked by column count: a restriction of at most
 ``_DENSE_MAX`` columns is solved dense, a wider one banded, by one rule that
 ``nu`` and the ``nu_s`` screen share.  Every p = 2 witness, kernel vectors
-included, comes from inverse iteration (``_inverse_solves``) with a banded
-Cholesky factor of the Gram matrix G = sub* sub in LAPACK band storage
-(``operators.gram_band``, which ``norm2`` also reads), shifted just below its
-least eigenvalue.  A dense restriction takes its value from LAPACK's
-values-only SVD, whose square places the shift (``operators.shift_below``);
-the tolerance covers the witness's computed quotient.  A banded one lets the
-witness steer the shift (``operators.least_eigenvalue``): the value is the
-witness quotient, an attained upper bound, and the tolerance reaches down to
-the bound that the last completed factor certifies, a checked interval
-[value - tolerance, value].  No p = 2 route asks an SVD for singular
-vectors, and none reduces G to tridiagonal form.
+included, comes from inverse iteration with a banded Cholesky factor of the
+Gram matrix G = sub* sub in LAPACK band storage (``operators.gram_band``,
+which ``norm2`` also reads), shifted just below its least eigenvalue by one
+search (``operators.least_eigenvalue``).  A dense restriction takes its value
+from LAPACK's values-only SVD, whose square is the search's start, and its
+witness from the first factor found (``_witness_at``); the tolerance covers
+the witness's computed quotient.  A banded one lets the witness steer the
+shift: the value is the witness quotient, an attained upper bound, and the
+tolerance reaches down to the bound that the last completed factor
+certifies, a checked interval [value - tolerance, value].  No p = 2 route
+asks an SVD for singular vectors, and none reduces G to tridiagonal form.
 
 The restriction of a real operator (``BandOperator.is_real``) is real, so
 every p = 2 route runs in real arithmetic: its singular values are those over
@@ -66,8 +66,7 @@ from scipy.sparse import csr_matrix, issparse
 
 from .operators import (
     _EPS, OperatorError, Vector, _check_exponent, _cholesky_rate, _gamma,
-    _random_start, _unfold, gram_band, least_eigenvalue, schur_bound,
-    shift_below,
+    _unfold, gram_band, least_eigenvalue, schur_bound,
 )
 from .serialize import KeyedRows
 
@@ -210,16 +209,16 @@ def _sigma_min(sub):
     """(value, right singular vector, method, tolerance) of sigma_min.
 
     Dense ``sub``: the least value sigma of LAPACK's values-only SVD, and
-    the vector w of ``_banded_inverse_iteration`` at sigma^2 on
-    ``gram_band(sub)``, whose quotient |sub w| / |w| is computed; the
-    tolerance is max(1e-10, |quotient - value|).  CSR ``sub``:
+    w = ``_witness_at(gram_band(sub), sigma^2)``, whose quotient
+    |sub w| / |w| is computed; the tolerance is
+    max(1e-10, |quotient - value|).  CSR ``sub``:
     ``_sigma_min_banded``.  ``sub`` has at least as many rows as columns.
     """
     if issparse(sub):
         return _sigma_min_banded(sub)
     ab = gram_band(sub)
     sigma = float(np.linalg.svd(sub, compute_uv=False).min())
-    w = _banded_inverse_iteration(ab, sigma * sigma)[0]
+    w = _witness_at(ab, sigma * sigma)
     gap = abs(np.linalg.norm(sub @ w) / np.linalg.norm(w) - sigma)
     return sigma, w, "exact-svd", max(1e-10, gap)
 
@@ -264,27 +263,27 @@ def _formed(count, col, row):
     return _gamma(count + 2) * col * row
 
 
-def _banded_inverse_iteration(ab, lam):
-    """(w, mu, slack): a unit vector for the known least eigenvalue lam of
-    the Gram matrix G in lower band storage ab, by ``_inverse_solves`` with
-    the factor of ``operators.shift_below``, and that shift and its slack:
-    lambda_min(G) >= mu - slack.  The witness of the dense route of
-    ``_sigma_min`` and the kernel vectors of ``_kernel_vector``.
+def _witness_at(ab, lam):
+    """Unit vector for a known least eigenvalue lam of the Gram matrix in
+    lower band storage ab: three solves of inverse iteration from
+    ``operators._random_start`` with the first factor that
+    ``operators.least_eigenvalue`` finds below lam.  Its floor of -inf stops
+    the search after the first solve; ``_inverse_solves`` runs the other
+    two.  The witness of ``_sigma_min``'s dense route and of
+    ``_kernel_vector``.
     """
-    mu, factor, slack = shift_below(ab, lam)
-    return _inverse_solves(factor), mu, slack
+    _, factor, _, w = least_eigenvalue(ab, lambda U: -np.inf, lower=lam)
+    return _inverse_solves(factor, w, 2)
 
 
-def _inverse_solves(factor, w=None, count=3):
+def _inverse_solves(factor, w, count):
     """Unit vector from ``count`` ``pbtrs`` solves with the banded Cholesky
-    factor of G - mu I from w (``_random_start`` if None): inverse iteration
-    at mu.  Every entry of modulus at most eps max |w_i| is set to 0: such
-    dust is rounding, and left in place it would spread the witness's
-    support over the whole restriction.  A real factor gives a real vector.
+    factor of G - mu I from w: inverse iteration at mu.  Every entry of
+    modulus at most eps max |w_i| is set to 0: such dust is rounding, and
+    left in place it would spread the witness's support over the whole
+    restriction.  A real factor gives a real vector.
     """
     pbtrs = get_lapack_funcs("pbtrs", (factor,))
-    if w is None:
-        w = _random_start(factor.shape[1])
     for _ in range(count):
         w = pbtrs(factor, w, lower=1)[0]
         w /= np.linalg.norm(w)
@@ -296,15 +295,15 @@ def _inverse_solves(factor, w=None, count=3):
 def _kernel_vector(sub):
     """Unit vector in the kernel of a restriction with fewer rows than columns.
 
-    The first zero column if there is one, else ``_banded_inverse_iteration``
-    at 0 on ``gram_band(sub)``, for a dense or CSR ``sub`` alike.
+    The first zero column if there is one, else
+    ``_witness_at(gram_band(sub), 0)``, for a dense or CSR ``sub`` alike.
     """
     zero = np.flatnonzero(np.asarray(abs(sub).sum(axis=0)).ravel() == 0)
     if len(zero):
         vec = np.zeros(sub.shape[1], dtype=np.complex128)
         vec[zero[0]] = 1.0
         return vec
-    return _banded_inverse_iteration(gram_band(sub), 0.0)[0]
+    return _witness_at(gram_band(sub), 0.0)
 
 
 def _site_norms(flat, k):
@@ -720,12 +719,13 @@ def essential_nu(A, exclusion_radii, p=2.0, threads=1):
     return [(r, work(r)) for r in radii]
 
 
-def witness_cascade(A, delta_schedule, s_schedule, p=2.0, F=None):
+def witness_cascade(A, delta_schedule, s_schedule, p=2.0):
     """Nested witness balls down a schedule of shrinking support scales.
 
     Scales must be strictly increasing with s[k+1] > 2 s[k]; stages run from
-    the largest scale down, each restricting to the ball found by the
-    previous one.  Returns (center, radius, value) triples in stage order.
+    the largest scale down, the first on ``space.interior(A.propagation)``,
+    each later one restricted to the ball found by the previous one.
+    Returns (center, radius, value) triples in stage order.
     ``delta_schedule`` is only checked for its length (None gives 2^-k);
     it does not steer the stages.  ``OperatorError`` for a non-finite scale.
     """
@@ -742,9 +742,7 @@ def witness_cascade(A, delta_schedule, s_schedule, p=2.0, F=None):
         raise OperatorError("schedules have different lengths")
 
     space = A.space
-    if F is None:
-        F = [int(x) for x in space.interior(A.propagation)]
-    F_cur = sorted(int(x) for x in F)
+    F_cur = space.interior(A.propagation).tolist()
     out = []
     for s in reversed(s_schedule):
         rep = nu_s(A, F_cur, s, p=p)

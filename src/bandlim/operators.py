@@ -412,23 +412,6 @@ def _shift_test(ab):
     return test, dist, norm
 
 
-def shift_below(ab, lam):
-    """(mu, R, slack): the first of the shifts lam - d, lam - 2d, lam - 4d,
-    ... at which G - mu I factors (``_shift_test``), for a known least
-    eigenvalue lam of G.  The first fails where lam lies above the computed
-    spectrum or meets a zero pivot; the doubling ends, as G - mu I is
-    diagonally dominant once mu <= -|G|_inf."""
-    test, dist, _ = _shift_test(ab)
-    mu, found = _shift_below(test, lam, dist)
-    return (mu, *found)
-
-
-def _shift_below(test, lam, dist):
-    while (found := test(lam - dist)) is None:
-        dist *= 2.0
-    return lam - dist, found
-
-
 def _random_start(m):
     """``default_rng(0).standard_normal(m)``, the seeded start of every
     inverse iteration.  A longer draw begins with every shorter one, so the
@@ -449,24 +432,30 @@ def least_eigenvalue(ab, floor=None, lower=0.0):
     its slack (lambda_min(G) >= mu - slack, ``_shift_test``) and a unit
     witness w.
 
-    From the factor ``_shift_below`` finds under ``lower`` (0 for a Gram
-    matrix; None takes -|G|_inf), each round's ``pbtrs`` solve
-    v = (G - mu I)^-1 w makes w = v / |v|.  Its Rayleigh quotient
-    U = mu + (w, v) / |v|^2 bounds lambda_min above in exact arithmetic, as
-    does ``top``, the least of min diag G, every U and every failed shift.
-    The search stops once mu >= top - d or mu - slack >= ``floor(U)``.  Else,
-    from the second round on, it factors at the lowest stopping shift if
-    that lies ``_STEER`` times U's last move (at least d) below ``top``; else
-    at ``top`` less that margin, or at the midpoint of [mu, top] if higher;
-    after a failure, at the lower of the stopping shift and the midpoint.
-    U only steers: only a completed factorization certifies.
+    The first factor is the first of the shifts lower - d, lower - 2d,
+    lower - 4d, ... that factors (``lower`` 0 for a Gram matrix, a known
+    least eigenvalue, or None for -|G|_inf); the doubling ends, as G - mu I
+    is diagonally dominant once mu <= -|G|_inf.  Each round's ``pbtrs``
+    solve v = (G - mu I)^-1 w, from w = ``_random_start`` in the first,
+    makes w = v / |v|.  Its Rayleigh quotient U = mu + (w, v) / |v|^2, v's
+    for any w, bounds lambda_min above in exact arithmetic, as does
+    ``top``, the least of min diag G, every U and every failed shift.
+    The search stops once mu >= top - d or mu - slack >= ``floor(U)``; a
+    floor of -inf stops after the first solve.  Else, from the second round
+    on, it factors at the lowest stopping shift if that lies ``_STEER``
+    times U's last move (at least d) below ``top``; else at ``top`` less
+    that margin, or at the midpoint of [mu, top] if higher; after a
+    failure, at the lower of the stopping shift and the midpoint.  U only
+    steers: only a completed factorization certifies.
     """
     test, dist, norm = _shift_test(ab)
     pbtrs = get_lapack_funcs("pbtrs", (ab,))
-    start = -norm if lower is None else lower
-    good, (factor, slack) = _shift_below(test, start, dist)
+    start, step = (-norm if lower is None else lower), dist
+    while (found := test(start - step)) is None:
+        step *= 2.0
+    good, (factor, slack) = start - step, found
     top, w = float(ab[0].real.min()), _random_start(ab.shape[1])
-    w, last, failed = w / np.linalg.norm(w), None, False
+    last, failed = None, False
     while True:
         v = pbtrs(factor, w, lower=1)[0]
         size = np.linalg.norm(v)

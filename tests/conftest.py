@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 
 from bandlim.space import SpaceError, build_space, _grid
 from bandlim.operators import (
-    BandOperator, OperatorError, Vector, _check_exponent, from_triplets,
+    BandOperator, OperatorError, Vector, _check_exponent, _shift_test,
+    from_triplets,
 )
 from bandlim.limits import LimitWindow
 from bandlim.lowernorm import NuReport, _restricted, _witness_vector
@@ -171,6 +173,29 @@ def nu_brute(A, F, p, samples=10 ** 6):
             best = float(q[i])
             best_v = chunk[i]
     return best, _witness_vector(A, Fs, best_v.astype(np.complex128), p)
+
+
+def reference_witness(ab, lam):
+    """The three-solve witness for a known least eigenvalue lam of the Gram
+    matrix in lower band storage ab.
+
+    The first completed factor of G - mu I at mu = lam - d, lam - 2d,
+    lam - 4d, ... (the test and step d of ``_shift_test``), then three
+    ``pbtrs`` solves from ``default_rng(0).standard_normal(m)``, normalizing
+    after each; every entry of modulus at most eps max |w_i| is set to 0.
+    """
+    test, dist, _ = _shift_test(ab)
+    while (found := test(lam - dist)) is None:
+        dist *= 2.0
+    factor = found[0]
+    pbtrs = get_lapack_funcs("pbtrs", (factor,))
+    w = np.random.default_rng(0).standard_normal(ab.shape[1])
+    for _ in range(3):
+        w = pbtrs(factor, w, lower=1)[0]
+        w /= np.linalg.norm(w)
+    size = np.abs(w)
+    w[size <= np.finfo(float).eps * size.max()] = 0.0
+    return w
 
 
 def reference_isometries(t1, t2, cap=256):

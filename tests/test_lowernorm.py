@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigvals_banded, get_lapack_funcs
 from scipy.sparse import issparse
 
@@ -15,6 +15,7 @@ from bandlim.space import build_space
 from bandlim.operators import (
     OperatorError, from_triplets, identity, multiplier, compose, add, scale,
     subtract, adjoint, schur_bound, norm2, apply_operator, gram_band,
+    least_eigenvalue,
 )
 from bandlim.lowernorm import (
     nu, nu_s, localization_check, essential_nu, witness_cascade,
@@ -22,7 +23,9 @@ from bandlim.lowernorm import (
 from bandlim.partition import BlockSparsifierModel
 from bandlim.serialize import report_dumps
 
-from conftest import nu_brute, random_band, shift_operator, tridiagonal
+from conftest import (
+    nu_brute, random_band, reference_witness, shift_operator, tridiagonal,
+)
 
 
 def window(n, name):
@@ -782,10 +785,10 @@ class TestIterativeFallback:
         A = three_i_minus_tridiag(sp)
         ab = gram_band(lowernorm._restricted(A, range(sp.n))[2])
         lam = eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))[0]
-        _, mu0, _ = lowernorm._banded_inverse_iteration(ab, lam)
+        mu0 = least_eigenvalue(ab, lambda U: -np.inf, lower=lam)[0]
         calls = []
         with self.first_factorization_fails(calls):
-            _, mu1, _ = lowernorm._banded_inverse_iteration(ab, lam)
+            mu1 = least_eigenvalue(ab, lambda U: -np.inf, lower=lam)[0]
         assert len(calls) == 2 and np.all(calls[1][0] > calls[0][0])
         assert abs((lam - mu1) - 2 * (lam - mu0)) <= 0.01 * (lam - mu0)
         # nu's search: its first shift -d fails, so -2d is tried; every
@@ -1065,8 +1068,9 @@ class TestDenseWitness:
         eps = np.finfo(float).eps
         lam = 1.0 + 16 * eps
         assert lam - 16 * eps == 1.0
-        w, mu, _ = lowernorm._banded_inverse_iteration(np.array([[1.0, 4.0]]),
-                                                       lam)
+        ab = np.array([[1.0, 4.0]])
+        mu = least_eigenvalue(ab, lambda U: -np.inf, lower=lam)[0]
+        w = lowernorm._witness_at(ab, lam)
         assert mu == 1.0 - 16 * eps     # the doubled distance
         assert np.all(np.isfinite(w))
         assert abs(abs(w[0]) - 1.0) < 1e-12 and abs(w[1]) < 1e-12
@@ -1079,6 +1083,48 @@ class TestDenseWitness:
         assert rep.value == 0.0 and rep.method == "exact-svd"
         assert rep.tolerance == 1e-10
         assert rep.witness.flat().tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+class TestWitnessRecipe:
+    """The dense route's witness and the kernel vectors are bitwise the
+    three-solve recipe of ``reference_witness``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 30), seed=st.integers(0, 2 ** 32 - 1),
+           block_dim=st.sampled_from([1, 2]), real=st.booleans())
+    def test_dense_witness(self, n, seed, block_dim, real):
+        sp = build_space({"kind": "n-window", "upper": n - 1, "name": f"n{n}"})
+        rng = np.random.default_rng(seed)
+        A = random_band(sp, 2, rng, density=0.7, block_dim=block_dim,
+                        real=real)
+        F = np.flatnonzero(rng.random(n) < 0.7)
+        assume(len(F))
+        sub = lowernorm._restricted(A, F)[2]
+        assume(sub.shape[0] >= sub.shape[1])
+        assert not issparse(sub)
+        sigma = float(np.linalg.svd(sub, compute_uv=False).min())
+        assert np.array_equal(lowernorm._sigma_min(sub)[1],
+                              reference_witness(gram_band(sub), sigma * sigma))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 30), seed=st.integers(0, 2 ** 32 - 1),
+           block_dim=st.sampled_from([1, 2]), real=st.booleans(),
+           extra=st.sampled_from([1, 2]), data=st.data())
+    def test_kernel_witness(self, n, seed, block_dim, real, extra, data):
+        # rows 0 .. r - 1 of a full band of propagation 2, restricted to the
+        # columns 0 .. r + extra - 1: every column meets a kept row, and
+        # there are fewer rows than columns
+        r = data.draw(st.integers(1, n - extra))
+        sp = build_space({"kind": "n-window", "upper": n - 1, "name": f"n{n}"})
+        A = random_band(sp, 2, np.random.default_rng(seed), density=1.0,
+                        block_dim=block_dim, real=real)
+        keep = multiplier(sp, lambda x: float(x < r) * np.eye(block_dim),
+                          block_dim=block_dim)
+        sub = lowernorm._restricted(compose(keep, A), range(r + extra))[2]
+        assert sub.shape[0] < sub.shape[1]
+        assert np.all(np.abs(sub).sum(axis=0) > 0)
+        assert np.array_equal(lowernorm._kernel_vector(sub),
+                              reference_witness(gram_band(sub), 0.0))
 
 
 def neumann_operator(n):
