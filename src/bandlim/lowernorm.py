@@ -40,15 +40,15 @@ balls get 0 without an SVD, and the balls past the dense limit go through
 ``nu``.  The balls that ``nu`` would solve by dense SVD are screened in
 three steps.  Sample: every k-th of them (k the square root of their
 count) takes a values-only SVD, and U is the least value known then.
-Certify: one batched banded Cholesky factorization of their shifted Gram
-matrices, formed from the gathered entries without a dense stack, proves
-of most other balls that their SVD value exceeds U, counting the rounding
-of the Gram matrix, of the factorization and of the SVD, so they cannot be
-the minimum.  Survivors: the rest take values-only SVDs.  Every SVD runs on
-a zeroed same-shape stack, bitwise the matrices ``_restricted`` builds,
-with the LAPACK call ``nu`` makes, so the values are ``nu``'s bitwise.
-``nu`` builds the witness and report of the winning ball.  Every lower
-norm runs in the calling thread.
+Certify: ``pbtrf``, the one banded Cholesky here, factors their shifted
+Gram matrices in one band strip formed from the gathered entries, and
+proves of most other balls that their SVD value exceeds U, counting the
+rounding of the Gram matrix, of the factorization and of the SVD, so they
+cannot be the minimum.  Survivors: the rest take values-only SVDs.  Every
+SVD runs on a zeroed same-shape stack, bitwise the matrices ``_restricted``
+builds, with the LAPACK call ``nu`` makes, so the values are ``nu``'s
+bitwise.  ``nu`` builds the witness and report of the winning ball.  Every
+lower norm runs in the calling thread.
 
 ``localization_check`` computes the support bound under which the localized
 value provably sits within delta of the global one, given the sparsifier
@@ -112,11 +112,14 @@ class NuReport:
 
 
 def _column_set(F):
-    """F as sorted ids without repeats; ``OperatorError`` if it is empty."""
-    F = np.unique(np.fromiter(F, dtype=np.int64))
-    if len(F) == 0:
+    """F as sorted ids without repeats; ``OperatorError`` if it is empty or
+    not a flat set of integer ids (a boolean mask, fractional ids)."""
+    F = F if isinstance(F, np.ndarray) else np.array(list(F))
+    if F.size == 0:
         raise OperatorError("lower norm needs a nonempty column set")
-    return F
+    if F.ndim != 1 or F.dtype.kind not in "iu":
+        raise OperatorError(f"point ids must be integers, got {F.dtype} {F.shape}")
+    return np.unique(F.astype(np.int64))
 
 
 def _gather(A, sets):
@@ -461,7 +464,7 @@ def nu_s(A, F, s, p=2.0, threads=1):
     ones are screened in three steps.  Sample: every k-th of the N dense
     balls in job order, k = floor(sqrt(N)), takes its SVD; U is then the
     least value known, kernel zeros and ``nu`` values included.  Certify:
-    ``_pruned`` proves with one batched banded Cholesky factorization that
+    ``_pruned`` proves with banded Cholesky factors (``pbtrf``) that
     most other balls have an SVD value above U; they cannot be the minimum
     and take no SVD.  Survivors: the rest take their SVDs.  The stride only
     changes the speed.  The first strict minimum in ascending center order
@@ -548,21 +551,21 @@ def _stacks(stacks):
 
 def _pruned(gathered, jobs, least):
     """Mask of the listed dense jobs whose values-only SVD value provably
-    exceeds ``least``, from one batched Cholesky factorization.
+    exceeds ``least``, from banded Cholesky factors of their Gram matrices.
 
     Ball j's restriction B has R rows and C columns.  Its Gram matrix
     G = B* B is formed from the gathered triplets by one sparse product over
     all listed balls, with rounding e_j at most ``_formed``'s bound, and put
-    in lower band storage.  E_j = 16 R C eps |B|_F bounds the absolute error
-    of LAPACK's SVD value.  The Householder bidiagonalization is backward
-    stable, |dB|_F <= c R C u |B|_F with u = eps / 2 and c a small constant
-    (Higham, Lemma 19.3 and Thm 19.4, applied from both sides; c = 32 here),
-    each singular value moves by at most |dB|_2 (Weyl), and the values of
-    the bidiagonal are found to high relative accuracy.  The shift tau_j is
-    set so that tau_j - slack_j - e_j >= (least + 2 E_j)^2, slack_j the
-    ``operators._cholesky_rate`` slack of the factor of G - tau_j I, and
-    ``_factors`` factors all shifted matrices at once.  Where the factor
-    completes, sigma_min(B) > least + 2 E_j, so the computed SVD value
+    in one lower band storage strip, ball after ball.  E_j = 16 R C eps |B|_F
+    bounds the absolute error of LAPACK's SVD value.  The Householder
+    bidiagonalization is backward stable, |dB|_F <= c R C u |B|_F with
+    u = eps / 2 and c a small constant (Higham, Lemma 19.3 and Thm 19.4,
+    applied from both sides; c = 32 here), each singular value moves by at
+    most |dB|_2 (Weyl), and the values of the bidiagonal are found to high
+    relative accuracy.  The shift tau_j is set so that tau_j - slack_j - e_j
+    >= (least + 2 E_j)^2, slack_j the ``operators._cholesky_rate`` slack of
+    the factor of G - tau_j I that ``_factors`` computes in the strip.  Where
+    it completes, sigma_min(B) > least + 2 E_j, so the computed SVD value
     exceeds least + E_j > least.
     """
     rows, cols, _ = gathered
@@ -592,45 +595,41 @@ def _pruned(gathered, jobs, least):
     low = G.row >= G.col
     off = (G.row - G.col)[low]
     band = int(off.max(initial=0))
-    strip = np.zeros((band + 1, C.sum() + 1), dtype=v.dtype)
-    strip[off, G.col[low]] = G.data[low]
-    q = np.arange(C.max())[:, None]
-    inside = q < C
-    ab = strip[:, np.where(inside, first_col + q, -1)]   # column -1 is zero
-    ab[0] += ~inside                    # a padded column factors as 1
+    ab = np.zeros((band + 1, C.sum()), dtype=v.dtype, order="F")
+    ab[off, G.col[low]] = G.data[low]
     with np.errstate(over="ignore", invalid="ignore"):
         want = (least + 2.0 * error) ** 2
         rate = _cholesky_rate(band)
         # top |g_ii - tau| <= max g_ii + tau, as G >= 0 and tau >= 0
-        diag = np.where(inside, ab[0].real, 0.0).max(axis=0)
+        diag = np.maximum.reduceat(ab[0].real, first_col)
         tau = (want + formed + rate * diag) / (1.0 - rate)
-        ab[0] -= np.where(inside, tau, 0.0)
-        top = np.where(inside, np.abs(ab[0]), 0.0).max(axis=0)
+        ab[0] -= np.repeat(tau, C)
+        top = np.maximum.reduceat(np.abs(ab[0]), first_col)
         proved = tau - rate * top - formed >= want
-    return _factors(ab) & proved
+    # pbtrf factors NaN on: a zero pivot stops it at an unproved ball's start
+    ab[0, first_col[~proved]] = 0.0
+    return _factors(ab, C) & proved
 
 
-def _factors(ab):
-    """Mask of the banded Hermitian matrices in ``ab`` whose Cholesky
-    factorization completes: every pivot is positive.
-
-    ``ab[:, :, i]`` is matrix i in LAPACK lower band storage, so that each
-    step of the one loop over columns works on contiguous rows of all
-    matrices at once.  The factorization overwrites ``ab``.  After a pivot
-    that is not positive, that matrix's entries may turn NaN or inf; no
-    other matrix's do.
+def _factors(ab, sizes):
+    """Mask of the Hermitian matrices of ``sizes`` columns laid side by side
+    in ``ab`` (lower band storage, Fortran order, no entry coupling two of
+    them) whose Cholesky factorization completes.  ``pbtrf`` factors ``ab``
+    in place from column 0; after a pivot that is not positive it marks that
+    matrix and starts again, in place, at the next one.  A NaN pivot does
+    not stop ``pbtrf``.
     """
-    width, m, count = ab.shape
-    pivots = np.empty((m, count))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(m):
-            pivots[j] = d = ab[0, j].real
-            k = min(width - 1, m - 1 - j)
-            below = ab[1:k + 1, j] / np.sqrt(d)     # L[j + t, j], t = 1 .. k
-            conj = below.conj()
-            for e in range(k):          # H[j + t + e, j + t], t = 1 .. k - e
-                ab[e, j + 1:j + 1 + k - e] -= below[e:] * conj[:k - e]
-    return (pivots > 0).all(axis=0)
+    pbtrf = get_lapack_funcs("pbtrf", (ab,))
+    ends = np.cumsum(sizes)
+    done = np.ones(len(ends), dtype=bool)
+    start = 0
+    while (info := pbtrf(ab[:, start:], lower=1, overwrite_ab=True)[1]) > 0:
+        j = np.searchsorted(ends, start + info - 1, side="right")
+        done[j] = False
+        start = ends[j]
+    if info < 0:
+        raise ValueError(f"pbtrf: illegal argument {-info}")
+    return done
 
 
 @dataclass

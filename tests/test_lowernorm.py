@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigvals_banded, get_lapack_funcs
 from scipy.sparse import issparse
 
@@ -145,6 +145,20 @@ class TestColumnSet:
         A = self.operator()
         assert body(nu(A, F)) == body(nu(A, [4, 3]))
         assert body(nu(A, F, p=3.0)) == body(nu(A, [3, 4], p=3.0))
+
+    @pytest.mark.parametrize("F", [
+        [True, False], np.array([False, True, True]), [1.5], [3.0, 4.0],
+        np.array([3.0, 4.0]), np.array([[3, 4]]), ["3"],
+    ])
+    def test_ids_that_are_not_integers_raise(self, F):
+        # a boolean mask or fractional ids once read as the ids they cast to
+        A = self.operator()
+        for call in (lambda: nu(A, F), lambda: nu(A, F, p=3.0),
+                     lambda: nu_s(A, F, 1),
+                     lambda: localization_check(A, 0.5, BlockSparsifierModel(),
+                                                [range(5), F])):
+            with pytest.raises(OperatorError, match="ids must be integers"):
+                call()
 
     def test_brute_oracle_drops_repeats(self):
         A = self.operator()
@@ -614,7 +628,7 @@ class TestPrunedScreen:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_batched_factor_agrees_with_pbtrf(self, dtype):
-        # Gram matrices of 1 to 12 columns and bands 0 to 4 in one batch,
+        # Gram matrices of 1 to 12 columns and bands 0 to 4 in one strip,
         # shifted 0.1 % below and above their least eigenvalue
         rng = np.random.default_rng(139)
         pbtrf = get_lapack_funcs("pbtrf", dtype=dtype)
@@ -632,15 +646,114 @@ class TestPrunedScreen:
                 h[0] -= tau
                 want.append(pbtrf(h.copy(), lower=1)[1] == 0)
                 bands.append(h)
-        width = max(h.shape[0] for h in bands)
-        m = max(h.shape[1] for h in bands)
-        batch = np.zeros((width, m, len(bands)), dtype=dtype)
-        batch[0] = 1.0
-        for i, h in enumerate(bands):
-            batch[0, :h.shape[1], i] = 0.0
-            batch[:h.shape[0], :h.shape[1], i] = h
-        got = lowernorm._factors(batch)
+        got = lowernorm._factors(side_by_side(bands),
+                                 [h.shape[1] for h in bands])
         assert got.tolist() == want and want == [True, False] * 6
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), band=st.integers(0, 70),
+           complex_=st.booleans(),
+           blocks=st.lists(st.tuples(st.integers(1, 74),
+                                     st.sampled_from(["below", "above", "last"])),
+                           min_size=1, max_size=12))
+    @example(seed=5, band=40, complex_=False, blocks=[
+        (9, "last"), (30, "above"), (74, "below"), (1, "above"),
+        (50, "above"), (33, "last")])
+    @example(seed=6, band=70, complex_=True, blocks=[
+        (74, "above"), (74, "last"), (2, "below"), (1, "last")])
+    def test_restarts_agree_with_pbtrf_per_matrix(self, seed, band, complex_,
+                                                  blocks):
+        # Gram matrices shifted 0.1 % below ("below") or above ("above")
+        # their least eigenvalue, or below it with a negative last diagonal
+        # entry ("last": the factorization fails at the last column); bands
+        # of 32 and more run dpbtrf's blocked branch.  A dominant diagonal
+        # entry of B keeps every Gram matrix well conditioned, so that the
+        # shifts decide far above the rounding
+        dtype = np.complex128 if complex_ else np.float64
+        rng = np.random.default_rng(seed)
+        mats = []
+        for m, kind in blocks:
+            B = np.zeros((m + band, m), dtype=dtype)
+            for j in range(m):
+                B[j:j + band + 1, j] = rng.standard_normal(band + 1)
+                if complex_:
+                    B[j:j + band + 1, j] += 1j * rng.standard_normal(band + 1)
+                B[j, j] += 3.0
+            h = gram_band(B)
+            lam = np.linalg.eigvalsh(B.conj().T @ B)[0]
+            h[0] -= 1.001 * lam if kind == "above" else 0.999 * lam
+            if kind == "last":
+                h[0, -1] = -1.0
+            mats.append(h)
+        strip = side_by_side(mats)
+        pbtrf = get_lapack_funcs("pbtrf", dtype=dtype)
+        want = []
+        for h, (m, kind) in zip(mats, blocks):
+            info = pbtrf(side_by_side([h], len(strip)), lower=1)[1]
+            assert kind != "last" or info == m
+            want.append(info == 0)
+        got = lowernorm._factors(strip, [m for m, _ in blocks])
+        assert got.tolist() == want
+
+    def test_unproved_ball_factors_no_other(self):
+        # an entry of 1e200 overflows the Gram matrix of the 4 balls holding
+        # point 0, and pbtrf would carry its NaN on through every later
+        # ball; every ball's value lies between 0.5 and 2
+        sp = build_space({"kind": "n-window", "upper": 59, "name": "n60"})
+        trip = [(x, x, 1e200 if x == 0 else 3.0) for x in range(60)]
+        trip += [(x, x + 1, 0.9) for x in range(59)]
+        trip += [(x + 1, x, 0.9) for x in range(59)]
+        A = from_triplets(sp, trip)
+        _, stacked, _, gathered = lowernorm._screen(
+            A, distinct_balls(A, range(60), 3), 2.0)
+        with np.errstate(over="ignore"):
+            assert not lowernorm._pruned(gathered, stacked, 2.0).any()
+            assert lowernorm._pruned(gathered, stacked, 0.5)[4:].all()
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_plane_balls_take_few_svds(self, s):
+        # the spectrum workload's stencil, drawn as at its seed 7, on a
+        # 20 x 20 quadrant: period 2 in x, 5-point hops; 400 balls.  The
+        # least value sits at the edge, so few balls tie with it: 30 SVDs
+        # at s = 2 and 56 at s = 3
+        q = 20
+        sp = build_space({"kind": "quadrant", "upper": q - 1, "name": "q20"})
+        rng = np.random.default_rng(7)
+        diag = (1.0 + 0.2 * rng.random(), 2.0 + 0.2 * rng.random())
+        hop = 0.3 + 0.4 * rng.random((4, 2))
+        trip = []
+        for cx in range(q):
+            for cy in range(q):
+                x, par = cx * q + cy, cx % 2
+                trip.append((x, x, diag[par]))
+                for k, (dx, dy) in enumerate([(1, 0), (-1, 0), (0, 1), (0, -1)]):
+                    if 0 <= cx + dx < q and 0 <= cy + dy < q:
+                        trip.append(((cx + dx) * q + cy + dy, x, hop[k, par]))
+        A = from_triplets(sp, trip)
+        svd, taken = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            taken.append(1 if a.ndim == 2 else a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        with mock.patch.object(np.linalg, "svd", spy):
+            rep = nu_s(A, range(sp.n), s)
+        assert sum(taken) <= 100
+        assert body(rep) == body(nu_s_reference(A, range(sp.n), s))
+
+
+def side_by_side(mats, width=None):
+    """Band storage matrices side by side in one Fortran-ordered strip of
+    ``width`` rows (the widest band's by default), zero where a band is
+    narrower."""
+    width = width or max(h.shape[0] for h in mats)
+    strip = np.zeros((width, sum(h.shape[1] for h in mats)),
+                     dtype=mats[0].dtype, order="F")
+    at = 0
+    for h in mats:
+        strip[:h.shape[0], at:at + h.shape[1]] = h
+        at += h.shape[1]
+    return strip
 
 
 class TestOutOfRangeArguments:
