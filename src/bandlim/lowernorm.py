@@ -17,14 +17,16 @@ The p = 2 route is picked by column count: a restriction of at most
 included, comes from inverse iteration with a banded Cholesky factor of the
 Gram matrix G = sub* sub in LAPACK band storage (``operators.gram_band``,
 which ``norm2`` also reads), shifted just below its least eigenvalue by one
-search (``operators.least_eigenvalue``).  A dense restriction takes its value
-from LAPACK's values-only SVD, whose square is the search's start, and its
-witness from the first factor found (``_witness_at``); the tolerance covers
-the witness's computed quotient.  A banded one lets the witness steer the
-shift: the value is the witness quotient, an attained upper bound, and the
-tolerance reaches down to the bound that the last completed factor
-certifies, a checked interval [value - tolerance, value].  No p = 2 route
-asks an SVD for singular vectors, and none reduces G to tridiagonal form.
+search (``operators.least_eigenvalue``).  A sparse sub's G comes from
+``operators._gram``, which sums each entry over the rows in order.  A dense
+restriction takes its value from LAPACK's values-only SVD, whose square is
+the search's start, and its witness from the first factor found
+(``_witness_at``); the tolerance covers the witness's computed quotient.  A
+banded one lets the witness steer the shift: the value is the witness
+quotient, an attained upper bound, and the tolerance reaches down to the
+bound that the last completed factor certifies, a checked interval
+[value - tolerance, value].  No p = 2 route asks an SVD for singular
+vectors, and none reduces G to tridiagonal form.
 
 The restriction of a real operator (``BandOperator.is_real``) is real, so
 every p = 2 route runs in real arithmetic: its singular values are those over
@@ -38,11 +40,11 @@ positive, whichever route found it.
 builds every distinct ball restriction from one ``_gather`` call.  Kernel
 balls get 0 without an SVD, and the balls past the dense limit go through
 ``nu``.  The balls that ``nu`` would solve by dense SVD are screened in
-three steps.  Sample: every k-th of them (k the square root of their
-count) takes a values-only SVD, and U is the least value known then.
-Certify: ``pbtrf``, the one banded Cholesky here, factors their shifted
-Gram matrices in one band strip formed from the gathered entries, and
-proves of most other balls that their SVD value exceeds U, counting the
+three steps.  Sample: every k-th of them (k the square root of their count)
+takes a values-only SVD, and U is the least value known then.  Certify:
+``pbtrf``, the one banded Cholesky here, factors their shifted Gram matrices
+in one band strip that ``operators._gram`` forms from the gathered entries,
+and proves of most other balls that their SVD value exceeds U, counting the
 rounding of the Gram matrix, of the factorization and of the SVD, so they
 cannot be the minimum.  Survivors: the rest take values-only SVDs.  Every
 SVD runs on a zeroed same-shape stack, bitwise the matrices ``_restricted``
@@ -66,7 +68,7 @@ from scipy.sparse import csr_matrix, issparse
 
 from .operators import (
     _EPS, OperatorError, Vector, _check_exponent, _cholesky_rate, _gamma,
-    _unfold, gram_band, least_eigenvalue, schur_bound,
+    _gram, _unfold, gram_band, least_eigenvalue, schur_bound,
 )
 from .serialize import KeyedRows
 
@@ -188,18 +190,28 @@ def _restricted(A, F):
     of F, and the unfolded restricted matrix.  ``A.entries`` raises
     ``OperatorError`` for an id outside the space, as ``_column_set`` does
     for an empty F.  ``sub`` is a dense array when it has at most
-    ``_DENSE_MAX`` (unfolded) columns, CSR otherwise; that rule picks the
-    p = 2 route (``_sigma_min``) for ``nu`` and the ``nu_s`` screen alike.
+    ``_DENSE_MAX`` (unfolded) columns, CSR (``_by_row``) otherwise; that
+    rule picks the p = 2 route (``_sigma_min``) for ``nu`` and the ``nu_s``
+    screen alike.
     Dropping all-zero rows leaves the singular values unchanged.  The matrix
     is float64 when A is real, complex128 otherwise.
     """
     F = _column_set(F)
     row_ids, rows, cols, (_, r, c, v) = _gather(A, [F])
     if cols[0] > _DENSE_MAX:
-        return F, row_ids, csr_matrix((v, (r, c)), shape=(rows[0], cols[0]))
+        return F, row_ids, csr_matrix(_by_row(r, c, v, rows[0]),
+                                      shape=(rows[0], cols[0]))
     sub = np.zeros((rows[0], cols[0]), v.dtype)
     sub[r, c] = v
     return F, row_ids, sub
+
+
+def _by_row(r, c, v, rows):
+    """CSR (data, indices, indptr) of ``rows`` rows from triplets: a stable
+    argsort by row, which keeps the columns' order within each row."""
+    order = np.argsort(r, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=rows))))
+    return v[order], c[order], indptr
 
 
 def _witness_vector(A, F, coeffs, p):
@@ -553,20 +565,21 @@ def _pruned(gathered, jobs, least):
     """Mask of the listed dense jobs whose values-only SVD value provably
     exceeds ``least``, from banded Cholesky factors of their Gram matrices.
 
-    Ball j's restriction B has R rows and C columns.  Its Gram matrix
-    G = B* B is formed from the gathered triplets by one sparse product over
-    all listed balls, with rounding e_j at most ``_formed``'s bound, and put
-    in one lower band storage strip, ball after ball.  E_j = 16 R C eps |B|_F
-    bounds the absolute error of LAPACK's SVD value.  The Householder
-    bidiagonalization is backward stable, |dB|_F <= c R C u |B|_F with
-    u = eps / 2 and c a small constant (Higham, Lemma 19.3 and Thm 19.4,
-    applied from both sides; c = 32 here), each singular value moves by at
-    most |dB|_2 (Weyl), and the values of the bidiagonal are found to high
-    relative accuracy.  The shift tau_j is set so that tau_j - slack_j - e_j
-    >= (least + 2 E_j)^2, slack_j the ``operators._cholesky_rate`` slack of
-    the factor of G - tau_j I that ``_factors`` computes in the strip.  Where
-    it completes, sigma_min(B) > least + 2 E_j, so the computed SVD value
-    exceeds least + E_j > least.
+    Ball j's restriction B has R rows and C columns.  ``operators._gram``
+    forms G = B* B of all listed balls from their triplets sorted by row
+    (``_by_row``), with rounding e_j at most ``_formed``'s bound, in one
+    lower band storage strip, ball after ball; overflow is not proved and
+    does not warn.  E_j = 16 R C eps |B|_F bounds the absolute error of
+    LAPACK's SVD value.  The Householder bidiagonalization is backward
+    stable, |dB|_F <= c R C u |B|_F with u = eps / 2 and c a small constant
+    (Higham, Lemma 19.3 and Thm 19.4, applied from both sides; c = 32 here),
+    each singular value moves by at most |dB|_2 (Weyl), and the values of
+    the bidiagonal are found to high relative accuracy.  The shift tau_j is
+    set so that tau_j - slack_j - e_j >= (least + 2 E_j)^2, slack_j the
+    ``operators._cholesky_rate`` slack of the factor of G - tau_j I that
+    ``_factors`` computes in the strip.  Where it completes,
+    sigma_min(B) > least + 2 E_j, so the computed SVD value exceeds
+    least + E_j > least.
     """
     rows, cols, _ = gathered
     count = len(jobs)
@@ -581,25 +594,19 @@ def _pruned(gathered, jobs, least):
     r += first_row[owner]
     c += first_col[owner]
     size = np.abs(v)
+    ab = np.asfortranarray(_gram(*_by_row(r, c, v, R.sum()), C.sum()))
 
     def most(idx, first, total, weights=None):     # per ball
         return np.maximum.reduceat(
             np.bincount(idx, weights, minlength=total), first)
-    formed = _formed(most(c, first_col, C.sum()),
-                     most(c, first_col, C.sum(), size),
-                     most(r, first_row, R.sum(), size))
-    error = 16.0 * R * C * _EPS * np.sqrt(
-        np.bincount(owner, size * size, minlength=count))
-    B = csr_matrix((v, (r, c)), shape=(R.sum(), C.sum()))
-    G = (B.conj().T @ B).tocoo()        # block diagonal, ball after ball
-    low = G.row >= G.col
-    off = (G.row - G.col)[low]
-    band = int(off.max(initial=0))
-    ab = np.zeros((band + 1, C.sum()), dtype=v.dtype, order="F")
-    ab[off, G.col[low]] = G.data[low]
     with np.errstate(over="ignore", invalid="ignore"):
+        formed = _formed(most(c, first_col, C.sum()),
+                         most(c, first_col, C.sum(), size),
+                         most(r, first_row, R.sum(), size))
+        error = 16.0 * R * C * _EPS * np.sqrt(
+            np.bincount(owner, size * size, minlength=count))
         want = (least + 2.0 * error) ** 2
-        rate = _cholesky_rate(band)
+        rate = _cholesky_rate(ab.shape[0] - 1)
         # top |g_ii - tau| <= max g_ii + tau, as G >= 0 and tau >= 0
         diag = np.maximum.reduceat(ab[0].real, first_col)
         tau = (want + formed + rate * diag) / (1.0 - rate)

@@ -325,36 +325,68 @@ def schur_bound(A: BandOperator, p=2.0) -> float:
     return float(min(interp, basic))
 
 
+def _gram(data, indices, indptr, m):
+    """``gram_band`` of M from its CSR arrays (m columns, ascending in each
+    row, none repeated): ``np.bincount`` adds conj(v_b) v_a into
+    ab[c_b - c_a, c_a] for each entry a and each entry b at or after a in
+    its row, entry after entry, so each entry of G is summed from 0 over the
+    rows in ascending order, as in scipy's ``csr_matmat``.  Overflow does
+    not warn."""
+    n = len(data)
+    later = np.repeat(indptr[1:], np.diff(indptr)) - np.arange(1, n + 1)
+    a = np.repeat(np.arange(n), later)      # b runs over the rest of a's row
+    b = np.arange(1, len(a) + 1) - np.repeat(
+        np.cumsum(later) - later - np.arange(n), later)
+    key = (indices[b] - indices[a]) * m + indices[a]          # flat in ab
+    size = (int(key.max(initial=0)) // m + 1) * m
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.bincount(indices, (data.conj() * data).real, m)
+        prod = data[b].conj() * data[a]
+    # bincount of no weights is int64
+    ab = np.bincount(key, prod.real, size).astype(data.dtype, copy=False)
+    if np.iscomplexobj(ab):
+        ab.imag = np.bincount(key, prod.imag, size)
+    ab = ab.reshape(-1, m)
+    ab[0] = diag
+    return ab[:np.flatnonzero(ab.any(axis=1)).max(initial=0) + 1]
+
+
 def gram_band(M):
     """Gram matrix G = M* M of a dense or sparse matrix in LAPACK lower band
     storage.
 
     Returns ab of shape (band + 1, columns) with ab[d, j] = G[j + d, j]; the
     band is the widest row - column offset of a nonzero entry of G, so a
-    dense M and its CSR copy give the same band.  Raises ``OperatorError``
-    when G holds a non-finite entry (entries whose products overflow), which
-    no shift would factor, and when the storage would exceed DENSE_SIDE**2
-    entries, the size of the largest dense matrix.
+    dense M and its CSR copy give the same band.  BLAS forms G of a dense
+    M, ``_gram`` that of a sparse one, made canonical CSR on a copy if need
+    be.  Raises ``OperatorError`` when G holds a non-finite entry (entries
+    whose products overflow), which no shift would factor, and when the
+    storage would exceed DENSE_SIDE**2 entries, the size of the largest
+    dense matrix; for a sparse M that is checked before it is allocated.
     """
+    m = M.shape[1]
     if issparse(M):
-        G = (M.conj().T @ M).tocoo()
-        r, c, v = G.row, G.col, G.data
+        M = M.tocsr()
+        M = M if M.has_canonical_format else M.copy()
+        M.sum_duplicates()
+        first = M.indices[np.repeat(M.indptr[:-1], np.diff(M.indptr))]
+        band = int((M.indices - first).max(initial=0))
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             G = M.conj().T @ M
         r, c = np.nonzero(G)
-        v = G[r, c]
-    low = r >= c
-    r, c, v = r[low], c[low], v[low]
-    if not np.isfinite(v).all():
-        raise OperatorError("non-finite Gram matrix")
-    off = r - c
-    band = int(off.max(initial=0))
-    m = M.shape[1]
+        low = r >= c
+        r, c = r[low], c[low]
+        band = int((r - c).max(initial=0))
     if (band + 1) * m > DENSE_SIDE ** 2:
         raise OperatorError(f"Gram band {band} too wide for {m} unfolded columns")
-    ab = np.zeros((band + 1, m), dtype=v.dtype)
-    ab[off, c] = v
+    if issparse(M):
+        ab = _gram(M.data, M.indices, M.indptr, m)
+    else:
+        ab = np.zeros((band + 1, m), dtype=G.dtype)
+        ab[r - c, c] = G[r, c]
+    if not np.isfinite(ab).all():
+        raise OperatorError("non-finite Gram matrix")
     return ab
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
+from scipy.sparse import issparse
 
 from bandlim.space import SpaceError, build_space, _grid
 from bandlim.operators import (
@@ -196,6 +197,22 @@ def reference_witness(ab, lam):
     size = np.abs(w)
     w[size <= np.finfo(float).eps * size.max()] = 0.0
     return w
+
+
+def reference_gram_band(M):
+    """Lower band storage ab of G = M* M, ab[d, j] = G[j + d, j], for a dense
+    or sparse M: G starts at 0 and takes the outer product of each row of M
+    in ascending row order, so every entry is summed over the rows in that
+    order.  The band is the widest offset of a nonzero entry of G.
+    """
+    M = M.toarray() if issparse(M) else np.asarray(M)
+    G = np.zeros((M.shape[1], M.shape[1]), dtype=M.dtype)
+    for row in M:
+        G += np.outer(row.conj(), row)
+    r, c = np.nonzero(np.tril(G))
+    ab = np.zeros((int((r - c).max(initial=0)) + 1, M.shape[1]), dtype=M.dtype)
+    ab[r - c, c] = G[r, c]
+    return ab
 
 
 def reference_isometries(t1, t2, cap=256):

@@ -1,5 +1,6 @@
 import sys
 import threading
+from contextlib import ExitStack
 from dataclasses import asdict
 from functools import partial
 from unittest import mock
@@ -8,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigvals_banded, get_lapack_funcs
-from scipy.sparse import issparse
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, issparse
 
 from bandlim import lowernorm, operators
 from bandlim.space import build_space
 from bandlim.operators import (
-    OperatorError, from_triplets, identity, multiplier, compose, add, scale,
-    subtract, adjoint, schur_bound, norm2, apply_operator, gram_band,
-    least_eigenvalue,
+    BandOperator, OperatorError, from_triplets, identity, multiplier, compose,
+    add, scale, subtract, adjoint, schur_bound, norm2, apply_operator,
+    gram_band, least_eigenvalue,
 )
 from bandlim.lowernorm import (
     nu, nu_s, localization_check, essential_nu, witness_cascade,
@@ -24,7 +25,8 @@ from bandlim.partition import BlockSparsifierModel
 from bandlim.serialize import report_dumps
 
 from conftest import (
-    nu_brute, random_band, reference_witness, shift_operator, tridiagonal,
+    nu_brute, random_band, reference_gram_band, reference_witness,
+    shift_operator, tridiagonal,
 )
 
 
@@ -709,6 +711,18 @@ class TestPrunedScreen:
         with np.errstate(over="ignore"):
             assert not lowernorm._pruned(gathered, stacked, 2.0).any()
             assert lowernorm._pruned(gathered, stacked, 0.5)[4:].all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gram_matrix_does_not_warn(self):
+        # the operator of test_unproved_ball_factors_no_other: its certificate
+        # overflows |B|_F, the rounding bound and G of the balls holding
+        # point 0 without a warning, so nu_s returns under the error filter
+        sp = build_space({"kind": "n-window", "upper": 59, "name": "n60"})
+        trip = [(x, x, 1e200 if x == 0 else 3.0) for x in range(60)]
+        trip += [(x, x + 1, 0.9) for x in range(59)]
+        trip += [(x + 1, x, 0.9) for x in range(59)]
+        rep = nu_s(from_triplets(sp, trip), range(60), 3)
+        assert abs(rep.value - 1.3463) < 1e-4
 
     @pytest.mark.parametrize("s", [2, 3])
     def test_plane_balls_take_few_svds(self, s):
@@ -1501,3 +1515,110 @@ class TestBandedRoute:
             assert rep.value - rep.tolerance <= 0.0
             assert 1e-9 <= rep.value + rounding_slack(rep) and rep.value < 1e-6
             assert abs(quotient(A, rep) - rep.value) <= rounding_slack(rep)
+
+
+def noncanonical_copies(sub, rng):
+    """COO, CSC and CSR copies of the sparse matrix ``sub`` in which some
+    entries are stored twice as halves, a few stored zeros are added and the
+    entries are shuffled, so that no row or column keeps its order."""
+    coo = sub.tocoo()
+    r, c, v = coo.row, coo.col, coo.data.copy()
+    half = rng.random(len(v)) < 0.3
+    v[half] /= 2
+    k = int(rng.integers(0, 4)) if sub.shape[0] else 0
+    r = np.concatenate((r, r[half], rng.integers(0, max(1, sub.shape[0]), k)))
+    c = np.concatenate((c, c[half], rng.integers(0, sub.shape[1], k)))
+    v = np.concatenate((v, v[half], np.zeros(k, v.dtype)))
+    perm = rng.permutation(len(v))
+    r, c, v = r[perm], c[perm], v[perm]
+
+    def compressed(kind, major, minor, size):
+        order = np.argsort(major, kind="stable")
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(major, minlength=size))))
+        return kind((v[order], minor[order], ptr), shape=sub.shape)
+    return [coo_matrix((v, (r, c)), shape=sub.shape),
+            compressed(csc_matrix, c, r, sub.shape[1]),
+            compressed(csr_matrix, r, c, sub.shape[0])]
+
+
+def stored(X):
+    """Copies of the arrays that hold a COO, CSC or CSR matrix."""
+    arrays = ((X.row, X.col, X.data) if X.format == "coo"
+              else (X.data, X.indices, X.indptr))
+    return [a.copy() for a in arrays]
+
+
+class TestGramPairs:
+    """A sparse Gram matrix is formed by pairing the entries of each row,
+    every entry summed over the rows in ascending order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(desc=nu_s_spaces, seed=st.integers(0, 2 ** 32 - 1),
+           block_dim=st.sampled_from([1, 2]), prop=st.integers(0, 2),
+           real=st.booleans(), integral=st.booleans(),
+           keep=st.floats(0.3, 1.0))
+    def test_restrictions_match_the_row_order_reference(
+            self, desc, seed, block_dim, prop, real, integral, keep):
+        sp = build_space(desc)
+        rng = np.random.default_rng(seed)
+        A = random_band(sp, prop, rng, density=0.6, block_dim=block_dim,
+                        real=real)
+        if integral:    # entries of G cancel exactly, zero blocks are stored
+            A = BandOperator(sp, A.rows, A.cols, np.round(2 * A.blocks),
+                             block_dim=block_dim)
+        F = [x for x in range(sp.n) if rng.random() < keep] or [0]
+        with banded_route():
+            sub = lowernorm._restricted(A, F)[2]
+        want = reference_gram_band(sub)
+        scale = np.abs(want).max()
+        dense = gram_band(sub.toarray())
+        assert dense.shape == want.shape and np.abs(dense - want).max() <= 1e-14 * scale
+        for X in [sub, *noncanonical_copies(sub, rng)]:
+            before = stored(X)
+            got = gram_band(X)
+            assert all(map(np.array_equal, before, stored(X)))
+            assert got.shape == want.shape and got.dtype == want.dtype
+            if np.iscomplexobj(want):
+                assert np.abs(got - want).max() <= 1e-14 * scale
+            else:
+                assert np.array_equal(got, want)
+
+    def test_entries_are_summed_in_row_order(self):
+        # G[2, 0] takes 1, 1e-16 and -1 from rows 0, 1 and 2: 0 in row
+        # order, so the band is 1, but 1e-16 when the rows without column 1
+        # are summed first
+        M = csr_matrix(np.array([[1.0, 0.0, 1.0], [1e-8, 1.0, 1e-8],
+                                 [1.0, 0.0, -1.0]]))
+        ab = gram_band(M)
+        assert ab.shape == (2, 3) and np.array_equal(ab, reference_gram_band(M))
+
+    def test_no_sparse_product(self):
+        # the banded nu, its kernel route, norm2 and the nu_s certificate
+        # form G without multiplying two sparse matrices
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sparse product was formed")
+
+        owners = {cls for kind in (coo_matrix, csc_matrix, csr_matrix)
+                  for cls in kind.__mro__ if "_matmul_sparse" in vars(cls)}
+        sp = build_space({"kind": "n-window", "upper": 299, "name": "n300"})
+        A = three_i_minus_tridiag(sp)
+        C = from_triplets(sp, [(0, 0, 1.0), (0, 1, 2.0)]
+                          + [(x, x, 1.0) for x in range(2, sp.n)])
+        B = bump_tridiagonal(210)
+        jobs, real = [], lowernorm._pruned
+
+        def spy(gathered, listed, least):
+            jobs.append(len(listed))
+            return real(gathered, listed, least)
+
+        with ExitStack() as stack:
+            for cls in owners:
+                stack.enter_context(mock.patch.object(cls, "_matmul_sparse", refuse))
+            stack.enter_context(mock.patch.object(lowernorm, "_pruned", spy))
+            with pytest.raises(AssertionError, match="sparse product"):
+                A.csr() @ A.csr()
+            methods = [nu(A, range(sp.n)).method, nu(C, range(sp.n)).method]
+            norm2(A)
+            nu_s(B, range(210), 20)
+        assert methods == ["banded-gram", "kernel"]
+        assert len(jobs) == 1 and jobs[0] > 0
